@@ -13,11 +13,13 @@ Four subcommands:
   bare superoscillating sequence) sampled on an (x, t) grid, as CSV.
 
 Grids are given as ``lo:hi:count`` (inclusive endpoints) or as a single
-scalar.  CSV fields are printed with %.17g so values round-trip exactly.
+scalar; every number given must be finite.  CSV fields are printed with
+%.17g so values round-trip exactly.
 """
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -54,18 +56,31 @@ def _merge_axis_values(argv):
 def _axis(text):
     """Parse 'lo:hi:count' into an inclusive grid, or a scalar into [v]."""
     parts = text.split(":")
+    grid = None
     try:
         if len(parts) == 1:
-            return np.array([float(parts[0])])
-        if len(parts) == 3:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError
-            return np.linspace(lo, hi, count)
+            grid = np.array([float(parts[0])])
+        elif len(parts) == 3 and int(parts[2]) >= 1:
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = np.linspace(float(parts[0]), float(parts[1]),
+                                   int(parts[2]))
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(
-        f"expected 'lo:hi:count' or a single number, got {text!r}")
+    if grid is None or not np.all(np.isfinite(grid)):
+        raise argparse.ArgumentTypeError(
+            f"expected 'lo:hi:count' or a single number, all finite, "
+            f"got {text!r}")
+    return grid
+
+
+def _finite_float(text):
+    try:
+        val = float(text)
+        if math.isfinite(val):
+            return val
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _nonneg_int(text):
@@ -82,8 +97,33 @@ def _positive_int(text):
     return val
 
 
-def _fmt(value):
-    return "%.17g" % value
+# rows are formatted and written this many at a time
+_ROW_BLOCK = 4096
+
+
+def _row_format(columns, last="%.17g"):
+    return ",".join(["%.17g"] * (columns - 1) + [last]) + "\n"
+
+
+def _modulus(values):
+    """|v| for a complex array, equal to Python's abs(v) to the bit.  Not
+    np.abs: on complex arrays it can differ from abs by one ulp, which
+    %.17g would print."""
+    return np.hypot(values.real, values.imag)
+
+
+def _complex_columns(values):
+    """The re, im and abs columns of a complex array."""
+    values = np.ravel(values)
+    return [values.real, values.imag, _modulus(values)]
+
+
+def _write_rows(out, row_format, columns):
+    """Write equal-length columns as CSV rows, row_format holding one
+    conversion per column."""
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        block = [np.asarray(c)[lo:lo + _ROW_BLOCK].tolist() for c in columns]
+        out.write("".join(row_format % row for row in zip(*block)))
 
 
 def _json_default(obj):
@@ -136,20 +176,16 @@ def cmd_spectrogram(args):
             numeric = stft_grid(s, g, args.u, args.eta).values
 
     values = closed if closed is not None else numeric
+    columns = [np.repeat(args.u, args.eta.size), np.tile(args.eta, args.u.size),
+               *_complex_columns(values)]
+    header = "u,eta,re,im,abs"
+    if args.mode == "both":
+        header += ",abs_err"
+        columns.append(_modulus(np.ravel(closed - numeric)))
     out, close = _open_out(args.out)
     try:
-        header = "u,eta,re,im,abs"
-        if args.mode == "both":
-            header += ",abs_err"
         out.write(header + "\n")
-        for i, u in enumerate(args.u):
-            for j, eta in enumerate(args.eta):
-                v = values[i, j]
-                row = [_fmt(u), _fmt(eta), _fmt(v.real), _fmt(v.imag),
-                       _fmt(abs(v))]
-                if args.mode == "both":
-                    row.append(_fmt(abs(closed[i, j] - numeric[i, j])))
-                out.write(",".join(row) + "\n")
+        _write_rows(out, _row_format(len(columns)), columns)
     finally:
         if close:
             out.close()
@@ -220,30 +256,31 @@ def cmd_evolve(args):
             args._parser.error("--superosc requires --n")
         p = SuperoscParams(a=args.a, n=args.n)
 
-        def sample(x, t):
-            return evolve_superosc(p, x, t), 0
+        def sample(t):
+            return evolve_superosc(p, args.x, t), 0
     elif args.window == "gaussian":
-        def sample(x, t):
-            pt = EvolutionPoint(x=x, t=t, x0=args.x0, k0=args.k0)
+        def sample(t):
+            pt = EvolutionPoint(x=args.x, t=t, x0=args.x0, k0=args.k0)
             return evolve_gaussian_closed(pt, normalized=args.normalized), 0
     else:
         order = args.order
         radius = float(hermite_window(order).decay_radius) + DEFAULT_PAD
 
-        def sample(x, t):
-            pt = EvolutionPoint(x=x, t=t, x0=args.x0, k0=args.k0)
+        def sample(t):
+            pt = EvolutionPoint(x=args.x, t=t, x0=args.x0, k0=args.k0)
             val = evolve_hermite(order, pt, normalized=args.normalized)
             return val, int(oscillation_hazard(t, radius))
 
+    row_format = _row_format(6, last="%d")
+    size = args.x.size
     out, close = _open_out(args.out)
     try:
         out.write("x,t,re,im,abs,accuracy_flag\n")
-        for t in args.t:  # t-major row order
-            for x in args.x:
-                v, flag = sample(float(x), float(t))
-                out.write(",".join([_fmt(x), _fmt(t), _fmt(v.real),
-                                    _fmt(v.imag), _fmt(abs(v)), str(flag)])
-                          + "\n")
+        for t in args.t:  # t-major row order, one grid call per time slice
+            v, flag = sample(float(t))
+            _write_rows(out, row_format,
+                        [args.x, np.full(size, t), *_complex_columns(v),
+                         [flag] * size])
     finally:
         if close:
             out.close()
@@ -270,11 +307,12 @@ def build_parser():
                     help="Hermite window order (ignored for gaussian)")
     sp.add_argument("--signal", choices=("superosc", "limit"),
                     default="superosc")
-    sp.add_argument("--a", type=float, default=2.0,
+    sp.add_argument("--a", type=_finite_float, default=2.0,
                     help="superoscillation target frequency")
     sp.add_argument("--n", type=_positive_int, default=None,
                     help="superoscillation order")
-    sp.add_argument("--x", type=float, default=0.0, help="signal center")
+    sp.add_argument("--x", type=_finite_float, default=0.0,
+                    help="signal center")
     sp.add_argument("--u", type=_axis, default="-3:3:61",
                     help="time axis lo:hi:count")
     sp.add_argument("--eta", type=_axis, default=None,
@@ -297,7 +335,7 @@ def build_parser():
     zf.add_argument("--signal", choices=("superosc-gaussian",), default=None)
     zf.add_argument("--window", choices=("gaussian", "hermite"), default=None)
     zf.add_argument("--order", type=_nonneg_int, default=0)
-    zf.add_argument("--a", type=float, default=2.0)
+    zf.add_argument("--a", type=_finite_float, default=2.0)
     zf.add_argument("--n", type=_positive_int, default=None)
     zf.add_argument("--resolution", type=_positive_int, default=128)
     zf.add_argument("--tolerance", type=float, default=1e-8)
@@ -313,10 +351,12 @@ def build_parser():
     evp.add_argument("--superosc", action="store_true",
                      help="evolve the bare superoscillating sequence "
                           "F_n(x, t) instead of a window atom")
-    evp.add_argument("--a", type=float, default=2.0)
+    evp.add_argument("--a", type=_finite_float, default=2.0)
     evp.add_argument("--n", type=_positive_int, default=None)
-    evp.add_argument("--x0", type=float, default=0.0, help="datum center")
-    evp.add_argument("--k0", type=float, default=0.0, help="datum frequency")
+    evp.add_argument("--x0", type=_finite_float, default=0.0,
+                     help="datum center")
+    evp.add_argument("--k0", type=_finite_float, default=0.0,
+                     help="datum frequency")
     evp.add_argument("--x", type=_axis, default=None,
                      help="space axis lo:hi:count")
     evp.add_argument("--t", type=_axis, default=None,

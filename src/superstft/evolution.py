@@ -15,6 +15,12 @@ so node density is scaled by (1 + |t| T) up to a cap; past the cap
 (|t| T^2 > 10^4) results are unreliable and a warning is raised —
 oscillation_hazard() exposes the same predicate for callers that need
 a flag instead of a warning.
+
+The evolution routes are grid-first: the fields of an EvolutionPoint (and
+the y, t of evolve_superosc) may be arrays that broadcast together, and a
+scalar call is the 0-d case of the same code.  evolve_hermite takes one t
+per call, since its quadrature rule depends on t; evolve_numeric, the
+momentum-space oracle, takes single points.
 """
 
 import math
@@ -31,7 +37,7 @@ from .quadrature import (
 )
 from .signals import hermite_window, window_norm_sq
 from .special import hermite_function
-from .superosc import coefficients, frequencies, supershift_probe
+from .superosc import coefficients, frequencies
 
 TWO_PI = 2.0 * math.pi
 SQRT_TWO_PI = math.sqrt(TWO_PI)
@@ -42,11 +48,17 @@ OSCILLATION_HAZARD = 1e4
 # hard ceiling on nodes per unit after oscillation scaling
 _MAX_NODES_PER_UNIT = 4096
 
+# cells of the phase matrix built at once by _chirp_sum, so its
+# memory stays flat however many points a grid call asks for
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class EvolutionPoint:
     """Where to evaluate the evolved atom: position x, time t, initial
-    translation x0 and initial modulation k0 of the datum M_{k0} T_{x0} g."""
+    translation x0 and initial modulation k0 of the datum M_{k0} T_{x0} g.
+    Each field is a float or an array; together they broadcast to the grid
+    of points that evolve_gaussian_closed or evolve_hermite evaluates."""
 
     x: float
     t: float
@@ -56,7 +68,7 @@ class EvolutionPoint:
     def __post_init__(self):
         for name in ("x", "t", "x0", "k0"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be finite, got {v}")
 
 
@@ -76,6 +88,27 @@ def _warn_if_hazard(t, truncation_radius):
         )
 
 
+def _as_result(out):
+    return complex(out) if np.ndim(out) == 0 else out
+
+
+def _chirp_sum(s, u, t, v):
+    """sum_j e^{i (s u_j - u_j^2 t)} v_j for every entry of s, building one
+    block of rows of the phase matrix at a time."""
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    chirp = u * u * t
+    out = np.empty(flat.size, dtype=complex)
+    step = max(1, _BLOCK_CELLS // u.size)
+    for lo in range(0, flat.size, step):
+        rows = flat[lo:lo + step]
+        cells = np.zeros((rows.size, u.size), dtype=complex)
+        np.multiply.outer(rows, u, out=cells.imag)
+        cells.imag -= chirp
+        out[lo:lo + step] = np.exp(cells, out=cells) @ v
+    return out.reshape(s.shape)
+
+
 def _oscillation_spec(radius, t, scheme="CompositeSimpson"):
     """Quadrature spec on [-radius, radius] with node density scaled by
     (1 + |t| radius), capped at _MAX_NODES_PER_UNIT."""
@@ -93,6 +126,7 @@ def evolve_numeric(g, pt, spec=None, normalized=False):
 
     F(g) is closed-form for gaussian/hermite windows (sqrt(2 pi) (-i)^m h_m);
     custom windows need an explicit spec covering the decay of F(g).
+    This route is the scalar oracle: pt must be a single point.
     """
     if spec is None:
         if g.kind not in ("gaussian", "hermite"):
@@ -131,8 +165,8 @@ def evolve_gaussian_closed(pt, normalized=False):
 
     principal square root (continuous through t = 0).  Solves
     i d/dt phi = -d^2/dx^2 phi exactly and equals 2 pi M_{k0} T_{x0} phi
-    at t = 0."""
-    out = complex(_gaussian_closed_arr(pt.x, pt.t, pt.x0, pt.k0))
+    at t = 0.  Evaluated on the whole grid that pt spans."""
+    out = _as_result(_gaussian_closed_arr(pt.x, pt.t, pt.x0, pt.k0))
     return out / TWO_PI if normalized else out
 
 
@@ -145,19 +179,27 @@ def evolve_hermite(m, pt, spec=None, normalized=False):
 
     The constant and the two t-dependent exponents are fixed by the
     requirements that the t = 0 value be 2 pi M_{k0} T_{x0} h_m and that
-    the result match evolve_numeric at all t."""
+    the result match evolve_numeric at all t.
+
+    pt.t must be a scalar; pt.x, pt.x0 and pt.k0 may be arrays.  One rule
+    and one weighted vector w h_m(u) serve the whole grid, which is then
+    one product with the matrix e^{i (x - x0 - 2 k0 t) u - i u^2 t}."""
     if m < 0:
         raise ValueError(f"hermite order must be >= 0, got {m}")
+    if np.ndim(pt.t) != 0:
+        raise ValueError("the quadrature rule depends on t: pass one t per "
+                         "call (x, x0 and k0 may be arrays)")
+    t = float(pt.t)
     if spec is None:
         radius = float(hermite_window(m).decay_radius) + DEFAULT_PAD
-        spec = _oscillation_spec(radius, pt.t)
-    _warn_if_hazard(pt.t, spec.truncation_radius)
+        spec = _oscillation_spec(radius, t)
+    _warn_if_hazard(t, spec.truncation_radius)
     u, w = nodes_weights(spec)
-    vals = (np.exp(-1j * u * u * pt.t + 1j * u * (pt.x - pt.x0 - 2.0 * pt.k0 * pt.t))
-            * hermite_function(m, u))
-    out = (SQRT_TWO_PI * (-1j) ** m
-           * np.exp(1j * pt.k0 * pt.x - 1j * pt.k0**2 * pt.t)
-           * complex(w @ vals))
+    integral = _chirp_sum(pt.x - pt.x0 - 2.0 * pt.k0 * t, u, t,
+                          w * hermite_function(m, u))
+    out = _as_result(SQRT_TWO_PI * (-1j) ** m
+                     * np.exp(1j * pt.k0 * pt.x - 1j * pt.k0**2 * t)
+                     * integral)
     return out / TWO_PI if normalized else out
 
 
@@ -169,27 +211,30 @@ def evolve_superosc(p, y, t):
 
     At t = 0 this is F_n(y); as n grows it approaches e^{i a y - i a^2 t}
     (the supershift acts on the evolved closed form, which is entire in
-    the frequency)."""
-    return supershift_probe(lambda w: np.exp(1j * w * y - 1j * w * w * t), p)
+    the frequency).  y and t broadcast together; the sum over j is one
+    contraction over the whole grid."""
+    c = coefficients(p)
+    w = frequencies(p)
+    y, t = np.broadcast_arrays(np.asarray(y, dtype=float),
+                               np.asarray(t, dtype=float))
+    phase = np.multiply.outer(w, y) - np.multiply.outer(w * w, t)
+    return _as_result(np.tensordot(c, np.exp(1j * phase), axes=1))
 
 
 def evolve_superosc_signal(g, x, p, y, t, spec=None):
     """U_t S(y) for the signal S = F_n(.) g(. - x), by evolving each atom
-    M_{omega_j} T_x g and summing (datum scale: equals S(y) at t = 0)."""
-    c = coefficients(p)
-    w = frequencies(p)
+    M_{omega_j} T_x g and summing (datum scale: equals S(y) at t = 0).
+    All n + 1 atoms are one grid call over k0 = omega_j."""
+    pt = EvolutionPoint(y, t, x, frequencies(p))
     if g.kind == "gaussian":
-        atoms = [evolve_gaussian_closed(EvolutionPoint(y, t, x, float(wj)))
-                 for wj in w]
+        atoms = evolve_gaussian_closed(pt)
     elif g.kind == "hermite":
-        atoms = [evolve_hermite(g.order, EvolutionPoint(y, t, x, float(wj)),
-                                spec=spec)
-                 for wj in w]
+        atoms = evolve_hermite(g.order, pt, spec=spec)
     else:
         raise ValueError(
             "mode-wise evolution needs a gaussian or hermite window"
         )
-    return complex(sum(cj * a for cj, a in zip(c, atoms)) / TWO_PI)
+    return complex(coefficients(p) @ atoms / TWO_PI)
 
 
 def evolve_superosc_integral_representation(g, x, p, y, t,

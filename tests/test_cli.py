@@ -1,11 +1,14 @@
 import csv
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from superstft.cli import _axis, _merge_axis_values, main
+from superstft.cli import (_axis, _complex_columns, _merge_axis_values,
+                           _row_format, _write_rows, main)
 
 
 def _read_csv(path):
@@ -185,3 +188,132 @@ def test_evolve_requires_grids():
     with pytest.raises(SystemExit) as exc:
         main(["evolve", "--window", "gaussian", "--t", "0:1:3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrogram", "--n", "2", "--u", "nan"],
+    ["spectrogram", "--n", "2", "--u", "0:inf:3"],
+    ["spectrogram", "--n", "2", "--u", "-1e308:1e308:3"],
+    ["spectrogram", "--n", "2", "--eta", "-inf"],
+    ["spectrogram", "--n", "2", "--x", "nan"],
+    ["spectrogram", "--n", "2", "--a", "inf"],
+    ["zak-frame", "--signal", "superosc-gaussian", "--n", "2", "--a", "nan"],
+    ["evolve", "--superosc", "--n", "4", "--x", "0:1:3", "--t", "nan"],
+    ["evolve", "--x", "nan", "--t", "0:1:3"],
+    ["evolve", "--x", "0:1:3", "--t", "0:1:3", "--x0", "inf"],
+    ["evolve", "--x", "0:1:3", "--t", "0:1:3", "--k0", "-inf"],
+])
+def test_non_finite_numbers_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+# The per-cell writer the CLI used before its row-block writer; kept here as
+# the reference for the CSV bytes.
+def _fmt(value):
+    return "%.17g" % value
+
+
+def _reference_rows(pairs, values, extra=None):
+    lines = []
+    for k, (a, b) in enumerate(pairs):
+        v = complex(values[k])
+        row = [_fmt(a), _fmt(b), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
+        if extra is not None:
+            row.append(extra[k] if isinstance(extra[k], str) else _fmt(extra[k]))
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
+
+
+def test_csv_writer_matches_per_cell_format():
+    rng = np.random.default_rng(7)
+    z = (rng.normal(size=6000) + 1j * rng.normal(size=6000)) \
+        * 10.0 ** rng.integers(-5, 5, size=6000)
+    # cells where np.abs and Python abs disagree in the last bit, if this
+    # numpy has any, come first; 6000 rows cross a row-block boundary
+    disagree = np.abs(z) != np.array([abs(v) for v in z.tolist()])
+    z = np.concatenate([z[disagree], z[~disagree]])
+    a, b = rng.normal(size=z.size), np.arange(z.size) * 0.1
+    out = io.StringIO()
+    _write_rows(out, _row_format(6), [a, b, *_complex_columns(z), -z.real])
+    assert out.getvalue() == _reference_rows(list(zip(a, b)), z, -z.real)
+
+
+@pytest.mark.parametrize("window", [["--window", "gaussian"],
+                                    ["--window", "hermite", "--order", "3"]])
+def test_spectrogram_csv_bytes_match_per_cell_writer(tmp_path, window):
+    from superstft.kernels import stft_superosc_closed_grid
+    from superstft.signals import build_signal, gaussian_window, hermite_window
+    from superstft.superosc import SuperoscParams
+    from superstft.transforms import stft_grid
+    out = tmp_path / "s.csv"
+    rc = main(["spectrogram", *window, "--n", "8", "--x", "0.5",
+               "--u", "-4:4:33", "--eta", "-3:3:25", "--mode", "both",
+               "--out", str(out)])
+    assert rc == 0
+    g = gaussian_window() if window[1] == "gaussian" else hermite_window(3)
+    p = SuperoscParams(a=2.0, n=8)
+    u, eta = np.linspace(-4, 4, 33), np.linspace(-3, 3, 25)
+    closed = stft_superosc_closed_grid(g, 0.5, p, u, eta)
+    numeric = stft_grid(build_signal(g, 0.5, p), g, u, eta).values
+    pairs = [(ui, ei) for ui in u for ei in eta]
+    err = [abs(c - q) for c, q in zip(closed.ravel(), numeric.ravel())]
+    expected = "u,eta,re,im,abs,abs_err\n" + _reference_rows(
+        pairs, closed.ravel(), err)
+    assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("route", [
+    ["--superosc", "--a", "2", "--n", "8"],
+    ["--window", "gaussian", "--x0", "0.5", "--k0", "1.5"],
+    ["--window", "hermite", "--order", "3", "--k0", "0.5", "--normalized"],
+])
+def test_evolve_csv_bytes_match_per_cell_writer(tmp_path, route):
+    from superstft.evolution import (EvolutionPoint, evolve_gaussian_closed,
+                                     evolve_hermite, evolve_superosc)
+    from superstft.superosc import SuperoscParams
+    out = tmp_path / "e.csv"
+    rc = main(["evolve", *route, "--x", "-3:3:31", "--t", "0:0.6:4",
+               "--out", str(out)])
+    assert rc == 0
+    xs, ts = np.linspace(-3, 3, 31), np.linspace(0, 0.6, 4)
+    expected = "x,t,re,im,abs,accuracy_flag\n"
+    for t in ts:
+        if route[0] == "--superosc":
+            v = evolve_superosc(SuperoscParams(a=2.0, n=8), xs, t)
+        elif route[1] == "gaussian":
+            v = evolve_gaussian_closed(EvolutionPoint(xs, t, 0.5, 1.5))
+        else:
+            v = evolve_hermite(3, EvolutionPoint(xs, t, 0.0, 0.5),
+                               normalized=True)
+        expected += _reference_rows([(x, t) for x in xs], v, ["0"] * xs.size)
+    assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--window", "hermite", "--order", "3", "--x", "-4:4:9",
+     "--t", "0:1:3"],
+    ["evolve", "--superosc", "--n", "32", "--x", "-4:4:9", "--t", "0:1:3"],
+    ["evolve", "--window", "gaussian", "--k0", "2", "--x", "-4:4:9",
+     "--t", "-1:1:3"],
+])
+def test_evolve_without_hazard_emits_no_warning(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 27 and all(r.endswith(",0") for r in rows)
+
+
+def test_evolve_hazard_slice_warns_once_and_flags_its_rows(tmp_path):
+    out = tmp_path / "haz.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["evolve", "--window", "hermite", "--order", "1",
+                   "--t", "0:2000:2", "--x", "0:1:4", "--out", str(out)])
+    assert rc == 0
+    assert [w.category for w in caught] == [RuntimeWarning]
+    flags = [r[5] for r in _read_csv(str(out))[1:]]
+    assert flags == ["0"] * 4 + ["1"] * 4

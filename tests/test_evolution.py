@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,3 +146,69 @@ def test_integral_representation_path():
     h1 = hermite_window(1)
     with pytest.raises(ValueError):
         evolve_superosc_integral_representation(h1, 0.0, p, 0.3, 0.1)
+
+
+EPS = np.finfo(float).eps
+
+
+def test_hermite_grid_matches_point_calls():
+    xs = np.linspace(-4.0, 4.0, 41)
+    for m, t, x0, k0 in [(0, 0.0, 0.0, 0.0), (3, 0.7, 0.2, 0.9),
+                         (3, -0.5, 0.1, -1.0)]:
+        grid = evolve_hermite(m, EvolutionPoint(xs, t, x0, k0))
+        ref = np.array([evolve_hermite(m, EvolutionPoint(x, t, x0, k0))
+                        for x in xs])
+        assert grid.shape == xs.shape
+        assert np.max(np.abs(grid - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the frequency can be the array instead, as in the mode-wise signal sum
+    ks = np.linspace(-1.0, 1.0, 9)
+    grid = evolve_hermite(2, EvolutionPoint(0.3, 0.4, 0.1, ks), normalized=True)
+    ref = np.array([evolve_hermite(2, EvolutionPoint(0.3, 0.4, 0.1, k),
+                                   normalized=True) for k in ks])
+    assert np.max(np.abs(grid - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_hermite_grid_needs_scalar_t():
+    with pytest.raises(ValueError):
+        evolve_hermite(1, EvolutionPoint(0.0, np.array([0.1, 0.2]), 0.0, 0.0))
+
+
+def test_gaussian_closed_grid_matches_point_calls():
+    x, t = np.meshgrid(np.linspace(-4.0, 4.0, 21), np.linspace(-1.0, 1.0, 9))
+    grid = evolve_gaussian_closed(EvolutionPoint(x, t, 0.3, 1.7))
+    ref = np.array([[evolve_gaussian_closed(EvolutionPoint(xi, ti, 0.3, 1.7))
+                     for xi, ti in zip(rx, rt)] for rx, rt in zip(x, t)])
+    assert grid.shape == x.shape
+    assert np.all(np.abs(grid - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_superosc_grid_matches_point_calls():
+    from superstft.superosc import coefficients
+    y, t = np.meshgrid(np.linspace(-4.0, 4.0, 21), np.linspace(0.0, 1.0, 6))
+    for n in (8, 32):
+        p = SuperoscParams(a=2.0, n=n)
+        grid = evolve_superosc(p, y, t)
+        ref = np.array([[evolve_superosc(p, yi, ti) for yi, ti in zip(ry, rt)]
+                        for ry, rt in zip(y, t)])
+        assert grid.shape == y.shape
+        bound = 32.0 * EPS * np.sum(np.abs(coefficients(p)))
+        assert np.max(np.abs(grid - ref)) <= bound
+    # a scalar y against a t axis broadcasts too
+    p = SuperoscParams(a=2.0, n=8)
+    ts = np.array([0.0, 0.5])
+    assert np.allclose(evolve_superosc(p, 0.4, ts),
+                       [evolve_superosc(p, 0.4, tk) for tk in ts],
+                       rtol=0.0, atol=32.0 * EPS * np.sum(np.abs(coefficients(p))))
+
+
+def test_point_validation_covers_arrays():
+    with pytest.raises(ValueError):
+        EvolutionPoint(x=np.array([0.0, math.nan]), t=0.0, x0=0.0, k0=0.0)
+
+
+def test_hazard_warns_once_per_grid_call():
+    pt = EvolutionPoint(x=np.linspace(0.0, 1.0, 5), t=2000.0, x0=0.0, k0=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evolve_hermite(1, pt)
+    assert [w.category for w in caught] == [RuntimeWarning]
