@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate, make_spec, nodes_weights
+from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
+                         nodes_weights)
 from .signals import Window, window_norm_sq
 
 TWO_PI = 2.0 * math.pi
@@ -26,6 +27,15 @@ TWO_PI = 2.0 * math.pi
 
 def _decay_radius_of(f):
     return getattr(f, "decay_radius", None)
+
+
+def _finite(name, values):
+    """values as a float array; a NaN or infinite entry is a ValueError
+    that names the argument."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def _resolve_spec(spec, *funcs, shifts=()):
@@ -44,9 +54,9 @@ def _resolve_spec(spec, *funcs, shifts=()):
 
 def fourier(f, lam, spec=None):
     """F(f)(lam) = int e^{-i t lam} f(t) dt; lam may be scalar or array."""
+    lam_arr = _finite("lam", lam)
     spec = _resolve_spec(spec, f)
     t, w = nodes_weights(spec)
-    lam_arr = np.asarray(lam, dtype=float)
     ft = np.asarray(f(t), dtype=complex) * w
     out = ft @ np.exp(-1j * np.multiply.outer(t, lam_arr))
     return complex(out) if lam_arr.ndim == 0 else out
@@ -54,10 +64,10 @@ def fourier(f, lam, spec=None):
 
 def inverse_fourier(fhat, t, spec=None):
     """(1/2pi) int e^{i t lam} fhat(lam) dlam."""
+    t_arr = _finite("t", t)
     spec = _resolve_spec(spec, fhat)
     lam, w = nodes_weights(spec)
     vals = np.asarray(fhat(lam), dtype=complex) * w
-    t_arr = np.asarray(t, dtype=float)
     out = vals @ np.exp(1j * np.multiply.outer(lam, t_arr)) / TWO_PI
     return complex(out) if t_arr.ndim == 0 else out
 
@@ -123,8 +133,8 @@ class ComplexGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
+        u = _finite("grid axis u", self.u)
+        eta = _finite("grid axis eta", self.eta)
         vals = np.asarray(self.values, dtype=complex)
         if u.ndim != 1 or eta.ndim != 1:
             raise ValueError("grid axes must be one-dimensional")
@@ -164,14 +174,22 @@ class ComplexGrid:
 
 def stft_grid(f, g, u_axis, eta_axis, spec=None):
     """V_g f on a tensor grid, evaluated as one matrix product:
-    row i collects w_t f(t) conj(g(t - u_i)), column j applies e^{-i t eta_j}."""
-    u_axis = np.asarray(u_axis, dtype=float)
-    eta_axis = np.asarray(eta_axis, dtype=float)
+    row i collects w_t f(t) conj(g(t - u_i)), column j applies e^{-i t eta_j}.
+
+    The axes must be finite (ValueError naming the axis otherwise).  The
+    weighted integrand goes through the quadrature guard before the
+    product: a non-finite sample raises FloatingPointError, as the scalar
+    ``stft`` does, and components that underflowed to subnormal numbers in
+    the windows' Gaussian tails are set to zero, which keeps the values
+    bit-identical while sparing the matrix product the slow subnormal
+    arithmetic."""
+    u_axis = _finite("u_axis", u_axis)
+    eta_axis = _finite("eta_axis", eta_axis)
     shift = float(np.max(np.abs(u_axis))) if u_axis.size else 0.0
     spec = _resolve_spec(spec, f, g, shifts=(shift,))
     t, w = nodes_weights(spec)
-    a = (w * np.asarray(f(t), dtype=complex)
-         * np.conj(np.asarray(g(t[None, :] - u_axis[:, None]), dtype=complex)))
+    a = _guard(w * np.asarray(f(t), dtype=complex)
+               * np.conj(np.asarray(g(t[None, :] - u_axis[:, None]), dtype=complex)))
     e = np.exp(-1j * np.multiply.outer(t, eta_axis))
     return ComplexGrid(u=u_axis, eta=eta_axis, values=a @ e)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from superstft.quadrature import QuadratureSpec, make_spec
+from superstft.quadrature import QuadratureSpec, make_spec, nodes_weights
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window, shifted_window)
 from superstft.special import hermite_function
@@ -180,3 +180,84 @@ def test_reconstruct_rejects_undersized_grid():
     grid = stft_grid(g, g, axis, axis)
     with pytest.raises(ValueError):
         reconstruct(grid, g, np.array([0.0]))
+
+
+def _unguarded_stft_grid(f, g, u_axis, eta_axis):
+    """stft_grid's matrix product rebuilt without the quadrature guard:
+    returns the weighted integrand and the product."""
+    spec = make_spec(max(f.decay_radius, g.decay_radius),
+                     float(np.max(np.abs(u_axis))))
+    t, w = nodes_weights(spec)
+    a = (w * np.asarray(f(t), dtype=complex)
+         * np.conj(np.asarray(g(t[None, :] - u_axis[:, None]), dtype=complex)))
+    return a, a @ np.exp(-1j * np.multiply.outer(t, eta_axis))
+
+
+def _has_subnormals(a):
+    tiny = np.finfo(float).tiny
+    parts = np.concatenate([a.real.ravel(), a.imag.ravel()])
+    return np.any((parts != 0.0) & (np.abs(parts) < tiny))
+
+
+MOYAL_OUTER = QuadratureSpec(truncation_radius=12.0, nodes_per_unit=16)
+
+
+def test_stft_grid_bit_identical_to_unguarded_product():
+    """Zeroing the subnormal tails of the integrand leaves every value of
+    the Moyal outer grid unchanged to the bit."""
+    h1 = hermite_window(1)
+    xu, _ = nodes_weights(MOYAL_OUTER)
+    a, ref = _unguarded_stft_grid(h1, h1, xu, xu)
+    assert _has_subnormals(a)  # the guard has something to zero here
+    assert np.array_equal(stft_grid(h1, h1, xu, xu).values, ref)
+
+
+def test_moyal_double_integral_bit_identical_to_unguarded():
+    h0, h1, phi = hermite_window(0), hermite_window(1), gaussian_window()
+    xu, wu = nodes_weights(MOYAL_OUTER)
+    a1, v1 = _unguarded_stft_grid(h0, phi, xu, xu)
+    a2, v2 = _unguarded_stft_grid(h1, h1, xu, xu)
+    assert _has_subnormals(a1) and _has_subnormals(a2)
+    ref = complex(wu @ (v1 * np.conj(v2)) @ wu)
+    got = moyal_double_integral(h0, phi, h1, h1)
+    assert got.real == ref.real and got.imag == ref.imag
+
+
+def test_stft_grid_rejects_non_finite_window():
+    """A window that yields NaN or inf raises like the scalar stft does,
+    instead of filling the grid with NaN."""
+    u = np.linspace(-1.0, 1.0, 3)
+    for bad in (np.nan, np.inf):
+        g = custom_window(lambda t, bad=bad: np.where(np.abs(t) < 0.5, bad,
+                                                      np.exp(-t * t / 2.0)),
+                          decay_radius=9.0)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite integrand"):
+                stft(gaussian_window(), g, 0.0, 0.0)
+            with pytest.raises(FloatingPointError, match="non-finite integrand"):
+                stft_grid(gaussian_window(), g, u, u)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("u_axis", lambda g: stft_grid(g, g, [0.0, np.nan], [0.0, 1.0])),
+    ("u_axis", lambda g: stft_grid(g, g, [0.0, np.inf], [0.0, 1.0])),
+    ("eta_axis", lambda g: stft_grid(g, g, [0.0, 1.0], [0.0, np.nan])),
+    ("eta_axis", lambda g: stft_grid(g, g, [0.0, 1.0], [-np.inf, 1.0])),
+    ("lam", lambda g: fourier(g, [0.0, np.nan])),
+    ("lam", lambda g: fourier(g, np.inf)),
+    ("t", lambda g: inverse_fourier(g, [np.nan, 0.0])),
+    ("t", lambda g: inverse_fourier(g, -np.inf)),
+])
+def test_non_finite_axes_rejected_by_name(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(gaussian_window())
+
+
+def test_complex_grid_rejects_non_finite_axes():
+    vals = np.zeros((2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="grid axis u must be finite"):
+        ComplexGrid(u=np.array([0.0, np.nan]), eta=np.array([0.0, 1.0]),
+                    values=vals)
+    with pytest.raises(ValueError, match="grid axis eta must be finite"):
+        ComplexGrid(u=np.array([0.0, 1.0]), eta=np.array([0.0, np.inf]),
+                    values=vals)
