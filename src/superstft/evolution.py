@@ -16,11 +16,22 @@ so node density is scaled by (1 + |t| T) up to a cap; past the cap
 oscillation_hazard() exposes the same predicate for callers that need
 a flag instead of a warning.
 
+For the Hermite window h_m the position-space integral has a closed form
+(alpha = 1/2 + i t, gamma^2 = 1 - 1/alpha):
+
+    int e^{-alpha u^2 + i y u} H_m(u) du
+        = sqrt(pi / alpha) e^{-y^2 / (4 alpha)} gamma^m H_m(i y / (2 alpha gamma)).
+
+evolve_hermite evaluates it on every slice that is not hazardous, and keeps
+position-space quadrature for hazardous slices and explicit specs, so a
+warned or flagged value is always the quadrature value the warning or flag
+describes.
+
 The evolution routes are grid-first: the fields of an EvolutionPoint (and
 the y, t of evolve_superosc) may be arrays that broadcast together, and a
 scalar call is the 0-d case of the same code.  evolve_hermite takes one t
-per call, since its quadrature rule depends on t; evolve_numeric, the
-momentum-space oracle, takes single points.
+per call, since its route (and quadrature rule) depends on t;
+evolve_numeric, the momentum-space oracle, takes single points.
 """
 
 import math
@@ -170,6 +181,31 @@ def evolve_gaussian_closed(pt, normalized=False):
     return out / TWO_PI if normalized else out
 
 
+def _hermite_closed_arr(m, x, t, x0, k0):
+    """Closed form of evolve_hermite (unnormalized): with alpha = 1/2 + i t,
+    s = x - x0 - 2 k0 t and z = i s / (2 alpha),
+
+        sqrt(2 pi) (-i)^m e^{i k0 x - i k0^2 t} sqrt(pi / alpha)
+            e^{-s^2 / (4 alpha)} P_m,
+
+    where P_m = gamma^m H_m(z / gamma) comes from the recurrence
+    P_{k+1} = 2 z P_k - 2 k gamma^2 P_{k-1}.  Only gamma^2 = 1 - 1/alpha
+    enters, so no square root of it (and no branch) is needed."""
+    alpha = 0.5 + 1j * t
+    # past |s| = 80 |alpha| the Gaussian factor, of modulus
+    # e^{-|s|^2 / (8 |alpha|^2)} < e^{-800}, underflows to zero; clipping s
+    # there keeps that zero and stops P_m (about |2 z|^m) from overflowing
+    reach = 80.0 * abs(alpha)
+    s = np.clip(x - x0 - 2.0 * k0 * t, -reach, reach)
+    z = 0.5j * s / alpha
+    gamma_sq = 1.0 - 1.0 / alpha
+    p_prev, p = np.zeros_like(z), np.ones_like(z)
+    for k in range(m):
+        p, p_prev = 2.0 * z * p - 2.0 * k * gamma_sq * p_prev, p
+    return (SQRT_TWO_PI * (-1j) ** m * np.sqrt(math.pi / alpha)
+            * np.exp(1j * k0 * x - 1j * k0**2 * t - s * s / (4.0 * alpha)) * p)
+
+
 def evolve_hermite(m, pt, spec=None, normalized=False):
     """Evolved Hermite atom (window h_m) after shifting the momentum
     variable by k0:
@@ -181,17 +217,28 @@ def evolve_hermite(m, pt, spec=None, normalized=False):
     requirements that the t = 0 value be 2 pi M_{k0} T_{x0} h_m and that
     the result match evolve_numeric at all t.
 
-    pt.t must be a scalar; pt.x, pt.x0 and pt.k0 may be arrays.  One rule
-    and one weighted vector w h_m(u) serve the whole grid, which is then
-    one product with the matrix e^{i (x - x0 - 2 k0 t) u - i u^2 t}."""
+    pt.t must be a scalar; pt.x, pt.x0 and pt.k0 may be arrays.  The route
+    is chosen per slice.  With spec=None on a slice that is not hazardous
+    (oscillation_hazard(t, T) false for T = the decay radius of h_m plus
+    DEFAULT_PAD), the integral is the closed Gaussian-moment form of the
+    module docstring: no rule is built and no warning is raised.  With an
+    explicit spec, or on a hazardous slice, it is position-space
+    quadrature: one rule and one weighted vector w h_m(u) serve the whole
+    grid, which is then one product with the matrix
+    e^{i (x - x0 - 2 k0 t) u - i u^2 t}, and a hazardous slice warns once.
+    Hazardous slices keep quadrature so that the warning, and the CLI's
+    accuracy_flag, describe the route that produced the values."""
     if m < 0:
         raise ValueError(f"hermite order must be >= 0, got {m}")
     if np.ndim(pt.t) != 0:
-        raise ValueError("the quadrature rule depends on t: pass one t per "
-                         "call (x, x0 and k0 may be arrays)")
+        raise ValueError("the route and the quadrature rule depend on t: "
+                         "pass one t per call (x, x0 and k0 may be arrays)")
     t = float(pt.t)
     if spec is None:
         radius = float(hermite_window(m).decay_radius) + DEFAULT_PAD
+        if not oscillation_hazard(t, radius):
+            out = _as_result(_hermite_closed_arr(m, pt.x, t, pt.x0, pt.k0))
+            return out / TWO_PI if normalized else out
         spec = _oscillation_spec(radius, t)
     _warn_if_hazard(t, spec.truncation_radius)
     u, w = nodes_weights(spec)

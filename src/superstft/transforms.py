@@ -53,21 +53,23 @@ def _resolve_spec(spec, *funcs, shifts=()):
 
 
 def fourier(f, lam, spec=None):
-    """F(f)(lam) = int e^{-i t lam} f(t) dt; lam may be scalar or array."""
+    """F(f)(lam) = int e^{-i t lam} f(t) dt; lam may be scalar or array.
+    The weighted integrand goes through the quadrature guard, so a
+    non-finite sample raises FloatingPointError."""
     lam_arr = _finite("lam", lam)
     spec = _resolve_spec(spec, f)
     t, w = nodes_weights(spec)
-    ft = np.asarray(f(t), dtype=complex) * w
+    ft = _guard(np.asarray(f(t), dtype=complex) * w)
     out = ft @ np.exp(-1j * np.multiply.outer(t, lam_arr))
     return complex(out) if lam_arr.ndim == 0 else out
 
 
 def inverse_fourier(fhat, t, spec=None):
-    """(1/2pi) int e^{i t lam} fhat(lam) dlam."""
+    """(1/2pi) int e^{i t lam} fhat(lam) dlam; guarded like fourier."""
     t_arr = _finite("t", t)
     spec = _resolve_spec(spec, fhat)
     lam, w = nodes_weights(spec)
-    vals = np.asarray(fhat(lam), dtype=complex) * w
+    vals = _guard(np.asarray(fhat(lam), dtype=complex) * w)
     out = vals @ np.exp(1j * np.multiply.outer(lam, t_arr)) / TWO_PI
     return complex(out) if t_arr.ndim == 0 else out
 
@@ -81,7 +83,10 @@ def inner_product(f, g, spec=None):
 
 def stft(f, g, x, omega, spec=None):
     """Short-time Fourier transform
-    V_g f(x, omega) = int e^{-i t omega} conj(g(t - x)) f(t) dt."""
+    V_g f(x, omega) = int e^{-i t omega} conj(g(t - x)) f(t) dt.
+    A non-finite x or omega is a ValueError that names it."""
+    _finite("x", x)
+    _finite("omega", omega)
     spec = _resolve_spec(spec, f, g, shifts=(x,))
     return integrate(
         lambda t: (np.exp(-1j * omega * t)

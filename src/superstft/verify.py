@@ -21,7 +21,7 @@ from . import signals as sg
 from . import special as sp
 from . import transforms as tr
 from . import zak as zk
-from .quadrature import QuadratureSpec, make_spec
+from .quadrature import DEFAULT_PAD, QuadratureSpec, make_spec
 from .superosc import SuperoscParams, coefficients, frequencies
 
 SUITES = ("all", "stft", "kernels", "hermite", "zak", "evolution", "approx")
@@ -485,9 +485,14 @@ def _run_evolution_routes(rng):
         worst = max(worst, float(abs(ev.evolve_hermite(0, pt)
                                      - ev.evolve_gaussian_closed(pt))))
     pt = ev.EvolutionPoint(x=0.0, t=0.3, x0=0.1, k0=1.0)
-    worst = max(worst, float(abs(ev.evolve_numeric(sg.hermite_window(2), pt)
-                                 - ev.evolve_hermite(2, pt))))
+    h2 = sg.hermite_window(2)
+    numeric = ev.evolve_numeric(h2, pt)
+    worst = max(worst, float(abs(numeric - ev.evolve_hermite(2, pt))))
+    # an explicit spec keeps evolve_hermite on position-space quadrature
+    spec = ev._oscillation_spec(h2.decay_radius + DEFAULT_PAD, pt.t)
+    worst = max(worst, float(abs(numeric - ev.evolve_hermite(2, pt, spec=spec))))
     return worst, {"points": 6, "routes": ["numeric", "gaussian-closed",
+                                           "hermite-closed",
                                            "hermite-quadrature"]}
 
 

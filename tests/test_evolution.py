@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from superstft.evolution import (OSCILLATION_HAZARD, EvolutionPoint,
+                                 _oscillation_spec,
                                  evolve_gaussian_closed, evolve_hermite,
                                  evolve_numeric, evolve_superosc,
                                  evolve_superosc_integral_representation,
                                  evolve_superosc_signal, oscillation_hazard,
                                  pde_residual)
-from superstft.quadrature import QuadratureSpec
+from superstft.quadrature import DEFAULT_PAD, QuadratureSpec
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window)
 from superstft.superosc import SuperoscParams
@@ -212,3 +213,112 @@ def test_hazard_warns_once_per_grid_call():
         warnings.simplefilter("always")
         evolve_hermite(1, pt)
     assert [w.category for w in caught] == [RuntimeWarning]
+
+
+# ---------------------------------------------------------------------------
+# closed Gaussian-moment route of evolve_hermite
+# ---------------------------------------------------------------------------
+
+def _hermite_radius(m):
+    return hermite_window(m).decay_radius + DEFAULT_PAD
+
+
+def _quadrature_hermite(m, pt):
+    """evolve_hermite forced onto position-space quadrature by an explicit
+    copy of the spec it builds itself."""
+    return evolve_hermite(m, pt, spec=_oscillation_spec(_hermite_radius(m),
+                                                        float(pt.t)))
+
+
+def test_hermite_closed_matches_numeric_oracle():
+    xs = np.array([-1.5, 0.4, 2.5])
+    x0, k0 = 0.3, -0.8
+    for m in (1, 2, 3, 5, 8):
+        hm = hermite_window(m)
+        for t in (-0.7, 0.0, 0.5, 1.0, 10.0):
+            assert not oscillation_hazard(t, _hermite_radius(m))
+            closed = evolve_hermite(m, EvolutionPoint(xs, t, x0, k0))
+            ref = np.array([evolve_numeric(hm, EvolutionPoint(x, t, x0, k0))
+                            for x in xs])
+            assert np.max(np.abs(closed - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m, t", [
+    *((m, t) for m in (0, 1, 2, 3, 5, 8, 16, 32, 64) for t in (0.0, 0.3)),
+    (1, -1.0), (8, -1.0), (64, -1.0), (2, 2.0), (16, 2.0), (3, 10.0),
+    (32, 10.0),
+])
+def test_hermite_closed_matches_quadrature(m, t):
+    pt = EvolutionPoint(np.linspace(-12.0, 12.0, 41), t, 0.3, -0.8)
+    closed = evolve_hermite(m, pt)
+    ref = _quadrature_hermite(m, pt)
+    assert np.max(np.abs(closed - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_hermite_closed_initial_datum():
+    xs = np.linspace(-6.0, 6.0, 49)
+    x0, k0 = -0.4, 1.1
+    for m in (0, 1, 4, 17, 64):
+        datum = np.exp(1j * k0 * xs) * hermite_window(m)(xs - x0)
+        pt = EvolutionPoint(xs, 0.0, x0, k0)
+        tol = 1e-13 * np.max(np.abs(datum))
+        err = np.abs(evolve_hermite(m, pt) - TWO_PI * datum)
+        assert np.max(err) <= TWO_PI * tol
+        err = np.abs(evolve_hermite(m, pt, normalized=True) - datum)
+        assert np.max(err) <= tol
+
+
+def test_hermite_closed_solves_pde():
+    """The residual is the O(h^2) finite-difference error, which grows with
+    the order, so h is smaller than pde_residual's default."""
+    x0, k0 = 0.2, 0.9
+    for m in (1, 3, 6):
+        def f(x, t, m=m):
+            return evolve_hermite(m, EvolutionPoint(x, t, x0, k0))
+
+        for t in (-0.6, 0.4, 1.5):
+            scale = np.max(np.abs(f(np.linspace(-4.0, 4.0, 81), t)))
+            for x in (-0.8, 0.1, 0.9):
+                assert pde_residual(f, x, t, h=2.5e-4) < 1e-4 * scale
+
+
+def test_hermite_closed_builds_no_rule_and_warns_not(monkeypatch):
+    def no_rule(spec):
+        raise AssertionError("the closed route built a quadrature rule")
+
+    monkeypatch.setattr("superstft.evolution.nodes_weights", no_rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs = np.linspace(-4.0, 4.0, 9)
+        for t in (0.0, 0.5, 10.0):
+            evolve_hermite(3, EvolutionPoint(xs, t, 0.1, 0.5))
+        evolve_hermite(2, EvolutionPoint(0.3, -1.0, 0.0, 0.0), normalized=True)
+
+
+def test_hermite_hazard_slice_keeps_quadrature():
+    pt = EvolutionPoint(np.linspace(0.0, 1.0, 5), 2000.0, 0.2, 0.3)
+    assert oscillation_hazard(pt.t, _hermite_radius(1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = evolve_hermite(1, pt)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    with pytest.warns(RuntimeWarning):
+        ref = _quadrature_hermite(1, pt)
+    assert np.array_equal(got, ref)
+
+
+def test_hermite_order_above_maximum_rejected():
+    for t in (0.0, 2000.0):
+        with pytest.raises(ValueError):
+            evolve_hermite(65, EvolutionPoint(0.0, t, 0.0, 0.0))
+
+
+def test_hermite_closed_far_tails_are_zero():
+    """Far outside the packet the closed route returns exact zeros, with
+    no overflow of the Hermite recurrence and no floating-point warning."""
+    xs = np.array([1e5, -1e200, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (0, 3, 64):
+            vals = evolve_hermite(m, EvolutionPoint(xs, 0.3, 0.1, -0.5))
+            assert np.array_equal(vals, np.zeros(3))

@@ -261,3 +261,45 @@ def test_complex_grid_rejects_non_finite_axes():
     with pytest.raises(ValueError, match="grid axis eta must be finite"):
         ComplexGrid(u=np.array([0.0, 1.0]), eta=np.array([0.0, np.inf]),
                     values=vals)
+
+
+def test_fourier_and_inverse_reject_non_finite_window():
+    """A window that yields NaN or inf raises like stft_grid does, instead
+    of returning NaN."""
+    for bad in (np.nan, np.inf):
+        g = custom_window(lambda t, bad=bad: np.where(np.abs(t) < 0.5, bad,
+                                                      np.exp(-t * t / 2.0)),
+                          decay_radius=9.0)
+        for transform in (fourier, inverse_fourier):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(FloatingPointError, match="non-finite"):
+                    transform(g, [0.0, 1.0])
+
+
+def test_fourier_bit_identical_to_unguarded_product():
+    """The guard leaves Fourier values unchanged to the bit, also where it
+    zeroes subnormal tails (a Gaussian with a generous decay radius)."""
+    lam = np.linspace(-6.0, 6.0, 25)
+    wide = custom_window(lambda t: np.exp(-t * t / 2.0), decay_radius=30.0)
+    for g in (gaussian_window(), wide):
+        t, w = nodes_weights(make_spec(g.decay_radius))
+        a = np.asarray(g(t), dtype=complex) * w
+        phase = np.multiply.outer(t, lam)
+        assert np.array_equal(fourier(g, lam), a @ np.exp(-1j * phase))
+        assert np.array_equal(inverse_fourier(g, lam),
+                              a @ np.exp(1j * phase) / TWO_PI)
+    assert _has_subnormals(a)  # the wide window's tails need the guard
+
+
+@pytest.mark.parametrize("name, call", [
+    ("x", lambda g: stft(g, g, np.nan, 0.0)),
+    ("x", lambda g: stft(g, g, np.inf, 0.0)),
+    ("omega", lambda g: stft(g, g, 0.0, np.nan)),
+    ("omega", lambda g: stft(g, g, 0.0, -np.inf)),
+    ("x", lambda g: ambiguity(g, np.nan, 1.0)),
+    ("omega", lambda g: ambiguity(g, 1.0, np.nan)),
+])
+def test_scalar_stft_rejects_non_finite_shifts_by_name(name, call):
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call(gaussian_window())
