@@ -31,8 +31,8 @@ from .signals import (Signal, Window, build_limit_signal, build_signal,
 from .special import (complex_hermite_2d, gaussian_integral,
                       hermite_function, hermite_norm_sq, hermite_polynomial,
                       laguerre, theta)
-from .superosc import (GeneralizedSequence, SuperoscParams, coefficients,
-                       f_n, frequencies, supershift_probe)
+from .superosc import (SuperoscParams, coefficients, f_n, frequencies,
+                       supershift_probe)
 from .transforms import (ComplexGrid, ambiguity, bargmann, convolve, fourier,
                          inner_product, inverse_fourier, moyal_double_integral,
                          moyal_inner_product, reconstruct, spectrogram, stft,
@@ -46,8 +46,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexGrid", "EvolutionPoint", "FockPoint", "FrameVerdict",
-    "GeneralizedSequence", "QuadratureSpec", "Signal", "SuperoscParams",
-    "TFQuadruple", "WienerEstimate", "Window", "ambiguity", "app2_closed",
+    "QuadratureSpec", "Signal", "SuperoscParams", "TFQuadruple",
+    "WienerEstimate", "Window", "ambiguity", "app2_closed",
     "approximating_function", "apsthm_residual", "bargmann",
     "build_limit_signal", "build_signal", "coefficients",
     "complex_hermite_2d", "convolve", "custom_window",

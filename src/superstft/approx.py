@@ -17,11 +17,9 @@ import math
 import numpy as np
 
 from .signals import custom_window
-from .special import SQRT_PI, complex_hermite_2d, ipow
-from .superosc import coefficients, f_n, frequencies
+from .special import SQRT2, SQRT_PI, complex_hermite_2d, ipow
+from .superosc import f_n, supershift_probe
 from .transforms import ambiguity, fourier
-
-SQRT2 = math.sqrt(2.0)
 
 
 def approximating_function(psi, p):
@@ -29,13 +27,10 @@ def approximating_function(psi, p):
 
     The decay radius inflates by the unit shift plus the coefficient
     growth sum_j |C_j| = max(1, |a|)^n (for Gaussian-type decay)."""
-    c = coefficients(p)
-    w = frequencies(p)
-
     def func(t):
         t = np.asarray(t, dtype=float)
-        return sum(cj * np.asarray(psi(t + wj), dtype=complex)
-                   for cj, wj in zip(c, w))
+        return supershift_probe(
+            lambda w: np.asarray(psi(t + w), dtype=complex), p)
 
     r = getattr(psi, "decay_radius", None)
     if r is None:
@@ -62,12 +57,9 @@ def stft_approx_via_ambiguity(g, p, u, eta, spec=None):
                                A[g](u + omega_j, eta).
 
     Each time-shifted term folds into one ambiguity evaluation."""
-    c = coefficients(p)
-    w = frequencies(p)
-    total = sum(
-        cj * np.exp(0.5j * eta * wj) * ambiguity(g, u + wj, eta, spec=spec)
-        for cj, wj in zip(c, w)
-    )
+    total = supershift_probe(
+        lambda w: np.exp(0.5j * eta * w) * ambiguity(g, u + w, eta, spec=spec),
+        p)
     return complex(np.exp(-0.5j * u * eta) * total)
 
 
@@ -86,19 +78,17 @@ def stft_approx_hermite_closed(k, m, p, u, eta):
     stft_approx_hermite_uncalibrated evaluates the variant expression."""
     if k < 0 or m < 0:
         raise ValueError(f"orders must be >= 0, got {(k, m)}")
-    c = coefficients(p)
-    w = frequencies(p)
     pref = SQRT_PI * ipow(k + m) * 2.0 ** (0.5 * (k + m)) * np.exp(
         -0.25 * eta * eta - 0.5j * u * eta
     )
-    total = 0j
-    for cj, wj in zip(c, w):
-        s = u + wj
-        z = (-eta - 1j * s) / SQRT2
-        wz = (-eta + 1j * s) / SQRT2
-        total += (cj * np.exp(0.5j * eta * wj - 0.25 * s * s)
-                  * complex_hermite_2d(k, m, z, wz))
-    return complex(pref * total)
+
+    def term(w):
+        s = u + w
+        return (np.exp(0.5j * eta * w - 0.25 * s * s)
+                * complex_hermite_2d(k, m, (-eta - 1j * s) / SQRT2,
+                                     (-eta + 1j * s) / SQRT2))
+
+    return complex(pref * supershift_probe(term, p))
 
 
 def stft_approx_hermite_uncalibrated(k, m, p, u, eta):
@@ -115,17 +105,15 @@ def stft_approx_hermite_uncalibrated(k, m, p, u, eta):
     exact relation between the two."""
     if k < 0 or m < 0:
         raise ValueError(f"orders must be >= 0, got {(k, m)}")
-    c = coefficients(p)
-    w = frequencies(p)
     pref = (math.sqrt(math.pi / math.factorial(k)) * 2.0 ** (0.5 * k)
             * np.exp(-0.5j * u * eta - 0.25 * (u * u + eta * eta)))
-    total = 0j
-    for cj, wj in zip(c, w):
-        z = ((u + wj) + 1j * eta) / SQRT2
-        zbar = ((u + wj) - 1j * eta) / SQRT2
-        total += (cj * np.exp(-0.25 * wj * wj - 0.5 * (u - 1j * eta) * wj)
-                  * complex_hermite_2d(k, m, z, zbar))
-    return complex(pref * total)
+
+    def term(w):
+        return (np.exp(-0.25 * w * w - 0.5 * (u - 1j * eta) * w)
+                * complex_hermite_2d(k, m, ((u + w) + 1j * eta) / SQRT2,
+                                     ((u + w) - 1j * eta) / SQRT2))
+
+    return complex(pref * supershift_probe(term, p))
 
 
 def app2_closed(u, eta, a):

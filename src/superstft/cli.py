@@ -83,6 +83,13 @@ def _finite_float(text):
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
+def _positive_float(text):
+    val = _finite_float(text)
+    if val <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return val
+
+
 def _nonneg_int(text):
     val = int(text)
     if val < 0:
@@ -338,7 +345,8 @@ def build_parser():
     zf.add_argument("--a", type=_finite_float, default=2.0)
     zf.add_argument("--n", type=_positive_int, default=None)
     zf.add_argument("--resolution", type=_positive_int, default=128)
-    zf.add_argument("--tolerance", type=float, default=1e-8)
+    zf.add_argument("--tolerance", type=_positive_float, default=1e-8,
+                    help="|Z| threshold of the frame verdict (finite, > 0)")
     zf.add_argument("--json", default="-", help="report path (- = stdout)")
     zf.set_defaults(func=cmd_zak_frame)
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import stft_superosc_closed_grid
 from .quadrature import (
     DEFAULT_PAD,
     QuadratureSpec,
@@ -47,10 +48,9 @@ from .quadrature import (
     nodes_weights,
 )
 from .signals import hermite_window, window_norm_sq
-from .special import hermite_function
+from .special import TWO_PI, _as_result, hermite_function
 from .superosc import coefficients, frequencies
 
-TWO_PI = 2.0 * math.pi
 SQRT_TWO_PI = math.sqrt(TWO_PI)
 
 # |t| * T^2 beyond which the oscillatory integrand outruns the node cap
@@ -97,10 +97,6 @@ def _warn_if_hazard(t, truncation_radius):
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-def _as_result(out):
-    return complex(out) if np.ndim(out) == 0 else out
 
 
 def _chirp_sum(s, u, t, v):
@@ -301,21 +297,14 @@ def evolve_superosc_integral_representation(g, x, p, y, t,
             "the integral-representation cross-check is implemented for "
             "the gaussian window"
         )
-    from .kernels import _gaussian_kernel_grid
-
     if outer_radius is None:
         outer_radius = 12.0 + abs(x) + 1.0
     outer = QuadratureSpec(truncation_radius=float(outer_radius),
                            nodes_per_unit=int(outer_nodes_per_unit))
     xu, wu = nodes_weights(outer)
     xe, we = nodes_weights(outer)
-    ug = xu[:, None]
-    eg = xe[None, :]
-    c = coefficients(p)
-    w = frequencies(p)
-    v = sum(cj * _gaussian_kernel_grid(x, float(wj), ug, eg)
-            for cj, wj in zip(c, w))
-    atoms = _gaussian_closed_arr(y, t, ug, eg)
+    v = stft_superosc_closed_grid(g, x, p, xu, xe)
+    atoms = _gaussian_closed_arr(y, t, xu[:, None], xe)
     total = complex(wu @ (v * atoms) @ we)
     return total / (TWO_PI**2 * window_norm_sq(g))
 

@@ -12,12 +12,20 @@ with H_{k,m} the 2D-complex Hermite polynomials.  Gabor kernels, the
 closed-form STFTs of superoscillating signals, Hermite convolutions and
 the compact I_{k,m} forms all come out of it by choosing arguments.
 
-Several identities circulate in two variants that differ by exchanging
-the two polynomial slots of H_{k,m} (a conjugation for real parameters)
-or, equivalently, by a (-1)^{k+m} sign.  Both variants are kept — the
+Each of those is a phase times _envelope times _hermite_term, the
+polynomial 2^{(k+m)/2} H_{k,m}((a + ib)/sqrt2, (a - ib)/sqrt2).  Several
+identities circulate in two variants that differ by exchanging the two
+polynomial slots of H_{k,m} (a conjugation for real parameters) or,
+equivalently, by a (-1)^{k+m} sign.  Both variants are kept — the
 principal names are the ones the quadrature oracles confirm, and the
-``*_mirror`` names evaluate the exchanged-slot expressions so tests can
-pin the exact relation between them.
+``*_mirror`` names evaluate the exchanged-slot expressions (the same
+_hermite_term with b negated) so tests can pin the exact relation
+between them.
+
+Every closed sum over the superoscillation coefficients goes through
+supershift_probe, and the Gabor kernels of the Gaussian and Hermite
+windows share one grid evaluator, _closed_kernel; a scalar call is the
+0-d case of the grid call.
 """
 
 import math
@@ -26,18 +34,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureSpec, integrate, make_spec, nodes_weights
-from .signals import Window, window_norm_sq
+from .signals import Window, _norm_double_sum, window_norm_sq
 from .special import (
+    SQRT2,
     SQRT_PI,
+    TWO_PI,
+    _as_result,
     complex_hermite_2d,
     generalized_laguerre,
+    hermite_norm_sq,
     ipow,
-    laguerre,
 )
-from .superosc import coefficients, f_n, frequencies, supershift_probe
-
-SQRT2 = math.sqrt(2.0)
-TWO_PI = 2.0 * math.pi
+from .superosc import coefficients, supershift_probe
 
 
 def _check_finite(**vals):
@@ -70,17 +78,26 @@ class FockPoint:
         _check_finite(z=self.z)
 
 
+def _hermite_term(k, m, a, b):
+    """2^{(k+m)/2} H_{k,m}((a + ib)/sqrt2, (a - ib)/sqrt2), the polynomial
+    part of every pair-integral form (a, b may be complex or arrays)."""
+    return (2.0 ** ((k + m) / 2.0)
+            * complex_hermite_2d(k, m, (a + 1j * b) / SQRT2,
+                                 (a - 1j * b) / SQRT2))
+
+
+def _envelope(lam, s, d):
+    """sqrt(pi) e^{-lam^2/4 + i lam s/2 - d^2/4}, the Gaussian part of the
+    pair integrals (s the sum, d the difference of the two shifts)."""
+    return SQRT_PI * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * s - d * d / 4.0)
+
+
 def hermite_pair_integral(k, m, u, x, lam):
     """int e^{i t lam} h_k(t - u) h_m(t - x) dt in closed form (see module
     docstring).  u, x real scalars; lam may be a real scalar or array."""
     lam = np.asarray(lam, dtype=float)
-    d = u - x
-    z = (lam - 1j * d) / SQRT2
-    w = (lam + 1j * d) / SQRT2
-    out = (SQRT_PI * ipow(k + m) * 2.0 ** ((k + m) / 2.0)
-           * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * (u + x) - d * d / 4.0)
-           * complex_hermite_2d(k, m, z, w))
-    return complex(out) if out.ndim == 0 else out
+    return _as_result(ipow(k + m) * _envelope(lam, u + x, u - x)
+                      * _hermite_term(k, m, lam, x - u))
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +116,36 @@ def gabor_kernel_numeric(g, q, spec=None):
     )
 
 
+def _closed_kernel(order, x, omega, u, eta):
+    """K_{h_order}(x, omega; u, eta) on whatever grid x, omega, u, eta
+    broadcast to: the Gaussian kernel for order 0,
+
+        sqrt(pi) e^{(i/2)(u+x)(omega-eta)} e^{-(u-x)^2/4 - (eta-omega)^2/4},
+
+    and 2^n n! times it times L_n(((x-u)^2 + (omega-eta)^2)/2) for the
+    Hermite window of order n >= 1."""
+    out = SQRT_PI * np.exp(0.5j * (u + x) * (omega - eta)
+                           - (u - x) ** 2 / 4.0
+                           - (eta - omega) ** 2 / 4.0)
+    if order:
+        # in place: a second full-size complex array kept alive through the
+        # Laguerre recurrence made 121x121 Hermite grids several % slower
+        s = ((x - u) ** 2 + (omega - eta) ** 2) / 2.0
+        out *= gabor_kernel_hermite_calibration(order)
+        out *= generalized_laguerre(order, 0, s)
+    return out
+
+
 def gabor_kernel_gaussian(q):
     """Gaussian-window kernel
     sqrt(pi) e^{(i/2)(u+x)(omega-eta)} e^{-(u-x)^2/4 - (eta-omega)^2/4}."""
-    return complex(SQRT_PI
-                   * np.exp(0.5j * (q.u + q.x) * (q.omega - q.eta)
-                            - (q.u - q.x) ** 2 / 4.0
-                            - (q.eta - q.omega) ** 2 / 4.0))
+    return complex(_closed_kernel(0, q.x, q.omega, q.u, q.eta))
 
 
 def gabor_kernel_hermite_base(n, q):
     """The Laguerre product gabor_kernel_gaussian(q) * L_n(((x-u)^2 + (omega-eta)^2)/2)
     without the window-norm growth; see gabor_kernel_hermite_calibration."""
-    s = ((q.x - q.u) ** 2 + (q.omega - q.eta) ** 2) / 2.0
-    return gabor_kernel_gaussian(q) * laguerre(n, s)
+    return gabor_kernel_hermite(n, q) / gabor_kernel_hermite_calibration(n)
 
 
 def gabor_kernel_hermite_calibration(n):
@@ -125,78 +158,73 @@ def gabor_kernel_hermite(n, q):
     """Hermite-window kernel K_{h_n}(x, omega; u, eta) =
     2^n n! * gabor_kernel_gaussian(q) * L_n(((x-u)^2 + (omega-eta)^2)/2),
     the form the quadrature oracle confirms for un-normalized h_n."""
-    return gabor_kernel_hermite_calibration(n) * gabor_kernel_hermite_base(n, q)
+    return complex(_closed_kernel(n, q.x, q.omega, q.u, q.eta))
 
 
 # ---------------------------------------------------------------------------
 # Closed-form STFTs of superoscillating signals
 # ---------------------------------------------------------------------------
 
-def _kernel_dispatch(g, x, u, eta, spec):
-    if g.kind == "gaussian":
-        return lambda w: gabor_kernel_gaussian(TFQuadruple(x, w, u, eta))
-    if g.kind == "hermite":
-        return lambda w: gabor_kernel_hermite(g.order, TFQuadruple(x, w, u, eta))
+def _numeric_kernel(g, x, u, eta, spec):
     return lambda w: gabor_kernel_numeric(g, TFQuadruple(x, w, u, eta), spec=spec)
+
+
+def _tensor_axes(g, x, u_axis, eta_axis):
+    """u and eta shaped to broadcast to the tensor grid u x eta, of shape
+    u.shape + eta.shape (0-d axes give a single point)."""
+    if g.kind not in ("gaussian", "hermite"):
+        raise ValueError("closed kernel grids need a gaussian or hermite window")
+    _check_finite(x=x, u=u_axis, eta=eta_axis)
+    u_axis = np.asarray(u_axis, dtype=float)
+    eta_axis = np.asarray(eta_axis, dtype=float)
+    return u_axis.reshape(u_axis.shape + (1,) * eta_axis.ndim), eta_axis
 
 
 def stft_superosc_closed(g, x, p, u, eta, spec=None):
     """V_g(S)(u, eta) for the signal S = sum_j C_j M_{omega_j} T_x g built on
     the same window g: by linearity this is sum_j C_j K_g(x, omega_j; u, eta).
-    Gaussian and Hermite windows use their closed kernels; any other window
-    falls back to per-frequency quadrature."""
-    kern = _kernel_dispatch(g, x, u, eta, spec)
-    return supershift_probe(kern, p)
+    Gaussian and Hermite windows use their closed kernels (the 0-d case of
+    stft_superosc_closed_grid); any other window falls back to
+    per-frequency quadrature."""
+    if g.kind == "custom":
+        return supershift_probe(_numeric_kernel(g, x, u, eta, spec), p)
+    return stft_superosc_closed_grid(g, x, p, u, eta)
 
 
 def stft_superosc_limit(g, x, a, u, eta, spec=None):
     """Large-n limit of stft_superosc_closed: the single kernel value
     K_g(x, a; u, eta) at the superoscillation frequency a."""
-    return _kernel_dispatch(g, x, u, eta, spec)(a)
+    if g.kind == "custom":
+        return _numeric_kernel(g, x, u, eta, spec)(a)
+    return stft_superosc_limit_grid(g, x, a, u, eta)
 
 
 def stft_superosc_cross(k, m, x, p, u, eta):
     """V_{h_k}(S)(u, eta) for the signal built on the *other* Hermite window
     h_m: sum_j C_j int e^{it(omega_j - eta)} h_k(t - u) h_m(t - x) dt, each
     term a hermite_pair_integral."""
-    c = coefficients(p)
-    w = frequencies(p)
-    return complex(sum(
-        cj * hermite_pair_integral(k, m, u, x, wj - eta) for cj, wj in zip(c, w)
-    ))
+    return complex(supershift_probe(
+        lambda w: hermite_pair_integral(k, m, u, x, w - eta), p))
 
 
 def stft_superosc_cross_mirror(k, m, x, p, u, eta):
     """Slot-exchanged variant of stft_superosc_cross; equals
     (-1)^{k+m} * stft_superosc_cross identically."""
-    c = coefficients(p)
-    w = frequencies(p)
-    return complex(sum(
-        cj * _pair_integral_mirror(k, m, u, x, wj - eta) for cj, wj in zip(c, w)
-    ))
+    return complex(supershift_probe(
+        lambda w: _pair_integral_mirror(k, m, u, x, w - eta), p))
 
 
 def _pair_integral_mirror(k, m, u, x, lam):
     # sqrt(pi)(-1)^m 2^{(k+m)/2} e^{...} H_{k,m}(alpha, conj-alpha) with
     # alpha = (u - x + i lam)/sqrt2: the exchanged-slot expression
-    alpha = (u - x + 1j * lam) / SQRT2
-    beta = (u - x - 1j * lam) / SQRT2
-    return (SQRT_PI * (-1.0) ** m * 2.0 ** ((k + m) / 2.0)
-            * np.exp(-lam ** 2 / 4.0 + 0.5j * (x + u) * lam
-                     - (x - u) ** 2 / 4.0)
-            * complex_hermite_2d(k, m, alpha, beta))
+    return ((-1.0) ** m * _envelope(lam, x + u, x - u)
+            * _hermite_term(k, m, u - x, lam))
 
 
 def stft_superosc_limit_cross(k, m, x, a, u, eta):
     """Large-n limit of stft_superosc_cross: the single pair integral at
     frequency a, i.e. int e^{it(a - eta)} h_k(t-u) h_m(t-x) dt."""
     return hermite_pair_integral(k, m, u, x, a - eta)
-
-
-def stft_superosc_limit_cross_mirror(k, m, x, a, u, eta):
-    """Slot-exchanged variant of the cross-window limit; equals
-    (-1)^{k+m} * stft_superosc_limit_cross identically."""
-    return complex(_pair_integral_mirror(k, m, u, x, a - eta))
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +259,8 @@ def stft_superosc_fock_form(x, p, u, eta):
     stft_superosc_closed with the Gaussian window."""
     q = FockPoint(z=eta - 1j * (u + x))
     m_inv = np.exp(-eta ** 2 / 4.0 - (u + x) ** 2 / 4.0 - 0.5j * (u + x) * eta)
-    c = coefficients(p)
-    w = frequencies(p)
-    total = sum(
-        cj * normalized_fock_kernel(wj / SQRT2, np.conj(q.z) / SQRT2)
-        for cj, wj in zip(c, w)
-    )
+    total = supershift_probe(
+        lambda w: normalized_fock_kernel(w / SQRT2, np.conj(q.z) / SQRT2), p)
     return complex(math.pi * np.exp(u * x) * m_inv * total)
 
 
@@ -266,14 +290,7 @@ def norm_sq_closed_gaussian(x, p):
     pi sum_{j,k} C_j C_k e^{-2ix(j-k)/n - (k-j)^2/n^2}; equals
     ||phi||^2 ||S||^2 for the Gaussian window phi and the signal S built on
     it (so the full time-frequency energy is 2 pi times this value)."""
-    c = coefficients(p)
-    idx = np.arange(p.n + 1)
-    d = -np.subtract.outer(idx, idx) / p.n  # d[j, k] = (k - j)/n
-    total = complex(math.pi * np.einsum(
-        "j,k,jk->", c, c, np.exp(-d ** 2 + 2j * d * x)))
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise FloatingPointError(f"norm sum came out non-real: {total}")
-    return float(total.real)
+    return SQRT_PI * _norm_double_sum(0, x, p)
 
 
 def phi_na_norm(x, p, spec=None):
@@ -304,23 +321,11 @@ def norm_sq_closed_hermite(k, m, x, p):
         (-1)^m 2^{m+k} k! pi sum_{s,l} C_s C_l e^{-(s-l)^2/n^2}
             e^{2i(s-l)x/n} H_{m,m}(sqrt2 (s-l)/n, sqrt2 (s-l)/n).
 
-    Equals ||h_k||^2 ||S||^2 (time-frequency energy again 2 pi times this).
-    Returned as a real number; diagonal terms use H_{m,m}(0,0) = (-1)^m m!
-    directly."""
+    Equals ||h_k||^2 ||S||^2 (time-frequency energy again 2 pi times this),
+    returned as a real number."""
     if k < 0 or m < 0:
         raise ValueError(f"orders must be nonnegative, got ({k}, {m})")
-    c = coefficients(p)
-    idx = np.arange(p.n + 1)
-    d = np.subtract.outer(idx, idx) / p.n  # d[s, l] = (s - l)/n
-    h = complex_hermite_2d(m, m, SQRT2 * d, SQRT2 * d)
-    h[np.diag_indices_from(h)] = (-1.0) ** m * math.factorial(m)
-    total = complex(
-        (-1.0) ** m * 2.0 ** (m + k) * math.factorial(k) * math.pi
-        * np.einsum("s,l,sl->", c, c, np.exp(-d ** 2 + 2j * d * x) * h)
-    )
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise FloatingPointError(f"norm sum came out non-real: {total}")
-    return float(total.real)
+    return hermite_norm_sq(k) * _norm_double_sum(m, x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +340,8 @@ def hermite_convolution_closed(k, m, x, u, lam):
             H_{k,m}((x - u + i lam)/sqrt2, (x - u - i lam)/sqrt2).
 
     This is the variant the convolution quadrature confirms."""
-    z = (x - u + 1j * lam) / SQRT2
-    w = (x - u - 1j * lam) / SQRT2
-    return complex(SQRT_PI * ipow(k - m) * 2.0 ** ((k + m) / 2.0)
-                   * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * (x + u)
-                            - (x - u) ** 2 / 4.0)
-                   * complex_hermite_2d(k, m, z, w))
+    return complex(ipow(k - m) * _envelope(lam, x + u, x - u)
+                   * _hermite_term(k, m, x - u, lam))
 
 
 def hermite_convolution_mirror(k, m, x, u, lam):
@@ -348,21 +349,15 @@ def hermite_convolution_mirror(k, m, x, u, lam):
     sqrt(pi) i^{m-k} 2^{(k+m)/2} e^{...} H_{k,m}((u-x+i lam)/sqrt2, (u-x-i lam)/sqrt2);
     for real parameters this is the conjugate-polynomial evaluation and
     coincides with hermite_convolution_closed exactly when k = m."""
-    z = (u - x + 1j * lam) / SQRT2
-    w = (u - x - 1j * lam) / SQRT2
-    return complex(SQRT_PI * ipow(m - k) * 2.0 ** ((k + m) / 2.0)
-                   * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * (x + u)
-                            - (x - u) ** 2 / 4.0)
-                   * complex_hermite_2d(k, m, z, w))
+    return complex(ipow(m - k) * _envelope(lam, x + u, x - u)
+                   * _hermite_term(k, m, u - x, lam))
 
 
 def hermite_autoconvolution(k, m, lam):
     """(h_k * h_m)(lam) = sqrt(pi) 2^{(k+m)/2} e^{-lam^2/4}
     H_{k,m}(lam/sqrt2, lam/sqrt2) — the unmodulated x = u = 0 case."""
     lam = np.asarray(lam, dtype=float)
-    out = (SQRT_PI * 2.0 ** ((k + m) / 2.0) * np.exp(-lam ** 2 / 4.0)
-           * complex_hermite_2d(k, m, lam / SQRT2, lam / SQRT2))
-    return complex(out) if out.ndim == 0 else out
+    return _as_result(_envelope(lam, 0.0, 0.0) * _hermite_term(k, m, lam, 0.0))
 
 
 def i_km_series(k, m, x, u, lam):
@@ -390,13 +385,8 @@ def i_km_closed(k, m, x, u, lam):
     """Compact closed form of the same polynomial:
     (-1)^m 2^{(k+m)/2} H_{k,m}((u - x - i lam)/sqrt2, (u - x + i lam)/sqrt2);
     identical to i_km_series for all (complex) arguments."""
-    x = complex(x)
-    u = complex(u)
-    lam = complex(lam)
-    z = (u - x - 1j * lam) / SQRT2
-    w = (u - x + 1j * lam) / SQRT2
-    return complex((-1.0) ** m * 2.0 ** ((k + m) / 2.0)
-                   * complex_hermite_2d(k, m, z, w))
+    return complex((-1.0) ** m * _hermite_term(k, m, complex(u) - complex(x),
+                                                -complex(lam)))
 
 
 def i_km_mirror(k, m, x, u, lam):
@@ -404,13 +394,8 @@ def i_km_mirror(k, m, x, u, lam):
     (-1)^m 2^{(k+m)/2} H_{k,m}((u - x + i lam)/sqrt2, (u - x - i lam)/sqrt2);
     conjugate evaluation of i_km_closed for real arguments, equal to it
     exactly when k = m."""
-    x = complex(x)
-    u = complex(u)
-    lam = complex(lam)
-    z = (u - x + 1j * lam) / SQRT2
-    w = (u - x - 1j * lam) / SQRT2
-    return complex((-1.0) ** m * 2.0 ** ((k + m) / 2.0)
-                   * complex_hermite_2d(k, m, z, w))
+    return complex((-1.0) ** m * _hermite_term(k, m, complex(u) - complex(x),
+                                                complex(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,19 +457,6 @@ def generating_product_check(x, u, v, lam, K):
 # Integral representation of the superoscillating pointwise values
 # ---------------------------------------------------------------------------
 
-def _gaussian_kernel_grid(x, omega, ugrid, egrid):
-    return (SQRT_PI * np.exp(0.5j * (ugrid + x) * (omega - egrid)
-                             - (ugrid - x) ** 2 / 4.0
-                             - (egrid - omega) ** 2 / 4.0))
-
-
-def _hermite_kernel_grid(mwin, x, omega, ugrid, egrid):
-    s = ((x - ugrid) ** 2 + (omega - egrid) ** 2) / 2.0
-    return (gabor_kernel_hermite_calibration(mwin)
-            * _gaussian_kernel_grid(x, omega, ugrid, egrid)
-            * generalized_laguerre(mwin, 0, s))
-
-
 def stft_integral_representation(g, x, y, p, spec2d=None):
     """Recover the superoscillating pointwise value F_n(y) from the closed
     STFT by the inversion integral:
@@ -508,53 +480,24 @@ def stft_integral_representation(g, x, y, p, spec2d=None):
         spec_u, spec_eta = spec2d
     xu, wu = nodes_weights(spec_u)
     xe, we = nodes_weights(spec_eta)
-    ugrid = xu[:, None]
-    egrid = xe[None, :]
-    c = coefficients(p)
-    w = frequencies(p)
-    if g.kind == "gaussian":
-        phi = sum(cj * _gaussian_kernel_grid(x, wj, ugrid, egrid)
-                  for cj, wj in zip(c, w))
-    else:
-        phi = sum(cj * _hermite_kernel_grid(g.order, x, wj, ugrid, egrid)
-                  for cj, wj in zip(c, w))
-    integrand = phi * np.asarray(g(y - ugrid), dtype=complex) * np.exp(1j * egrid * y)
+    phi = stft_superosc_closed_grid(g, x, p, xu, xe)
+    integrand = (phi * np.asarray(g(y - xu[:, None]), dtype=complex)
+                 * np.exp(1j * xe * y))
     val = wu @ integrand @ we
     return complex(val / (TWO_PI * denom * window_norm_sq(g)))
 
 
-def f_n_from_representation_target(p, y):
-    """Convenience oracle: the pointwise value F_n(y) the representation
-    should reproduce."""
-    return f_n(p, y)
-
-
 def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):
-    """stft_superosc_closed on a tensor grid, shape (len(u), len(eta)).
-    Closed kernels only, so the window must be gaussian or hermite."""
-    u_axis = np.asarray(u_axis, dtype=float)
-    eta_axis = np.asarray(eta_axis, dtype=float)
-    ug = u_axis[:, None]
-    eg = eta_axis[None, :]
-    c = coefficients(p)
-    w = frequencies(p)
-    if g.kind == "gaussian":
-        kern = lambda wj: _gaussian_kernel_grid(x, wj, ug, eg)
-    elif g.kind == "hermite":
-        kern = lambda wj: _hermite_kernel_grid(g.order, x, wj, ug, eg)
-    else:
-        raise ValueError("closed kernel grids need a gaussian or hermite window")
-    return sum(cj * kern(float(wj)) for cj, wj in zip(c, w))
+    """stft_superosc_closed on a tensor grid, shape (len(u), len(eta)),
+    or a single complex value for 0-d u and eta.  Closed kernels only, so
+    the window must be gaussian or hermite."""
+    ug, eg = _tensor_axes(g, x, u_axis, eta_axis)
+    return supershift_probe(lambda w: _closed_kernel(g.order, x, w, ug, eg), p)
 
 
 def stft_superosc_limit_grid(g, x, a, u_axis, eta_axis):
-    """The limit-signal kernel K_g(x, a; u, eta) on a tensor grid."""
-    u_axis = np.asarray(u_axis, dtype=float)
-    eta_axis = np.asarray(eta_axis, dtype=float)
-    ug = u_axis[:, None]
-    eg = eta_axis[None, :]
-    if g.kind == "gaussian":
-        return _gaussian_kernel_grid(x, a, ug, eg)
-    if g.kind == "hermite":
-        return _hermite_kernel_grid(g.order, x, a, ug, eg)
-    raise ValueError("closed kernel grids need a gaussian or hermite window")
+    """The limit-signal kernel K_g(x, a; u, eta) on a tensor grid (a single
+    complex value for 0-d u and eta)."""
+    _check_finite(a=a)
+    ug, eg = _tensor_axes(g, x, u_axis, eta_axis)
+    return _as_result(_closed_kernel(g.order, x, a, ug, eg))

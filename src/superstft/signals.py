@@ -10,12 +10,13 @@ form), by the limit tone e^{i a t}, or by nothing at all:
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .quadrature import QuadratureSpec, integrate
-from .special import SQRT_PI, complex_hermite_2d, hermite_function
-from .superosc import coefficients, f_n, frequencies
+from .special import SQRT2, SQRT_PI, complex_hermite_2d, hermite_function
+from .superosc import coefficients, f_n
 
 WINDOW_KINDS = ("gaussian", "hermite", "custom")
 
@@ -24,6 +25,7 @@ WINDOW_KINDS = ("gaussian", "hermite", "custom")
 DECAY_TOL = 1e-16
 
 
+@lru_cache(maxsize=None)
 def _hermite_decay_radius(m):
     grid = np.linspace(0.0, 40.0, 8001)
     vals = np.abs(hermite_function(m, grid))
@@ -188,34 +190,36 @@ class NormValue(float):
         return obj
 
 
-def signal_norm_sq_closed(g, x, p):
-    """||F_n(. ) g(. - x)||^2.
-
-    Closed form for gaussian/hermite windows: expanding the coefficient
-    double sum against the shifted-window integral gives, with
+def _norm_double_sum(m, x, p):
+    """||F_n(.) h_m(. - x)||^2 as the closed double sum, with
     d = (k - j)/n,
 
         sqrt(pi) (-2)^m  sum_{j,k} C_j C_k e^{-d^2 + 2 i d x}
                                    H_{m,m}(sqrt2 d, sqrt2 d),
 
-    whose imaginary part cancels pairwise.  Custom windows fall back to
-    quadrature on |S|^2; the result carries a .provenance tag either way.
+    whose imaginary part cancels pairwise; a sum that comes out non-real
+    (cancellation at large n) raises FloatingPointError."""
+    c = coefficients(p)
+    idx = np.arange(p.n + 1)
+    d = (idx[None, :] - idx[:, None]) / p.n  # d[j, k] = (k - j)/n
+    h = complex_hermite_2d(m, m, SQRT2 * d, SQRT2 * d)
+    total = SQRT_PI * (-2.0) ** m * np.einsum(
+        "j,k,jk->", c, c, np.exp(-(d**2) + 2j * d * x) * h
+    )
+    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
+        raise FloatingPointError(f"norm sum came out non-real: {total}")
+    return float(total.real)
+
+
+def signal_norm_sq_closed(g, x, p):
+    """||F_n(. ) g(. - x)||^2.
+
+    Closed double sum (_norm_double_sum) for gaussian/hermite windows.
+    Custom windows fall back to quadrature on |S|^2; the result carries a
+    .provenance tag either way.
     """
     if g.kind in ("gaussian", "hermite"):
-        m = g.order
-        c = coefficients(p)
-        idx = np.arange(p.n + 1)
-        d = np.subtract.outer(idx, idx) / p.n  # d[j, k] = (j - k)/n -> use -d
-        d = -d
-        h = complex_hermite_2d(m, m, math.sqrt(2.0) * d, math.sqrt(2.0) * d)
-        total = SQRT_PI * (-2.0) ** m * np.einsum(
-            "j,k,jk->", c, c, np.exp(-(d**2) + 2j * d * x) * h
-        )
-        if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-            raise FloatingPointError(
-                f"signal norm came out non-real: {total}"
-            )
-        return NormValue(total.real, "closed-form")
+        return NormValue(_norm_double_sum(g.order, x, p), "closed-form")
     sig = build_signal(g, x, p)
     if sig.decay_radius is None:
         raise ValueError(

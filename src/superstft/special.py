@@ -16,6 +16,8 @@ MAX_HERMITE_ORDER = 64
 MAX_COMPLEX_HERMITE_ORDER = 32
 
 SQRT_PI = math.sqrt(math.pi)
+SQRT2 = math.sqrt(2.0)
+TWO_PI = 2.0 * math.pi
 
 _QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -24,6 +26,11 @@ def ipow(n):
     """i**n by exact quarter-turn lookup (n any integer); keeps identity
     tests bit-exact where complex exponentiation would drift."""
     return _QUARTER_TURNS[n % 4]
+
+
+def _as_result(out):
+    """A 0-d result as a Python complex, any other array unchanged."""
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def _descalarize(t, dtype=float):

@@ -75,63 +75,13 @@ def f_n_direct(p, t):
     return complex(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class GeneralizedSequence:
-    """A generalized Fourier sequence sum_j Z_j e^{i h_j t} with arbitrary
-    complex coefficients Z_j and real frequencies h_j (equal lengths)."""
-
-    coefficients: tuple
-    frequencies: tuple
-
-    def __post_init__(self):
-        if len(self.coefficients) != len(self.frequencies):
-            raise ValueError(
-                f"coefficient/frequency length mismatch: "
-                f"{len(self.coefficients)} vs {len(self.frequencies)}"
-            )
-        if len(self.coefficients) == 0:
-            raise ValueError("sequence must have at least one term")
-
-    @property
-    def max_abs_frequency(self):
-        return max(abs(h) for h in self.frequencies)
-
-    def is_superoscillating_toward(self, a):
-        """Band-limited label: all frequencies within [-1, 1] while the
-        target |a| exceeds 1."""
-        return self.max_abs_frequency <= 1.0 and abs(a) > 1.0
-
-
-def from_superosc(p):
-    """Wrap the basic (a, n) sequence as a GeneralizedSequence."""
-    return GeneralizedSequence(
-        coefficients=tuple(complex(c) for c in coefficients(p)),
-        frequencies=tuple(float(w) for w in frequencies(p)),
-    )
-
-
-def generalized_f(seq, t):
-    """Evaluate sum_j Z_j e^{i h_j t} for a GeneralizedSequence."""
-    t = np.asarray(t, dtype=float)
-    c = np.asarray(seq.coefficients, dtype=complex)
-    w = np.asarray(seq.frequencies, dtype=float)
-    out = np.tensordot(c, np.exp(1j * np.multiply.outer(w, t)), axes=(0, 0))
-    return complex(out) if out.ndim == 0 else out
-
-
-def approximating_sequence(psi, p, x):
-    """The supershift sum  sum_j C_j psi(x + omega_j)  for a callable psi.
-    As n grows this approaches psi(x + a)."""
-    c = coefficients(p)
-    w = frequencies(p)
-    return sum(cj * psi(x + wj) for cj, wj in zip(c, w))
-
-
 def supershift_probe(closed_form_at, p):
     """Apply the coefficient pattern to a lambda-indexed family:
     returns sum_j C_j closed_form_at(omega_j).  closed_form_at maps a
     frequency to any numpy-addable value (scalar or array), so this
-    drives both scalar probes and whole-grid kernel sums."""
+    drives both scalar probes and whole-grid kernel sums.  It is the one
+    place the package forms such a sum term by term (j = 0 first); the
+    supershift of psi at x is supershift_probe(lambda w: psi(x + w), p)."""
     c = coefficients(p)
     w = frequencies(p)
     total = None

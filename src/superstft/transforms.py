@@ -21,8 +21,7 @@ import numpy as np
 from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
                          nodes_weights)
 from .signals import Window, window_norm_sq
-
-TWO_PI = 2.0 * math.pi
+from .special import SQRT2, TWO_PI
 
 
 def _decay_radius_of(f):
@@ -117,10 +116,10 @@ def bargmann(f, z, spec=None):
     B(f)(z) = pi^{-3/4} int f(t) e^{-z^2/2 - t^2/2 + sqrt2 z t} dt,
     normalized so the Hermite function h_n maps to pi^{-1/4} 2^{n/2} z^n."""
     z = complex(z)
-    spec = _resolve_spec(spec, f, shifts=(math.sqrt(2.0) * abs(z),))
+    spec = _resolve_spec(spec, f, shifts=(SQRT2 * abs(z),))
     val = integrate(
         lambda t: (np.asarray(f(t), dtype=complex)
-                   * np.exp(-t * t / 2.0 + math.sqrt(2.0) * z * t)),
+                   * np.exp(-t * t / 2.0 + SQRT2 * z * t)),
         spec,
     )
     return math.pi ** (-0.75) * np.exp(-z * z / 2.0) * val

@@ -22,11 +22,10 @@ from . import special as sp
 from . import transforms as tr
 from . import zak as zk
 from .quadrature import DEFAULT_PAD, QuadratureSpec, make_spec
-from .superosc import SuperoscParams, coefficients, frequencies
+from .special import SQRT2, TWO_PI
+from .superosc import SuperoscParams
 
 SUITES = ("all", "stft", "kernels", "hermite", "zak", "evolution", "approx")
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -162,10 +161,10 @@ def _run_bargmann(rng):
         def f(t):
             t = np.asarray(t, dtype=float)
             return (math.pi ** -0.75
-                    * np.exp(-(zz**2 + t**2) / 2.0 + math.sqrt(2.0) * zz * t))
+                    * np.exp(-(zz**2 + t**2) / 2.0 + SQRT2 * zz * t))
         return f
 
-    spec = make_spec(9.0, math.sqrt(2.0) * max(abs(zq), abs(wq)))
+    spec = make_spec(9.0, SQRT2 * max(abs(zq), abs(wq)))
     ip = tr.inner_product(kernel_fn(zq), kernel_fn(wq), spec=spec)
     worst = max(worst, float(abs(ip - np.exp(zq * np.conj(wq)) / math.pi)))
     return worst, {"orders": list(range(4)), "z": [z.real, z.imag],

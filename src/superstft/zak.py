@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import build_signal, gaussian_window
-from .special import theta
-from .superosc import coefficients, frequencies
-
-TWO_PI = 2.0 * math.pi
+from .special import TWO_PI, theta
+from .superosc import supershift_probe
 
 # default |Z| threshold separating "bounded below" from "numerically zero"
 FRAME_TOLERANCE = 1e-8
@@ -103,12 +101,8 @@ def zak_superosc(g, x, p, u, eta):
         Z(S)(u, eta) = sum_j C_j e^{i omega_j u} Z(g)(u - x, eta - omega_j).
 
     Equals zak(build_signal(g, x, p))(u, eta) up to truncation error."""
-    c = coefficients(p)
-    w = frequencies(p)
-    return complex(sum(
-        cj * np.exp(1j * wj * u) * zak(g, u - x, eta - wj)
-        for cj, wj in zip(c, w)
-    ))
+    return complex(supershift_probe(
+        lambda w: np.exp(1j * w * u) * zak(g, u - x, eta - w), p))
 
 
 def theta_bound_check(p, u, eta):
@@ -183,6 +177,8 @@ def frame_check(f, resolution, tolerance=FRAME_TOLERANCE):
     resolution = int(resolution)
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     mags, loc = _scan(f, resolution)
     lower = float(mags.min())
     upper = float(mags.max())

@@ -132,6 +132,15 @@ def test_zak_frame_hermite_window(capsys):
     assert abs(rep["minLocation"][1]) < 1e-9
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "0"])
+def test_zak_frame_rejects_bad_tolerance(tolerance, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zak-frame", "--window", "gaussian", "--resolution", "16",
+              "--tolerance", tolerance])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_zak_frame_requires_subject():
     with pytest.raises(SystemExit) as exc:
         main(["zak-frame", "--resolution", "32"])

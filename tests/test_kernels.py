@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from superstft.kernels import (TFQuadruple, f_n_from_representation_target,
-                               fock_kernel, gabor_kernel_gaussian,
+from superstft.kernels import (TFQuadruple, fock_kernel,
+                               gabor_kernel_gaussian,
                                gabor_kernel_hermite,
                                gabor_kernel_hermite_base,
                                gabor_kernel_hermite_calibration,
@@ -24,10 +24,10 @@ from superstft.kernels import (TFQuadruple, f_n_from_representation_target,
                                stft_superosc_limit_grid, weyl_action_on_basis)
 from superstft.quadrature import make_spec
 from superstft.signals import (build_limit_signal, build_signal,
-                               gaussian_window, hermite_window,
+                               custom_window, gaussian_window, hermite_window,
                                window_norm_sq)
 from superstft.special import hermite_function
-from superstft.superosc import SuperoscParams
+from superstft.superosc import SuperoscParams, f_n
 from superstft.transforms import convolve, fourier, stft
 
 rng = np.random.default_rng(2024)
@@ -284,11 +284,11 @@ def test_integral_representation_recovers_f_n():
     p = SuperoscParams(a=2.0, n=4)
     for (x, y) in [(0.0, 0.5), (0.3, -0.4)]:
         rep = stft_integral_representation(g, x, y, p)
-        assert abs(rep - f_n_from_representation_target(p, y)) < 1e-8
+        assert abs(rep - f_n(p, y)) < 1e-8
     h1 = hermite_window(1)
     # hermite windows work too, away from the window's zero at y = x
     rep = stft_integral_representation(h1, 0.0, 0.7, p)
-    assert abs(rep - f_n_from_representation_target(p, 0.7)) < 1e-7
+    assert abs(rep - f_n(p, 0.7)) < 1e-7
     with pytest.raises(ValueError):
         stft_integral_representation(h1, 0.0, 0.0, p)  # h_1(0) = 0
 
@@ -308,3 +308,46 @@ def test_closed_grids_match_scalars():
         for j in (0, 1):
             assert abs(lim[i, j]
                        - stft_superosc_limit(g, 0.2, 2.0, u[i], eta[j])) < 1e-13
+
+
+def test_custom_window_falls_back_to_quadrature():
+    """A custom window has no closed kernel: the scalar routes integrate
+    each kernel by quadrature, and the closed grids refuse it."""
+    g = gaussian_window()
+    c = custom_window(g.func, decay_radius=9.0)
+    p = SuperoscParams(a=1.5, n=3)
+    for (u, eta) in [(0.4, -0.6), (-1.0, 1.2)]:
+        assert abs(stft_superosc_closed(c, 0.3, p, u, eta)
+                   - stft_superosc_closed(g, 0.3, p, u, eta)) < 1e-12
+        assert abs(stft_superosc_limit(c, 0.3, 1.5, u, eta)
+                   - stft_superosc_limit(g, 0.3, 1.5, u, eta)) < 1e-12
+    axis = np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ValueError):
+        stft_superosc_closed_grid(c, 0.3, p, axis, axis)
+    with pytest.raises(ValueError):
+        stft_superosc_limit_grid(c, 0.3, 1.5, axis, axis)
+
+
+@pytest.mark.parametrize("g", [gaussian_window(), hermite_window(1),
+                               hermite_window(3)])
+def test_closed_grids_take_0d_axes(g):
+    """With scalar u and eta the grids return the scalar call's value."""
+    p = SuperoscParams(a=2.0, n=5)
+    for (u, eta) in [(0.4, -0.6), (-1.3, 2.1)]:
+        assert (stft_superosc_closed_grid(g, 0.2, p, u, eta)
+                == stft_superosc_closed(g, 0.2, p, u, eta))
+        assert (stft_superosc_limit_grid(g, 0.2, 2.0, u, eta)
+                == stft_superosc_limit(g, 0.2, 2.0, u, eta))
+
+
+def test_closed_routes_reject_non_finite_points():
+    g = hermite_window(2)
+    p = SuperoscParams(a=2.0, n=3)
+    axis = np.linspace(-1.0, 1.0, 3)
+    for call in (lambda: stft_superosc_closed(g, 0.0, p, math.nan, 0.5),
+                 lambda: stft_superosc_limit(g, math.inf, 2.0, 0.1, 0.5),
+                 lambda: stft_superosc_limit(g, 0.0, math.nan, 0.1, 0.5),
+                 lambda: stft_superosc_closed_grid(g, 0.0, p, axis,
+                                                   np.append(axis, math.nan))):
+        with pytest.raises(ValueError, match="must be finite"):
+            call()

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from superstft.superosc import (GeneralizedSequence, SuperoscParams,
-                                approximating_sequence, coefficients, f_n,
-                                f_n_direct, frequencies, from_superosc,
-                                generalized_f, supershift_probe)
+from superstft.superosc import (SuperoscParams, coefficients, f_n,
+                                f_n_direct, frequencies, supershift_probe)
 
 rng = np.random.default_rng(7)
 
@@ -67,23 +65,6 @@ def test_f_n_superoscillates_locally():
     assert errs[2] < 0.1 * errs[0]
 
 
-def test_generalized_sequence_wraps_basic():
-    p = SuperoscParams(a=1.5, n=5)
-    seq = from_superosc(p)
-    assert seq.max_abs_frequency == 1.0
-    assert seq.is_superoscillating_toward(1.5)
-    assert not seq.is_superoscillating_toward(0.5)
-    t = np.linspace(-2, 2, 9)
-    np.testing.assert_allclose(generalized_f(seq, t), f_n(p, t), atol=1e-12)
-
-
-def test_generalized_sequence_validation():
-    with pytest.raises(ValueError):
-        GeneralizedSequence(coefficients=(1.0, 2.0), frequencies=(0.5,))
-    with pytest.raises(ValueError):
-        GeneralizedSequence(coefficients=(), frequencies=())
-
-
 def test_supershift_probe_exponential():
     """Probing w -> e^{i w y} reproduces F_n(y) by definition."""
     p = SuperoscParams(a=2.0, n=6)
@@ -112,6 +93,14 @@ def test_approximating_sequence_supershift():
     psi = lambda t: np.exp(-t * t / 2.0)
     a, x = 1.5, 0.3
     target = psi(x + a)
-    errs = [abs(approximating_sequence(psi, SuperoscParams(a=a, n=n), x) - target)
+    errs = [abs(supershift_probe(lambda w: psi(x + w), SuperoscParams(a=a, n=n))
+                - target)
             for n in (10, 40)]
     assert errs[1] < 0.6 * errs[0]
+
+
+def test_public_names_resolve():
+    import superstft
+
+    for name in superstft.__all__:
+        assert hasattr(superstft, name), name

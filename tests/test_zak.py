@@ -119,6 +119,12 @@ def test_frame_check_validation():
         frame_check(gaussian_window(), 1)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_frame_check_rejects_bad_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        frame_check(gaussian_window(), 16, tolerance=tolerance)
+
+
 def test_frame_verdict_serialization():
     v = FrameVerdict(lower_bound=0.1, upper_bound=2.0, grid_resolution=16,
                      verdict="Frame", min_location=(0.5, 3.1), tolerance=1e-8)
