@@ -23,7 +23,8 @@ from .kernels import (FockPoint, TFQuadruple, fock_kernel,
                       stft_integral_representation, stft_superosc_closed,
                       stft_superosc_closed_grid, stft_superosc_cross,
                       stft_superosc_fock_form, stft_superosc_limit,
-                      stft_superosc_limit_grid, weyl_action_on_basis)
+                      stft_superosc_limit_grid, stft_superosc_termwise_grid,
+                      weyl_action_on_basis)
 from .quadrature import QuadratureSpec, integrate, integrate_2d, make_spec
 from .signals import (Signal, Window, build_limit_signal, build_signal,
                       custom_window, gaussian_window, hermite_window,
@@ -68,7 +69,8 @@ __all__ = [
     "stft_approx_via_ambiguity", "stft_grid", "stft_integral_representation",
     "stft_superosc_closed", "stft_superosc_closed_grid",
     "stft_superosc_cross", "stft_superosc_fock_form", "stft_superosc_limit",
-    "stft_superosc_limit_grid", "supershift_probe", "theta",
+    "stft_superosc_limit_grid", "stft_superosc_termwise_grid",
+    "supershift_probe", "theta",
     "time_frequency_shift", "weyl_action_on_basis", "wiener_norm_estimate",
     "window_norm_sq", "zak", "zak_gaussian", "zak_grid", "zak_superosc",
 ]

@@ -31,6 +31,7 @@ from .kernels import stft_superosc_closed_grid, stft_superosc_limit_grid
 from .quadrature import DEFAULT_PAD
 from .signals import build_limit_signal, build_signal, gaussian_window, \
     hermite_window
+from .special import MAX_HERMITE_ORDER
 from .superosc import SuperoscParams
 from .transforms import stft_grid
 from .zak import frame_check, wiener_norm_estimate
@@ -90,10 +91,11 @@ def _positive_float(text):
     return val
 
 
-def _nonneg_int(text):
+def _order(text):
     val = int(text)
-    if val < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {val}")
+    if not 0 <= val <= MAX_HERMITE_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..{MAX_HERMITE_ORDER}, got {val}")
     return val
 
 
@@ -310,7 +312,7 @@ def build_parser():
                         help="sample the windowed transform on a grid (CSV)")
     sp.add_argument("--window", choices=("gaussian", "hermite"),
                     default="gaussian")
-    sp.add_argument("--order", type=_nonneg_int, default=0,
+    sp.add_argument("--order", type=_order, default=0,
                     help="Hermite window order (ignored for gaussian)")
     sp.add_argument("--signal", choices=("superosc", "limit"),
                     default="superosc")
@@ -341,7 +343,7 @@ def build_parser():
                              "(JSON verdict)")
     zf.add_argument("--signal", choices=("superosc-gaussian",), default=None)
     zf.add_argument("--window", choices=("gaussian", "hermite"), default=None)
-    zf.add_argument("--order", type=_nonneg_int, default=0)
+    zf.add_argument("--order", type=_order, default=0)
     zf.add_argument("--a", type=_finite_float, default=2.0)
     zf.add_argument("--n", type=_positive_int, default=None)
     zf.add_argument("--resolution", type=_positive_int, default=128)
@@ -355,7 +357,7 @@ def build_parser():
                               "(CSV)")
     evp.add_argument("--window", choices=("gaussian", "hermite"),
                      default="gaussian")
-    evp.add_argument("--order", type=_nonneg_int, default=0)
+    evp.add_argument("--order", type=_order, default=0)
     evp.add_argument("--superosc", action="store_true",
                      help="evolve the bare superoscillating sequence "
                           "F_n(x, t) instead of a window atom")

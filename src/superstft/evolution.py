@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import stft_superosc_closed_grid
+from .kernels import stft_superosc_termwise_grid
 from .quadrature import (
     DEFAULT_PAD,
     QuadratureSpec,
@@ -303,7 +303,7 @@ def evolve_superosc_integral_representation(g, x, p, y, t,
                            nodes_per_unit=int(outer_nodes_per_unit))
     xu, wu = nodes_weights(outer)
     xe, we = nodes_weights(outer)
-    v = stft_superosc_closed_grid(g, x, p, xu, xe)
+    v = stft_superosc_termwise_grid(g, x, p, xu, xe)
     atoms = _gaussian_closed_arr(y, t, xu[:, None], xe)
     total = complex(wu @ (v * atoms) @ we)
     return total / (TWO_PI**2 * window_norm_sq(g))

@@ -25,15 +25,21 @@ between them.
 Every closed sum over the superoscillation coefficients goes through
 supershift_probe, and the Gabor kernels of the Gaussian and Hermite
 windows share one grid evaluator, _closed_kernel; a scalar call is the
-0-d case of the grid call.
+0-d case of the grid call.  Those sums cancel, since
+sum_j |C_j| = max(1, |a|)^n, so the superoscillation STFT
+(stft_superosc_closed_grid) does not form one: it integrates the product
+form of F_n against the window pair by Gauss-Hermite quadrature.  The
+coefficient sum stays as its closed twin, stft_superosc_termwise_grid.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate, make_spec, nodes_weights
+from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
+                         nodes_weights)
 from .signals import Window, _norm_double_sum, window_norm_sq
 from .special import (
     SQRT2,
@@ -43,9 +49,10 @@ from .special import (
     complex_hermite_2d,
     generalized_laguerre,
     hermite_norm_sq,
+    hermite_polynomial,
     ipow,
 )
-from .superosc import coefficients, supershift_probe
+from .superosc import coefficients, f_n, supershift_probe
 
 
 def _check_finite(**vals):
@@ -169,23 +176,29 @@ def _numeric_kernel(g, x, u, eta, spec):
     return lambda w: gabor_kernel_numeric(g, TFQuadruple(x, w, u, eta), spec=spec)
 
 
-def _tensor_axes(g, x, u_axis, eta_axis):
-    """u and eta shaped to broadcast to the tensor grid u x eta, of shape
-    u.shape + eta.shape (0-d axes give a single point)."""
+def _grid_axes(g, x, u_axis, eta_axis):
+    """u and eta as float arrays, after checking the window has a closed
+    kernel and every point is finite."""
     if g.kind not in ("gaussian", "hermite"):
         raise ValueError("closed kernel grids need a gaussian or hermite window")
     _check_finite(x=x, u=u_axis, eta=eta_axis)
-    u_axis = np.asarray(u_axis, dtype=float)
-    eta_axis = np.asarray(eta_axis, dtype=float)
+    return np.asarray(u_axis, dtype=float), np.asarray(eta_axis, dtype=float)
+
+
+def _tensor_axes(g, x, u_axis, eta_axis):
+    """u and eta shaped to broadcast to the tensor grid u x eta, of shape
+    u.shape + eta.shape (0-d axes give a single point)."""
+    u_axis, eta_axis = _grid_axes(g, x, u_axis, eta_axis)
     return u_axis.reshape(u_axis.shape + (1,) * eta_axis.ndim), eta_axis
 
 
 def stft_superosc_closed(g, x, p, u, eta, spec=None):
     """V_g(S)(u, eta) for the signal S = sum_j C_j M_{omega_j} T_x g built on
     the same window g: by linearity this is sum_j C_j K_g(x, omega_j; u, eta).
-    Gaussian and Hermite windows use their closed kernels (the 0-d case of
-    stft_superosc_closed_grid); any other window falls back to
-    per-frequency quadrature."""
+    Gaussian and Hermite windows take the Gauss-Hermite product-form route
+    (the 0-d case of stft_superosc_closed_grid, which states its tolerance
+    and when it raises); any other window falls back to that sum with each
+    kernel by quadrature."""
     if g.kind == "custom":
         return supershift_probe(_numeric_kernel(g, x, u, eta, spec), p)
     return stft_superosc_closed_grid(g, x, p, u, eta)
@@ -480,17 +493,165 @@ def stft_integral_representation(g, x, y, p, spec2d=None):
         spec_u, spec_eta = spec2d
     xu, wu = nodes_weights(spec_u)
     xe, we = nodes_weights(spec_eta)
-    phi = stft_superosc_closed_grid(g, x, p, xu, xe)
+    phi = stft_superosc_termwise_grid(g, x, p, xu, xe)
     integrand = (phi * np.asarray(g(y - xu[:, None]), dtype=complex)
                  * np.exp(1j * xe * y))
     val = wu @ integrand @ we
     return complex(val / (TWO_PI * denom * window_norm_sq(g)))
 
 
+# ---------------------------------------------------------------------------
+# Gauss-Hermite quadrature of the product form
+# ---------------------------------------------------------------------------
+
+# (N, nu): the N-node rule integrates e^{-s^2 - i nu' s} to about 1e-14 for
+# every |nu'| <= nu (measured against sqrt(pi) e^{-nu'^2/4})
+_GH_BANDS = ((64, 12.5), (80, 15.0), (100, 18.0), (120, 20.5), (160, 25.25),
+             (240, 33.0), (320, 39.75))
+# numpy's hermgauss gives NaN weights from 372 nodes on; the truncation
+# check compares with a rule _GH_CHECK_NODES larger, both within the cap
+_GH_MAX_NODES = 360
+_GH_CHECK_NODES = 40
+# the route's absolute tolerance, in units of max(1, ||S|| ||g||)
+_ROUTE_TOL = 1e-12
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+# |u - x| beyond which e^{-(u-x)^2/4} is exactly 0 in double precision;
+# clipping there keeps H_m(s_k +- d/2) finite
+_D_MAX = 60.0
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite(nodes):
+    """Read-only Gauss-Hermite nodes s_k and weights w_k (weight e^{-s^2})."""
+    # imported here: numpy.polynomial adds about 4.5 ms to every CLI start
+    from numpy.polynomial.hermite import hermgauss
+
+    s, w = hermgauss(nodes)
+    assert np.isfinite(w).all(), f"hermgauss({nodes}) weights are not finite"
+    s.flags.writeable = False
+    w.flags.writeable = False
+    return s, w
+
+
+def _rule_nodes(band, m):
+    """Nodes of the smallest rule resolving the band, plus 2m for the
+    H_m H_m factor, or None if that exceeds the cap."""
+    for nodes, nu in _GH_BANDS:
+        if band <= nu:
+            nodes += 2 * m
+            return nodes if nodes + _GH_CHECK_NODES <= _GH_MAX_NODES else None
+    return None
+
+
+def _signal_norm(m, x, p):
+    """||S|| for S(t) = F_n(t) h_m(t - x), on the smallest rule (a scale,
+    so its own error does not matter); hypot keeps it finite as long as
+    every sample is."""
+    s, w = _gauss_hermite(_GH_BANDS[0][0] + 2 * m)
+    vals = np.sqrt(w) * np.abs(f_n(p, x + s))
+    if m:
+        vals *= np.abs(hermite_polynomial(m, s))
+    norm = math.hypot(*vals.tolist())
+    if not math.isfinite(norm):
+        raise FloatingPointError(f"F_n(t) h_{m}(t - x) overflows near t = {x}")
+    return norm
+
+
+def _product_matrix(m, x, p, u, s, w):
+    """A[u, k] = w_k e^{-d^2/4} F_n(c + s_k) H_m(s_k + d/2) H_m(s_k - d/2)
+    for a 1-D u, and c = (x + u)/2."""
+    c = (x + u) / 2.0
+    half = np.clip(u - x, -_D_MAX, _D_MAX)[:, None] / 2.0
+    a = np.exp(-half * half) * w
+    if m:
+        a = (a * hermite_polynomial(m, s + half)
+             * hermite_polynomial(m, s - half))
+    return _guard(a * f_n(p, c[:, None] + s)), c
+
+
+def _gauss_hermite_grid(m, x, p, u, eta, nodes):
+    """V on the 1-D axes u x eta from the nodes-point rule, with its
+    truncation estimate (the largest change of the extreme-eta columns on a
+    rule _GH_CHECK_NODES larger) and its roundoff bound
+    max_u (n + N) u sum_k |A[u, k]|."""
+    s, w = _gauss_hermite(nodes)
+    a, c = _product_matrix(m, x, p, u, s, w)
+    phase = np.exp(-1j * np.multiply.outer(c, eta))
+    v = a @ np.exp(-1j * np.multiply.outer(s, eta))
+    v *= phase
+    ends = [int(np.argmin(eta)), int(np.argmax(eta))]
+    s2, w2 = _gauss_hermite(nodes + _GH_CHECK_NODES)
+    a2, _ = _product_matrix(m, x, p, u, s2, w2)
+    check = a2 @ np.exp(-1j * np.multiply.outer(s2, eta[ends]))
+    check *= phase[:, ends]
+    trunc = float(np.max(np.abs(check - v[:, ends])))
+    roundoff = ((p.n + nodes) * _UNIT_ROUNDOFF
+                * float(np.max(np.abs(a).sum(axis=1))))
+    return v, trunc, roundoff
+
+
 def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):
-    """stft_superosc_closed on a tensor grid, shape (len(u), len(eta)),
-    or a single complex value for 0-d u and eta.  Closed kernels only, so
-    the window must be gaussian or hermite."""
+    """stft_superosc_closed on a tensor grid, shape u.shape + eta.shape (a
+    single complex value for 0-d u and eta), for a gaussian or hermite
+    window h_m, by Gauss-Hermite quadrature of the product form:
+
+        V(u, eta) = int e^{-it eta} F_n(t) h_m(t - x) h_m(t - u) dt
+                  = e^{-i c eta} sum_k A[u, k] e^{-i s_k eta},
+        A[u, k] = w_k e^{-d^2/4} F_n(c + s_k) H_m(s_k + d/2) H_m(s_k - d/2),
+
+    c = (x + u)/2, d = u - x, with F_n(t) = (cos(t/n) + i a sin(t/n))^n
+    evaluated as a product, so nothing cancels and the cost of the one
+    (U x N) @ (N x E) product does not grow with n.  The N-node rule is
+    picked from the band max|eta| + max(1, |a|) (_GH_BANDS) plus 2m nodes.
+
+    The result is within 1e-12 max(1, ||S|| ||g||) of the truth, where
+    ||S|| ||g|| bounds |V| everywhere (Cauchy-Schwarz, S(t) = F_n(t) g(t - x)).
+    Two checks hold it there: the extreme-eta columns must agree with a
+    rule of N + 40 nodes, and the roundoff bound (n + N) u sum_k |A[u, k]|
+    (u the unit roundoff) must be within the tolerance.  When no rule up to
+    _GH_MAX_NODES passes, stft_superosc_termwise_grid is used if its Higham
+    bound (n + 1) u max(1, |a|)^n ||g||^2 is within the tolerance; otherwise
+    this raises ValueError naming the eta range."""
+    u_axis, eta_axis = _grid_axes(g, x, u_axis, eta_axis)
+    u, eta = u_axis.ravel(), eta_axis.ravel()
+    shape = u_axis.shape + eta_axis.shape
+    if not (u.size and eta.size):
+        return np.zeros(shape, dtype=complex)
+    m = g.order
+    g_norm_sq = window_norm_sq(g)
+    tol = _ROUTE_TOL * max(1.0, _signal_norm(m, x, p) * math.sqrt(g_norm_sq))
+    band = float(np.max(np.abs(eta))) + max(1.0, abs(p.a))
+    nodes = _rule_nodes(band, m)
+    if nodes is None:
+        why = (f"no rule within {_GH_MAX_NODES} nodes resolves the band "
+               f"{band:.4g}")
+    else:
+        v, trunc, roundoff = _gauss_hermite_grid(m, x, p, u, eta, nodes)
+        if max(trunc, roundoff) <= tol:
+            return _as_result(v.reshape(shape))
+        why = (f"{nodes} nodes leave truncation {trunc:.3g} and roundoff "
+               f"bound {roundoff:.3g}")
+    # Higham's bound of the termwise sum, in log space: max(1, |a|)^n and
+    # the coefficients themselves overflow for large n
+    log_bound = (math.log((p.n + 1) * _UNIT_ROUNDOFF * g_norm_sq)
+                 + p.n * math.log(max(1.0, abs(p.a))))
+    if log_bound <= math.log(tol):
+        return stft_superosc_termwise_grid(g, x, p, u_axis, eta_axis)
+    raise ValueError(
+        f"superoscillation STFT (n = {p.n}, a = {p.a}, order {m}) not "
+        f"resolved to {tol:.3g} for eta in [{eta.min():.6g}, {eta.max():.6g}]: "
+        f"Gauss-Hermite: {why}; termwise sum: roundoff bound "
+        f"10^{log_bound / math.log(10.0):.1f}")
+
+
+def stft_superosc_termwise_grid(g, x, p, u_axis, eta_axis):
+    """The closed twin of stft_superosc_closed_grid: the coefficient sum
+    sum_j C_j K_g(x, omega_j; u, eta) of closed Gabor kernels, term by term.
+    Same grid shapes and windows.  Exact in exact arithmetic, but the sum
+    cancels: sum_j |C_j| = max(1, |a|)^n, so its roundoff grows like
+    (n + 1) u max(1, |a|)^n ||g||^2 and it is wrong from about n = 32 at
+    a = 2.  The verify cases that pin the closed kernel sum and the two
+    integral representations, which invert it, use it."""
     ug, eg = _tensor_axes(g, x, u_axis, eta_axis)
     return supershift_probe(lambda w: _closed_kernel(g.order, x, w, ug, eg), p)
 

@@ -83,6 +83,19 @@ def test_spectrogram_rejects_negative_order():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrogram", "--window", "hermite", "--n", "2"],
+    ["evolve", "--window", "hermite", "--x", "0", "--t", "0"],
+    ["zak-frame", "--window", "hermite", "--resolution", "16"],
+])
+def test_order_above_maximum_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--order", "65"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--order: must be in 0..64" in captured.err
+
+
 def test_verify_report(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["verify", "--suite", "zak", "--json", str(out)])

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from superstft import kernels, superosc, verify
 from superstft.kernels import (TFQuadruple, fock_kernel,
                                gabor_kernel_gaussian,
                                gabor_kernel_hermite,
@@ -21,7 +23,9 @@ from superstft.kernels import (TFQuadruple, fock_kernel,
                                stft_superosc_cross_mirror,
                                stft_superosc_fock_form, stft_superosc_limit,
                                stft_superosc_limit_cross,
-                               stft_superosc_limit_grid, weyl_action_on_basis)
+                               stft_superosc_limit_grid,
+                               stft_superosc_termwise_grid,
+                               weyl_action_on_basis)
 from superstft.quadrature import make_spec
 from superstft.signals import (build_limit_signal, build_signal,
                                custom_window, gaussian_window, hermite_window,
@@ -351,3 +355,139 @@ def test_closed_routes_reject_non_finite_points():
                                                    np.append(axis, math.nan))):
         with pytest.raises(ValueError, match="must be finite"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Hermite route of the superoscillation STFT
+# ---------------------------------------------------------------------------
+
+def _laguerre_mp(m, z):
+    prev, cur = mpmath.mpf(1), 1 - z
+    if m == 0:
+        return prev
+    for k in range(1, m):
+        prev, cur = cur, ((2 * k + 1 - z) * cur - k * prev) / (k + 1)
+    return cur
+
+
+def _termwise_mp(m, x, p, points):
+    """sum_j C_j K_{h_m}(x, omega_j; u, eta) at each (u, eta) in mpmath, with
+    n log10(max(1, |a|)) + 30 digits so the sum's cancellation costs none
+    of the digits compared."""
+    n = p.n
+    with mpmath.workdps(int(n * math.log10(max(1.0, abs(p.a)))) + 30):
+        a, x = mpmath.mpf(p.a), mpmath.mpf(x)
+        coef = [mpmath.binomial(n, j) * ((1 + a) / 2) ** (n - j)
+                * ((1 - a) / 2) ** j for j in range(n + 1)]
+        calib = mpmath.sqrt(mpmath.pi) * 2 ** m * mpmath.factorial(m)
+        out = []
+        for u, eta in points:
+            u, eta = mpmath.mpf(u), mpmath.mpf(eta)
+            total = mpmath.mpc(0)
+            for j, cj in enumerate(coef):
+                lam = 1 - mpmath.mpf(2 * j) / n - eta
+                r2 = (u - x) ** 2 + lam ** 2
+                total += (cj * mpmath.expj((u + x) * lam / 2)
+                          * mpmath.exp(-r2 / 4) * _laguerre_mp(m, r2 / 2))
+            out.append(complex(calib * total))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m", [0, 3, 8])
+def test_closed_grid_matches_high_precision_sum(m):
+    """The default route against the termwise sum in mpmath, within
+    1e-12 max(1, max|V|), over n = 32..96, a up to -4 and |u|, |x| <= 20,
+    where the double-precision sum is off by up to 1e29."""
+    draw = np.random.default_rng(600 + m)
+    g = hermite_window(m)
+    for n in (32, 64, 96):
+        for a in (1.5, 2.0, 3.0, -4.0):
+            p = SuperoscParams(a=a, n=n)
+            x = draw.uniform(-20.0, 20.0)
+            u = np.clip(x + draw.uniform(-4.0, 4.0, 2), -20.0, 20.0)
+            eta = draw.uniform(-6.0, 6.0, 2)
+            v = stft_superosc_closed_grid(g, x, p, u, eta)
+            ref = _termwise_mp(m, x, p, [(ui, ei) for ui in u for ei in eta])
+            err = np.max(np.abs(v.ravel() - ref))
+            assert err <= 1e-12 * max(1.0, np.max(np.abs(ref))), (n, a, x, err)
+
+
+def test_closed_headline_cell():
+    """spectrogram --n 64 --a 2 --x 0.5 at (u, eta) = (0.3, 1.7); the
+    termwise sum gives about 812 here."""
+    p = SuperoscParams(a=2.0, n=64)
+    v = stft_superosc_closed(gaussian_window(), 0.5, p, 0.3, 1.7)
+    truth = _termwise_mp(0, 0.5, p, [(0.3, 1.7)])[0]
+    assert abs(truth - (1.7291548539502524 + 0.21297391851867206j)) < 1e-15
+    assert abs(v - truth) < 1e-10
+    assert abs(stft_superosc_termwise_grid(gaussian_window(), 0.5, p, 0.3, 1.7)
+               - truth) > 1.0
+
+
+def test_closed_grid_supershift_rate_up_to_n2000(monkeypatch):
+    """V_n tends to the limit kernel like 1/n, through n = 2000, where the
+    coefficients overflow: the route never forms them."""
+    def refuse(p):
+        raise AssertionError("the Gauss-Hermite route formed the coefficients")
+
+    monkeypatch.setattr(superosc, "coefficients", refuse)
+    g, a, x = gaussian_window(), 2.0, 0.5
+    axis = np.linspace(-3.0, 3.0, 13)
+    lim = stft_superosc_limit_grid(g, x, a, axis, axis)
+    scaled = [n * np.max(np.abs(stft_superosc_closed_grid(
+        g, x, SuperoscParams(a=a, n=n), axis, axis) - lim))
+        for n in (250, 500, 1000, 2000)]
+    assert max(scaled) < 4.0 and max(scaled) - min(scaled) < 0.1, scaled
+
+
+def test_verify_stable_case_passes_its_draws():
+    case_id, _, _, tolerance, run = next(c for c in verify._CASES
+                                         if c[0] == "superosc-stft-stable")
+    drawn = set()
+    for seed in range(1, 9):
+        err, params = run(np.random.default_rng(seed))
+        assert err <= tolerance, (seed, params, err)
+        drawn.add((params["window"], params["n"], params["a"]))
+    assert len(drawn) > 1
+
+
+def test_wide_eta_axis_falls_back_to_termwise_sum():
+    """No rule under the cap resolves |eta| = 50; at n = 8 the termwise sum's
+    roundoff bound is within tolerance, so it is used."""
+    g, p = gaussian_window(), SuperoscParams(a=2.0, n=8)
+    u, eta = np.linspace(-3.0, 3.0, 61), np.linspace(-50.0, 50.0, 101)
+    v = stft_superosc_closed_grid(g, 0.0, p, u, eta)
+    twin = stft_superosc_termwise_grid(g, 0.0, p, u, eta)
+    assert np.max(np.abs(v - twin)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, a, eta, why", [
+    (64, 2.0, [-50.0, 50.0], "no rule within 360 nodes"),
+    (100000, 2.0, [-1.0, 1.0], "roundoff bound"),
+    # both rules agree to 4e-13 here; only the roundoff bound objects
+    (12000, 0.5, [-1.0, 1.0], "roundoff bound"),
+])
+def test_unresolved_closed_grid_raises(n, a, eta, why):
+    """Too wide a band (no rule under the cap), or a roundoff bound of the
+    n-th power beyond the tolerance, with the termwise sum no better:
+    ValueError naming the eta range."""
+    p = SuperoscParams(a=a, n=n)
+    lo, hi = eta
+    with pytest.raises(ValueError, match=rf"eta in \[{lo:g}, {hi:g}\].*{why}"):
+        stft_superosc_closed_grid(gaussian_window(), 0.5, p,
+                                  np.linspace(-1.0, 1.0, 3), np.array(eta))
+
+
+def test_gauss_hermite_rules_resolve_their_bands():
+    """Each rule of the band table integrates e^{-s^2 - i nu s} to 1e-13 over
+    its band; the largest rule allowed has finite weights; rules are cached
+    and read-only."""
+    for nodes, band in kernels._GH_BANDS:
+        s, w = kernels._gauss_hermite(nodes)
+        nu = np.linspace(0.0, band, 64)
+        err = np.abs(w @ np.exp(-1j * np.multiply.outer(s, nu))
+                     - SQRT_PI * np.exp(-nu * nu / 4.0))
+        assert err.max() < 1e-13, (nodes, err.max())
+    rule = kernels._gauss_hermite(kernels._GH_MAX_NODES)
+    assert np.isfinite(rule[1]).all() and not rule[1].flags.writeable
+    assert kernels._gauss_hermite(kernels._GH_MAX_NODES) is rule
