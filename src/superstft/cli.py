@@ -164,25 +164,31 @@ def _window_from_args(args):
 
 def cmd_spectrogram(args):
     g = _window_from_args(args)
-    if args.signal == "superosc":
-        if args.n is None:
-            args._parser.error("--signal superosc requires --n")
-        p = SuperoscParams(a=args.a, n=args.n)
-        closed = None
-        if args.mode in ("closed", "both"):
-            closed = stft_superosc_closed_grid(g, args.x, p, args.u, args.eta)
-        numeric = None
-        if args.mode in ("numeric", "both"):
-            s = build_signal(g, args.x, p)
-            numeric = stft_grid(s, g, args.u, args.eta).values
-    else:  # limit signal at frequency a
-        closed = None
-        if args.mode in ("closed", "both"):
-            closed = stft_superosc_limit_grid(g, args.x, args.a, args.u, args.eta)
-        numeric = None
-        if args.mode in ("numeric", "both"):
-            s = build_limit_signal(g, args.x, args.a)
-            numeric = stft_grid(s, g, args.u, args.eta).values
+    # a route that cannot resolve the axes (or overflows) reports why in
+    # one line, as a usage error, instead of a traceback
+    try:
+        if args.signal == "superosc":
+            if args.n is None:
+                args._parser.error("--signal superosc requires --n")
+            p = SuperoscParams(a=args.a, n=args.n)
+            closed = None
+            if args.mode in ("closed", "both"):
+                closed = stft_superosc_closed_grid(g, args.x, p, args.u, args.eta)
+            numeric = None
+            if args.mode in ("numeric", "both"):
+                s = build_signal(g, args.x, p)
+                numeric = stft_grid(s, g, args.u, args.eta).values
+        else:  # limit signal at frequency a
+            closed = None
+            if args.mode in ("closed", "both"):
+                closed = stft_superosc_limit_grid(g, args.x, args.a, args.u,
+                                                  args.eta)
+            numeric = None
+            if args.mode in ("numeric", "both"):
+                s = build_limit_signal(g, args.x, args.a)
+                numeric = stft_grid(s, g, args.u, args.eta).values
+    except (ValueError, FloatingPointError) as exc:
+        args._parser.error(str(exc))
 
     values = closed if closed is not None else numeric
     columns = [np.repeat(args.u, args.eta.size), np.tile(args.eta, args.u.size),

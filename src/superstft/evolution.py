@@ -280,9 +280,7 @@ def evolve_superosc_signal(g, x, p, y, t, spec=None):
     return complex(coefficients(p) @ atoms / TWO_PI)
 
 
-def evolve_superosc_integral_representation(g, x, p, y, t,
-                                            outer_radius=None,
-                                            outer_nodes_per_unit=16):
+def evolve_superosc_integral_representation(g, x, p, y, t):
     """U_t S(y) through the phase-space double integral
 
         (1 / (2 pi ||g||^2)) int int V_g S(u, eta)
@@ -290,17 +288,15 @@ def evolve_superosc_integral_representation(g, x, p, y, t,
 
     i.e. STFT inversion with every atom replaced by its evolved closed
     form.  Implemented for the Gaussian window, whose STFT of S has the
-    closed kernel form; the (u, eta) box is truncated where that kernel
-    falls below 1e-12."""
+    closed kernel form; the (u, eta) box is the square of half-width
+    13 + |x| with 16 Simpson nodes per unit, which truncates where that
+    kernel falls below 1e-12."""
     if g.kind != "gaussian":
         raise ValueError(
             "the integral-representation cross-check is implemented for "
             "the gaussian window"
         )
-    if outer_radius is None:
-        outer_radius = 12.0 + abs(x) + 1.0
-    outer = QuadratureSpec(truncation_radius=float(outer_radius),
-                           nodes_per_unit=int(outer_nodes_per_unit))
+    outer = QuadratureSpec(truncation_radius=13.0 + abs(x), nodes_per_unit=16)
     xu, wu = nodes_weights(outer)
     xe, we = nodes_weights(outer)
     v = stft_superosc_termwise_grid(g, x, p, xu, xe)

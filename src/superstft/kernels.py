@@ -40,7 +40,8 @@ import numpy as np
 
 from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
                          nodes_weights)
-from .signals import Window, _norm_double_sum, window_norm_sq
+from .signals import (Window, _norm_double_sum, build_limit_signal,
+                      build_signal, shifted_window, window_norm_sq)
 from .special import (
     SQRT2,
     SQRT_PI,
@@ -53,6 +54,7 @@ from .special import (
     ipow,
 )
 from .superosc import coefficients, f_n, supershift_probe
+from .transforms import ComplexGrid, reconstruct, stft
 
 
 def _check_finite(**vals):
@@ -113,14 +115,10 @@ def hermite_pair_integral(k, m, u, x, lam):
 
 def gabor_kernel_numeric(g, q, spec=None):
     """K_g(x, omega; u, eta) = int e^{it(omega - eta)} g(t - x) conj(g(t - u)) dt
-    by quadrature; ground truth for the closed forms below."""
+    by quadrature, i.e. the STFT V_g(M_omega T_x g)(u, eta) through stft;
+    ground truth for the closed forms below."""
     spec = spec or make_spec(g.decay_radius, q.x, q.u)
-    lam = q.omega - q.eta
-    return integrate(
-        lambda t: (np.exp(1j * lam * t) * np.asarray(g(t - q.x), dtype=complex)
-                   * np.conj(np.asarray(g(t - q.u), dtype=complex))),
-        spec,
-    )
+    return stft(shifted_window(g, q.x, q.omega), g, q.u, q.eta, spec)
 
 
 def _closed_kernel(order, x, omega, u, eta):
@@ -172,10 +170,6 @@ def gabor_kernel_hermite(n, q):
 # Closed-form STFTs of superoscillating signals
 # ---------------------------------------------------------------------------
 
-def _numeric_kernel(g, x, u, eta, spec):
-    return lambda w: gabor_kernel_numeric(g, TFQuadruple(x, w, u, eta), spec=spec)
-
-
 def _grid_axes(g, x, u_axis, eta_axis):
     """u and eta as float arrays, after checking the window has a closed
     kernel and every point is finite."""
@@ -193,22 +187,26 @@ def _tensor_axes(g, x, u_axis, eta_axis):
 
 
 def stft_superosc_closed(g, x, p, u, eta, spec=None):
-    """V_g(S)(u, eta) for the signal S = sum_j C_j M_{omega_j} T_x g built on
-    the same window g: by linearity this is sum_j C_j K_g(x, omega_j; u, eta).
+    """V_g(S)(u, eta) for the signal S(t) = F_n(t) g(t - x) built on the
+    same window g; by linearity this equals sum_j C_j K_g(x, omega_j; u, eta).
     Gaussian and Hermite windows take the Gauss-Hermite product-form route
     (the 0-d case of stft_superosc_closed_grid, which states its tolerance
-    and when it raises); any other window falls back to that sum with each
-    kernel by quadrature."""
+    and when it raises).  Any other window is one quadrature of F_n g,
+    stft(build_signal(g, x, p), g, u, eta, spec): F_n is evaluated as a
+    product, so nothing cancels at any n."""
     if g.kind == "custom":
-        return supershift_probe(_numeric_kernel(g, x, u, eta, spec), p)
+        return stft(build_signal(g, x, p), g, u, eta, spec)
     return stft_superosc_closed_grid(g, x, p, u, eta)
 
 
 def stft_superosc_limit(g, x, a, u, eta, spec=None):
     """Large-n limit of stft_superosc_closed: the single kernel value
-    K_g(x, a; u, eta) at the superoscillation frequency a."""
+    K_g(x, a; u, eta) at the superoscillation frequency a, the STFT of the
+    limit signal e^{i a t} g(t - x).  Any window other than Gaussian or
+    Hermite takes that STFT by quadrature,
+    stft(build_limit_signal(g, x, a), g, u, eta, spec)."""
     if g.kind == "custom":
-        return _numeric_kernel(g, x, u, eta, spec)(a)
+        return stft(build_limit_signal(g, x, a), g, u, eta, spec)
     return stft_superosc_limit_grid(g, x, a, u, eta)
 
 
@@ -470,14 +468,16 @@ def generating_product_check(x, u, v, lam, K):
 # Integral representation of the superoscillating pointwise values
 # ---------------------------------------------------------------------------
 
-def stft_integral_representation(g, x, y, p, spec2d=None):
+def stft_integral_representation(g, x, y, p):
     """Recover the superoscillating pointwise value F_n(y) from the closed
     STFT by the inversion integral:
 
         (1/(2 pi g(y - x) ||g||^2))
             int int V_g(S)(u, eta) e^{i eta y} g(y - u) du deta,
 
-    which reproduces F_n(y) because S(y) = F_n(y) g(y - x).  Needs
+    which reproduces F_n(y) because S(y) = F_n(y) g(y - x).  That is
+    reconstruct of the termwise grid (stft_superosc_termwise_grid) on
+    |u| <= 14 + |x| + |y|, |eta| <= 16, divided by g(y - x).  Needs
     g(y - x) != 0 and a window with a closed-form kernel."""
     if not isinstance(g, Window) or g.kind not in ("gaussian", "hermite"):
         raise ValueError("integral representation needs a Gaussian or Hermite window")
@@ -485,19 +485,11 @@ def stft_integral_representation(g, x, y, p, spec2d=None):
     if abs(denom) < 1e-12:
         raise ValueError(f"window vanishes at y - x = {y - x}; "
                          "the representation divides by g(y - x)")
-    if spec2d is None:
-        spec_u = QuadratureSpec(truncation_radius=14.0 + abs(x) + abs(y),
-                                nodes_per_unit=16)
-        spec_eta = QuadratureSpec(truncation_radius=16.0, nodes_per_unit=16)
-    else:
-        spec_u, spec_eta = spec2d
-    xu, wu = nodes_weights(spec_u)
-    xe, we = nodes_weights(spec_eta)
-    phi = stft_superosc_termwise_grid(g, x, p, xu, xe)
-    integrand = (phi * np.asarray(g(y - xu[:, None]), dtype=complex)
-                 * np.exp(1j * xe * y))
-    val = wu @ integrand @ we
-    return complex(val / (TWO_PI * denom * window_norm_sq(g)))
+    xu, _ = nodes_weights(QuadratureSpec(truncation_radius=14.0 + abs(x) + abs(y),
+                                         nodes_per_unit=16))
+    xe, _ = nodes_weights(QuadratureSpec(truncation_radius=16.0, nodes_per_unit=16))
+    grid = ComplexGrid(xu, xe, stft_superosc_termwise_grid(g, x, p, xu, xe))
+    return reconstruct(grid, g, y) / denom
 
 
 # ---------------------------------------------------------------------------

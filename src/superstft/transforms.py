@@ -82,17 +82,12 @@ def inner_product(f, g, spec=None):
 
 def stft(f, g, x, omega, spec=None):
     """Short-time Fourier transform
-    V_g f(x, omega) = int e^{-i t omega} conj(g(t - x)) f(t) dt.
-    A non-finite x or omega is a ValueError that names it."""
+    V_g f(x, omega) = int e^{-i t omega} conj(g(t - x)) f(t) dt,
+    the one-point case of stft_grid (same quadrature, same value to the
+    bit).  A non-finite x or omega is a ValueError that names it."""
     _finite("x", x)
     _finite("omega", omega)
-    spec = _resolve_spec(spec, f, g, shifts=(x,))
-    return integrate(
-        lambda t: (np.exp(-1j * omega * t)
-                   * np.conj(np.asarray(g(t - x), dtype=complex))
-                   * np.asarray(f(t), dtype=complex)),
-        spec,
-    )
+    return complex(stft_grid(f, g, [x], [omega], spec).values[0, 0])
 
 
 def convolve(f, g, lam, spec=None):
@@ -153,28 +148,6 @@ class ComplexGrid:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "values", vals)
 
-    def interp(self, uq, eq):
-        """Bilinear interpolation at query points (broadcast together).
-        Queries outside the grid raise a ValueError."""
-        uq = np.asarray(uq, dtype=float)
-        eq = np.asarray(eq, dtype=float)
-        scalar = uq.ndim == 0 and eq.ndim == 0
-        uq, eq = np.broadcast_arrays(np.atleast_1d(uq), np.atleast_1d(eq))
-        if (uq.min() < self.u[0] or uq.max() > self.u[-1]
-                or eq.min() < self.eta[0] or eq.max() > self.eta[-1]):
-            raise ValueError("interpolation query outside the grid coverage")
-        iu = np.clip(np.searchsorted(self.u, uq) - 1, 0, self.u.size - 2)
-        ie = np.clip(np.searchsorted(self.eta, eq) - 1, 0, self.eta.size - 2)
-        du = (uq - self.u[iu]) / (self.u[iu + 1] - self.u[iu])
-        de = (eq - self.eta[ie]) / (self.eta[ie + 1] - self.eta[ie])
-        v00 = self.values[iu, ie]
-        v10 = self.values[iu + 1, ie]
-        v01 = self.values[iu, ie + 1]
-        v11 = self.values[iu + 1, ie + 1]
-        out = ((1 - du) * (1 - de) * v00 + du * (1 - de) * v10
-               + (1 - du) * de * v01 + du * de * v11)
-        return complex(out[0]) if scalar else out
-
 
 def stft_grid(f, g, u_axis, eta_axis, spec=None):
     """V_g f on a tensor grid, evaluated as one matrix product:
@@ -182,11 +155,10 @@ def stft_grid(f, g, u_axis, eta_axis, spec=None):
 
     The axes must be finite (ValueError naming the axis otherwise).  The
     weighted integrand goes through the quadrature guard before the
-    product: a non-finite sample raises FloatingPointError, as the scalar
-    ``stft`` does, and components that underflowed to subnormal numbers in
-    the windows' Gaussian tails are set to zero, which keeps the values
-    bit-identical while sparing the matrix product the slow subnormal
-    arithmetic."""
+    product: a non-finite sample raises FloatingPointError, and components
+    that underflowed to subnormal numbers in the windows' Gaussian tails
+    are set to zero, which keeps the values bit-identical while sparing
+    the matrix product the slow subnormal arithmetic."""
     u_axis = _finite("u_axis", u_axis)
     eta_axis = _finite("eta_axis", eta_axis)
     shift = float(np.max(np.abs(u_axis))) if u_axis.size else 0.0
@@ -252,15 +224,15 @@ def _axis_weights(axis):
     return w
 
 
-def reconstruct(grid, g, y, spec2d=None):
+def reconstruct(grid, g, y):
     """Recover f(y) from its sampled STFT:
 
-        f(y) = 1/(2 pi ||g||^2) int int V_g f(u, eta) e^{i eta y} g(y - u) du deta.
+        f(y) = 1/(2 pi ||g||^2) int int V_g f(u, eta) e^{i eta y} g(y - u) du deta,
 
-    By default the grid's own nodes serve as quadrature nodes (Simpson
-    weights on each axis).  Passing spec2d = (spec_u, spec_eta) switches
-    to those quadrature nodes with bilinear interpolation off the grid;
-    the spec box must stay inside the grid coverage.
+    with the grid's own nodes as quadrature nodes (Simpson weights on each
+    uniform axis).  A grid whose boundary values are not negligible next
+    to its largest value (1e-6 of it) does not cover the transform's
+    support, and is a ValueError.
     """
     if isinstance(g, Window):
         norm_sq = window_norm_sq(g)
@@ -272,29 +244,20 @@ def reconstruct(grid, g, y, spec2d=None):
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
-    if spec2d is None:
-        xu, xe = grid.u, grid.eta
-        wu = _axis_weights(xu)
-        we = _axis_weights(xe)
-        vals = grid.values
-        mags = np.abs(vals)
-        boundary = max(mags[0].max(), mags[-1].max(),
-                       mags[:, 0].max(), mags[:, -1].max())
-        interior = mags.max()
-        if interior > 0.0 and boundary > 1e-6 * interior:
-            tail = boundary * 2.0 * ((xu[-1] - xu[0]) + (xe[-1] - xe[0]))
-            raise ValueError(
-                "grid does not cover the transform's support; estimated "
-                f"truncation tail ~ {tail:.3e}"
-            )
-    else:
-        spec_u, spec_eta = spec2d
-        xu, wu = nodes_weights(spec_u)
-        xe, we = nodes_weights(spec_eta)
-        if (xu[0] < grid.u[0] or xu[-1] > grid.u[-1]
-                or xe[0] < grid.eta[0] or xe[-1] > grid.eta[-1]):
-            raise ValueError("quadrature box exceeds the sampled grid coverage")
-        vals = grid.interp(xu[:, None], xe[None, :])
+    xu, xe = grid.u, grid.eta
+    wu = _axis_weights(xu)
+    we = _axis_weights(xe)
+    vals = grid.values
+    mags = np.abs(vals)
+    boundary = max(mags[0].max(), mags[-1].max(),
+                   mags[:, 0].max(), mags[:, -1].max())
+    interior = mags.max()
+    if interior > 0.0 and boundary > 1e-6 * interior:
+        tail = boundary * 2.0 * ((xu[-1] - xu[0]) + (xe[-1] - xe[0]))
+        raise ValueError(
+            "grid does not cover the transform's support; estimated "
+            f"truncation tail ~ {tail:.3e}"
+        )
     out = np.empty(y_arr.shape, dtype=complex)
     for i, yi in enumerate(y_arr):
         gwin = np.asarray(g(yi - xu), dtype=complex)

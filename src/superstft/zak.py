@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import build_signal, gaussian_window
+from .signals import build_signal, gaussian_window, shifted_window
 from .special import TWO_PI, theta
 from .superosc import supershift_probe
 
@@ -44,11 +44,9 @@ def _truncation_order(f, u_max):
 
 def zak(f, u, eta):
     """Z(f)(u, eta) = sum_{|k| <= K} f(u - k) e^{i k eta}, K chosen from
-    the evaluator's decay radius so dropped terms are below 1e-16."""
-    kmax = _truncation_order(f, u)
-    k = np.arange(-kmax, kmax + 1)
-    vals = np.asarray(f(u - k), dtype=complex)
-    return complex(vals @ np.exp(1j * k * eta))
+    the evaluator's decay radius so dropped terms are below 1e-16; the
+    one-point case of zak_grid (same sum, same value to the bit)."""
+    return complex(zak_grid(f, [u], [eta])[0, 0])
 
 
 def zak_grid(f, u_axis, eta_axis):
@@ -75,22 +73,13 @@ def zak_gaussian(u, eta):
 def zak_shift_identity_check(f, x, omega, u, eta):
     """Residual |Z(T_x M_omega f)(u, eta) - e^{i omega (u - x)} Z(f)(u - x, eta - omega)|.
 
-    The identity is exact; the residual measures truncation/rounding only.
+    T_x M_omega f = e^{-i omega x} M_omega T_x f, whose Zak transform is
+    that of shifted_window(f, x, omega) times the phase.  The identity is
+    exact; the residual measures truncation/rounding only.
     """
-    r = getattr(f, "decay_radius", None)
-    if r is None:
-        raise ValueError(
-            "zak transform needs an evaluator with a decay_radius attribute "
-            "to truncate the lattice sum"
-        )
-
-    def shifted(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(1j * omega * (t - x)) * np.asarray(f(t - x), dtype=complex)
-
-    shifted.decay_radius = float(r) + abs(x)
-    lhs = zak(shifted, u, eta)
+    # rhs first: zak(f, ...) reports an evaluator without a decay radius
     rhs = np.exp(1j * omega * (u - x)) * zak(f, u - x, eta - omega)
+    lhs = np.exp(-1j * omega * x) * zak(shifted_window(f, x, omega), u, eta)
     return float(abs(lhs - rhs))
 
 

@@ -77,6 +77,19 @@ def test_spectrogram_scalar_axis(tmp_path):
     assert float(rows[1][0]) == 0.5 and float(rows[1][1]) == 0.25
 
 
+def test_spectrogram_unresolved_axis_is_a_usage_error(capsys):
+    """An eta band no route resolves at n = 64 ends in a one-line message
+    and exit 2, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrogram", "--n", "64", "--a", "2", "--x", "0.5",
+              "--u", "0.3", "--eta", "-50:50:3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not resolved" in captured.err and "[-50, 50]" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_spectrogram_rejects_negative_order():
     with pytest.raises(SystemExit) as exc:
         main(["spectrogram", "--order", "-1", "--n", "2"])

@@ -315,16 +315,18 @@ def test_closed_grids_match_scalars():
 
 
 def test_custom_window_falls_back_to_quadrature():
-    """A custom window has no closed kernel: the scalar routes integrate
-    each kernel by quadrature, and the closed grids refuse it."""
+    """A custom window has no closed kernel: the scalar routes take one
+    quadrature STFT of the signal F_n g (or of the limit signal), which
+    does not cancel at n = 64, a = 2, and the closed grids refuse it."""
     g = gaussian_window()
     c = custom_window(g.func, decay_radius=9.0)
+    for p in (SuperoscParams(a=1.5, n=3), SuperoscParams(a=2.0, n=64)):
+        for (u, eta) in [(0.4, -0.6), (-1.0, 1.2)]:
+            assert abs(stft_superosc_closed(c, 0.3, p, u, eta)
+                       - stft_superosc_closed(g, 0.3, p, u, eta)) < 1e-12
+            assert abs(stft_superosc_limit(c, 0.3, p.a, u, eta)
+                       - stft_superosc_limit(g, 0.3, p.a, u, eta)) < 1e-12
     p = SuperoscParams(a=1.5, n=3)
-    for (u, eta) in [(0.4, -0.6), (-1.0, 1.2)]:
-        assert abs(stft_superosc_closed(c, 0.3, p, u, eta)
-                   - stft_superosc_closed(g, 0.3, p, u, eta)) < 1e-12
-        assert abs(stft_superosc_limit(c, 0.3, 1.5, u, eta)
-                   - stft_superosc_limit(g, 0.3, 1.5, u, eta)) < 1e-12
     axis = np.linspace(-1.0, 1.0, 3)
     with pytest.raises(ValueError):
         stft_superosc_closed_grid(c, 0.3, p, axis, axis)

@@ -12,6 +12,7 @@ from superstft.transforms import (ComplexGrid, ambiguity, bargmann, convolve,
                                   fourier, inner_product, inverse_fourier,
                                   moyal_double_integral, moyal_inner_product,
                                   reconstruct, spectrogram, stft, stft_grid)
+from superstft.zak import zak, zak_grid
 
 rng = np.random.default_rng(99)
 
@@ -100,19 +101,6 @@ def test_bargmann_of_hermites():
         assert abs(val - expect) < 1e-12
 
 
-def test_complex_grid_interpolation():
-    u = np.linspace(-1.0, 1.0, 21)
-    eta = np.linspace(-2.0, 2.0, 41)
-    U, E = np.meshgrid(u, eta, indexing="ij")
-    vals = 2.0 * U + 3.0 * E + 1j * U * E  # bilinear, interpolated exactly
-    grid = ComplexGrid(u=u, eta=eta, values=vals)
-    for (a, b) in [(0.33, -1.17), (-0.91, 0.5), (1.0, 2.0)]:
-        got = grid.interp(a, b)
-        assert abs(got - (2.0 * a + 3.0 * b + 1j * a * b)) < 1e-12
-    with pytest.raises(ValueError):
-        grid.interp(1.5, 0.0)
-
-
 def test_complex_grid_validation():
     with pytest.raises(ValueError):
         ComplexGrid(u=np.array([0.0, 0.0, 1.0]), eta=np.array([0.0, 1.0]),
@@ -133,6 +121,18 @@ def test_stft_grid_matches_pointwise():
         for j in (0, 3):
             direct = stft(s, g, u[i], eta[j])
             assert abs(grid.values[i, j] - direct) < 1e-12
+
+
+@pytest.mark.parametrize("f", [build_signal(gaussian_window(), 0.3,
+                                            SuperoscParams(a=2.0, n=8)),
+                               hermite_window(3)])
+def test_scalar_calls_are_one_point_grids(f):
+    """stft and zak are the one-point cases of stft_grid and zak_grid, to
+    the bit."""
+    g = hermite_window(2)
+    for (x, omega) in [(0.4, -0.6), (-1.3, 2.1)]:
+        assert stft(f, g, x, omega) == stft_grid(f, g, [x], [omega]).values[0, 0]
+        assert zak(f, x, omega) == zak_grid(f, [x], [omega])[0, 0]
 
 
 def test_spectrogram_normalization():
