@@ -41,7 +41,7 @@ from .transforms import (ComplexGrid, ambiguity, bargmann, convolve, fourier,
 from .verify import run_suite
 from .zak import (FrameVerdict, WienerEstimate, frame_check,
                   wiener_norm_estimate, zak, zak_gaussian, zak_grid,
-                  zak_superosc)
+                  zak_superosc, zak_superosc_termwise)
 
 __version__ = "0.1.0"
 
@@ -73,4 +73,5 @@ __all__ = [
     "supershift_probe", "theta",
     "time_frequency_shift", "weyl_action_on_basis", "wiener_norm_estimate",
     "window_norm_sq", "zak", "zak_gaussian", "zak_grid", "zak_superosc",
+    "zak_superosc_termwise",
 ]

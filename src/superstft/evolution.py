@@ -116,14 +116,13 @@ def _chirp_sum(s, u, t, v):
     return out.reshape(s.shape)
 
 
-def _oscillation_spec(radius, t, scheme="CompositeSimpson"):
-    """Quadrature spec on [-radius, radius] with node density scaled by
-    (1 + |t| radius), capped at _MAX_NODES_PER_UNIT."""
+def _oscillation_spec(radius, t):
+    """Composite-Simpson spec on [-radius, radius] with node density scaled
+    by (1 + |t| radius), capped at _MAX_NODES_PER_UNIT."""
     base = default_nodes_per_unit()
     npu = int(math.ceil(base * (1.0 + abs(t) * radius)))
     npu = min(npu, _MAX_NODES_PER_UNIT)
-    return QuadratureSpec(truncation_radius=float(radius), nodes_per_unit=npu,
-                          scheme=scheme)
+    return QuadratureSpec(truncation_radius=float(radius), nodes_per_unit=npu)
 
 
 def evolve_numeric(g, pt, spec=None, normalized=False):
@@ -264,15 +263,16 @@ def evolve_superosc(p, y, t):
     return _as_result(np.tensordot(c, np.exp(1j * phase), axes=1))
 
 
-def evolve_superosc_signal(g, x, p, y, t, spec=None):
+def evolve_superosc_signal(g, x, p, y, t):
     """U_t S(y) for the signal S = F_n(.) g(. - x), by evolving each atom
     M_{omega_j} T_x g and summing (datum scale: equals S(y) at t = 0).
-    All n + 1 atoms are one grid call over k0 = omega_j."""
+    All n + 1 atoms are one grid call over k0 = omega_j, on evolve_hermite's
+    own route for a Hermite window."""
     pt = EvolutionPoint(y, t, x, frequencies(p))
     if g.kind == "gaussian":
         atoms = evolve_gaussian_closed(pt)
     elif g.kind == "hermite":
-        atoms = evolve_hermite(g.order, pt, spec=spec)
+        atoms = evolve_hermite(g.order, pt)
     else:
         raise ValueError(
             "mode-wise evolution needs a gaussian or hermite window"

@@ -40,8 +40,8 @@ import numpy as np
 
 from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
                          nodes_weights)
-from .signals import (Window, _norm_double_sum, build_limit_signal,
-                      build_signal, shifted_window, window_norm_sq)
+from .signals import (Signal, Window, build_limit_signal, build_signal,
+                      signal_norm_sq, window_norm_sq)
 from .special import (
     SQRT2,
     SQRT_PI,
@@ -113,12 +113,14 @@ def hermite_pair_integral(k, m, u, x, lam):
 # Gabor kernels  K_g(x, omega; u, eta) = <M_omega T_x g, M_eta T_u g>
 # ---------------------------------------------------------------------------
 
-def gabor_kernel_numeric(g, q, spec=None):
+def gabor_kernel_numeric(g, q):
     """K_g(x, omega; u, eta) = int e^{it(omega - eta)} g(t - x) conj(g(t - u)) dt
-    by quadrature, i.e. the STFT V_g(M_omega T_x g)(u, eta) through stft;
-    ground truth for the closed forms below."""
-    spec = spec or make_spec(g.decay_radius, q.x, q.u)
-    return stft(shifted_window(g, q.x, q.omega), g, q.u, q.eta, spec)
+    by quadrature; ground truth for the closed forms below.  Since
+    V_g(M_omega f)(u, eta) = V_g f(u, eta - omega), it is one stft of the
+    translated window T_x g at eta - omega, on the box
+    make_spec(decay radius, x, u)."""
+    return stft(Signal(g, q.x), g, q.u, q.eta - q.omega,
+                make_spec(g.decay_radius, q.x, q.u))
 
 
 def _closed_kernel(order, x, omega, u, eta):
@@ -186,27 +188,28 @@ def _tensor_axes(g, x, u_axis, eta_axis):
     return u_axis.reshape(u_axis.shape + (1,) * eta_axis.ndim), eta_axis
 
 
-def stft_superosc_closed(g, x, p, u, eta, spec=None):
+def stft_superosc_closed(g, x, p, u, eta):
     """V_g(S)(u, eta) for the signal S(t) = F_n(t) g(t - x) built on the
     same window g; by linearity this equals sum_j C_j K_g(x, omega_j; u, eta).
     Gaussian and Hermite windows take the Gauss-Hermite product-form route
     (the 0-d case of stft_superosc_closed_grid, which states its tolerance
     and when it raises).  Any other window is one quadrature of F_n g,
-    stft(build_signal(g, x, p), g, u, eta, spec): F_n is evaluated as a
-    product, so nothing cancels at any n."""
+    stft(build_signal(g, x, p), g, u, eta), on the box the signal's decay
+    radius sets: F_n is evaluated as a product, so nothing cancels at
+    any n."""
     if g.kind == "custom":
-        return stft(build_signal(g, x, p), g, u, eta, spec)
+        return stft(build_signal(g, x, p), g, u, eta)
     return stft_superosc_closed_grid(g, x, p, u, eta)
 
 
-def stft_superosc_limit(g, x, a, u, eta, spec=None):
+def stft_superosc_limit(g, x, a, u, eta):
     """Large-n limit of stft_superosc_closed: the single kernel value
     K_g(x, a; u, eta) at the superoscillation frequency a, the STFT of the
     limit signal e^{i a t} g(t - x).  Any window other than Gaussian or
     Hermite takes that STFT by quadrature,
-    stft(build_limit_signal(g, x, a), g, u, eta, spec)."""
+    stft(build_limit_signal(g, x, a), g, u, eta)."""
     if g.kind == "custom":
-        return stft(build_limit_signal(g, x, a), g, u, eta, spec)
+        return stft(build_limit_signal(g, x, a), g, u, eta)
     return stft_superosc_limit_grid(g, x, a, u, eta)
 
 
@@ -293,8 +296,29 @@ def weyl_action_on_basis(a, b, m, z):
 
 
 # ---------------------------------------------------------------------------
-# Norms of the transformed signals
+# Closed norm twins of signal_norm_sq
 # ---------------------------------------------------------------------------
+
+def _norm_double_sum(m, x, p):
+    """||F_n(.) h_m(. - x)||^2 as the closed double sum, with
+    d = (k - j)/n,
+
+        sqrt(pi) (-2)^m  sum_{j,k} C_j C_k e^{-d^2 + 2 i d x}
+                                   H_{m,m}(sqrt2 d, sqrt2 d),
+
+    whose imaginary part cancels pairwise; a sum that comes out non-real
+    (cancellation at large n) raises FloatingPointError."""
+    c = coefficients(p)
+    idx = np.arange(p.n + 1)
+    d = (idx[None, :] - idx[:, None]) / p.n  # d[j, k] = (k - j)/n
+    h = complex_hermite_2d(m, m, SQRT2 * d, SQRT2 * d)
+    total = SQRT_PI * (-2.0) ** m * np.einsum(
+        "j,k,jk->", c, c, np.exp(-(d**2) + 2j * d * x) * h
+    )
+    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
+        raise FloatingPointError(f"norm sum came out non-real: {total}")
+    return float(total.real)
+
 
 def norm_sq_closed_gaussian(x, p):
     """Closed double sum
@@ -304,12 +328,12 @@ def norm_sq_closed_gaussian(x, p):
     return SQRT_PI * _norm_double_sum(0, x, p)
 
 
-def phi_na_norm(x, p, spec=None):
-    """(1/sqrt(pi)) int |phi_na(s)|^2 e^{-s^2} ds by quadrature, with
-    phi_na(s) = sum_l C_l e^{-2 l^2/n^2 + (2l/n)(s - ix)}.  Equals
-    norm_sq_closed_gaussian(x, p)/pi — the Gaussian-weighted 1D avatar of
-    the time-frequency energy."""
-    spec = spec or QuadratureSpec(truncation_radius=12.0)
+def phi_na_norm(x, p):
+    """(1/sqrt(pi)) int |phi_na(s)|^2 e^{-s^2} ds by quadrature on
+    [-12, 12], with phi_na(s) = sum_l C_l e^{-2 l^2/n^2 + (2l/n)(s - ix)}.
+    Equals norm_sq_closed_gaussian(x, p)/pi — the Gaussian-weighted 1D
+    avatar of the time-frequency energy."""
+    spec = QuadratureSpec(truncation_radius=12.0)
     c = coefficients(p)
     l = np.arange(p.n + 1)
     amp = c * np.exp(-2.0 * l ** 2 / p.n ** 2 - (2.0 * l / p.n) * 1j * x)
@@ -535,20 +559,6 @@ def _rule_nodes(band, m):
     return None
 
 
-def _signal_norm(m, x, p):
-    """||S|| for S(t) = F_n(t) h_m(t - x), on the smallest rule (a scale,
-    so its own error does not matter); hypot keeps it finite as long as
-    every sample is."""
-    s, w = _gauss_hermite(_GH_BANDS[0][0] + 2 * m)
-    vals = np.sqrt(w) * np.abs(f_n(p, x + s))
-    if m:
-        vals *= np.abs(hermite_polynomial(m, s))
-    norm = math.hypot(*vals.tolist())
-    if not math.isfinite(norm):
-        raise FloatingPointError(f"F_n(t) h_{m}(t - x) overflows near t = {x}")
-    return norm
-
-
 def _product_matrix(m, x, p, u, s, w):
     """A[u, k] = w_k e^{-d^2/4} F_n(c + s_k) H_m(s_k + d/2) H_m(s_k - d/2)
     for a 1-D u, and c = (x + u)/2."""
@@ -611,7 +621,8 @@ def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):
         return np.zeros(shape, dtype=complex)
     m = g.order
     g_norm_sq = window_norm_sq(g)
-    tol = _ROUTE_TOL * max(1.0, _signal_norm(m, x, p) * math.sqrt(g_norm_sq))
+    tol = _ROUTE_TOL * max(
+        1.0, math.sqrt(signal_norm_sq(build_signal(g, x, p)) * g_norm_sq))
     band = float(np.max(np.abs(eta))) + max(1.0, abs(p.a))
     nodes = _rule_nodes(band, m)
     if nodes is None:

@@ -60,22 +60,17 @@ class QuadratureSpec:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
 
-    def doubled(self):
-        """Same spec with twice the node density (Richardson stability gate)."""
-        return QuadratureSpec(self.truncation_radius, 2 * self.nodes_per_unit, self.scheme)
 
-
-def make_spec(decay_radius, *shifts, pad=DEFAULT_PAD, nodes_per_unit=None,
-              scheme="CompositeSimpson"):
-    """Spec with T = decay_radius + max|shift| + pad.
+def make_spec(decay_radius, *shifts):
+    """Composite-Simpson spec with T = decay_radius + max|shift| + DEFAULT_PAD
+    at default_nodes_per_unit() nodes per unit.
 
     ``shifts`` are the translations/centers the integrand gets dragged to;
     the truncation box must still cover the decayed tails after shifting.
     """
     biggest = max((abs(s) for s in shifts), default=0.0)
-    if nodes_per_unit is None:
-        nodes_per_unit = default_nodes_per_unit()
-    return QuadratureSpec(float(decay_radius) + biggest + pad, nodes_per_unit, scheme)
+    return QuadratureSpec(float(decay_radius) + biggest + DEFAULT_PAD,
+                          default_nodes_per_unit())
 
 
 def nodes_weights(spec):

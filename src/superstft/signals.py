@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import QuadratureSpec, integrate
-from .special import SQRT2, SQRT_PI, complex_hermite_2d, hermite_function
-from .superosc import coefficients, f_n
+from .special import hermite_function, hermite_norm_sq
+from .superosc import f_n
 
 WINDOW_KINDS = ("gaussian", "hermite", "custom")
 
@@ -86,11 +86,10 @@ def custom_window(func, decay_radius=None):
 
 def window_norm_sq(g, spec=None):
     """||g||^2 = integral of |g|^2.  Closed form for gaussian/hermite
-    (2^m m! sqrt(pi)); quadrature for custom windows, which therefore
-    need a decay radius (or an explicit spec)."""
+    (hermite_norm_sq, 2^m m! sqrt(pi)); quadrature for custom windows,
+    which therefore need a decay radius (or an explicit spec)."""
     if g.kind in ("gaussian", "hermite"):
-        m = g.order
-        return float(2.0**m * math.factorial(m) * SQRT_PI)
+        return float(hermite_norm_sq(g.order))
     if spec is None:
         if g.decay_radius is None:
             raise ValueError(
@@ -180,59 +179,22 @@ def build_limit_signal(g, x, a):
     return Signal(window=g, x=float(x), limit_frequency=float(a))
 
 
-class NormValue(float):
-    """A float tagged with how it was obtained ('closed-form' or
-    'quadrature')."""
+def signal_norm_sq(sig):
+    """||S||^2 for any Signal, as a float.
 
-    def __new__(cls, value, provenance):
-        obj = super().__new__(cls, value)
-        obj.provenance = provenance
-        return obj
-
-
-def _norm_double_sum(m, x, p):
-    """||F_n(.) h_m(. - x)||^2 as the closed double sum, with
-    d = (k - j)/n,
-
-        sqrt(pi) (-2)^m  sum_{j,k} C_j C_k e^{-d^2 + 2 i d x}
-                                   H_{m,m}(sqrt2 d, sqrt2 d),
-
-    whose imaginary part cancels pairwise; a sum that comes out non-real
-    (cancellation at large n) raises FloatingPointError."""
-    c = coefficients(p)
-    idx = np.arange(p.n + 1)
-    d = (idx[None, :] - idx[:, None]) / p.n  # d[j, k] = (k - j)/n
-    h = complex_hermite_2d(m, m, SQRT2 * d, SQRT2 * d)
-    total = SQRT_PI * (-2.0) ** m * np.einsum(
-        "j,k,jk->", c, c, np.exp(-(d**2) + 2j * d * x) * h
-    )
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise FloatingPointError(f"norm sum came out non-real: {total}")
-    return float(total.real)
-
-
-def signal_norm_sq_closed(g, x, p):
-    """||F_n(. ) g(. - x)||^2.
-
-    Closed double sum (_norm_double_sum) for gaussian/hermite windows.
-    Custom windows fall back to quadrature on |S|^2; the result carries a
-    .provenance tag either way.
-    """
-    if g.kind in ("gaussian", "hermite"):
-        return NormValue(_norm_double_sum(g.order, x, p), "closed-form")
-    sig = build_signal(g, x, p)
+    A superoscillating signal S(t) = F_n(t) g(t - x) is one quadrature of
+    |S|^2 on [-R, R], R the signal's decay radius, whatever the window:
+    F_n is evaluated as a product, so nothing cancels at any n (the
+    closed double sum over C_j C_k, which does cancel, is kept as the
+    twins norm_sq_closed_gaussian and norm_sq_closed_hermite).  Its window
+    therefore needs a decay radius.  The limit tone and the bare window
+    have |modulation| = 1, so their norm is the window norm."""
+    if sig.superosc is None:
+        return window_norm_sq(sig.window)
     if sig.decay_radius is None:
         raise ValueError(
             "custom window needs a decay_radius to integrate the signal norm"
         )
     spec = QuadratureSpec(truncation_radius=float(sig.decay_radius))
-    val = np.real(integrate(lambda t: np.abs(evaluate(sig, t)) ** 2, spec))
-    return NormValue(float(val), "quadrature")
-
-
-def signal_norm_sq(sig):
-    """||S||^2 for any Signal (dispatches on its modulation mode)."""
-    if sig.superosc is not None:
-        return signal_norm_sq_closed(sig.window, sig.x, sig.superosc)
-    # |e^{iat}| = 1, so both remaining modes reduce to the window norm
-    return NormValue(window_norm_sq(sig.window), "closed-form")
+    return float(np.real(integrate(lambda t: np.abs(evaluate(sig, t)) ** 2,
+                                   spec)))

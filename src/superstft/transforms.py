@@ -180,22 +180,24 @@ def spectrogram(grid, g=None):
     return out
 
 
-def moyal_double_integral(f1, g1, f2=None, g2=None, outer_radius=12.0,
-                          outer_nodes_per_unit=16, spec=None):
+# the outer (u, eta) rule of moyal_double_integral, one for both axes
+_MOYAL_OUTER = QuadratureSpec(truncation_radius=12.0, nodes_per_unit=16)
+
+
+def moyal_double_integral(f1, g1, f2=None, g2=None):
     """int int V_{g1} f1 (u, eta) conj(V_{g2} f2 (u, eta)) du deta by
-    tensor quadrature.  Defaults f2 = f1, g2 = g1 give the energy
+    tensor quadrature: the outer rule is |u|, |eta| <= 12 at 16 Simpson
+    nodes per unit, and each stft_grid infers its own inner box.
+    Defaults f2 = f1, g2 = g1 give the energy
     int int |V_g f|^2 = 2 pi ||f||^2 ||g||^2."""
     if f2 is None:
         f2 = f1
     if g2 is None:
         g2 = g1
-    outer = QuadratureSpec(truncation_radius=float(outer_radius),
-                           nodes_per_unit=int(outer_nodes_per_unit))
-    xu, wu = nodes_weights(outer)
-    xe, we = nodes_weights(outer)
-    v1 = stft_grid(f1, g1, xu, xe, spec=spec).values
-    v2 = v1 if (f2 is f1 and g2 is g1) else stft_grid(f2, g2, xu, xe, spec=spec).values
-    return complex(wu @ (v1 * np.conj(v2)) @ we)
+    x, w = nodes_weights(_MOYAL_OUTER)
+    v1 = stft_grid(f1, g1, x, x).values
+    v2 = v1 if (f2 is f1 and g2 is g1) else stft_grid(f2, g2, x, x).values
+    return complex(w @ (v1 * np.conj(v2)) @ w)
 
 
 def moyal_inner_product(f1, f2, g1, g2, spec=None):

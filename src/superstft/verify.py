@@ -21,7 +21,7 @@ from . import signals as sg
 from . import special as sp
 from . import transforms as tr
 from . import zak as zk
-from .quadrature import DEFAULT_PAD, QuadratureSpec, make_spec
+from .quadrature import DEFAULT_PAD, make_spec
 from .special import SQRT2, TWO_PI
 from .superosc import SuperoscParams
 
@@ -374,9 +374,8 @@ def _run_norm_gaussian(rng):
             p = SuperoscParams(a=a, n=n)
             x = 0.4
             closed = kn.norm_sq_closed_gaussian(x, p)
-            quad = sg.window_norm_sq(g) * float(
-                sg.signal_norm_sq_closed(
-                    sg.custom_window(g.func, decay_radius=g.decay_radius), x, p))
+            quad = sg.window_norm_sq(g) * sg.signal_norm_sq(
+                sg.build_signal(g, x, p))
             worst = max(worst, abs(closed - quad) / abs(quad))
     return worst, {"n_max": 8, "a": [1.5, 2.0], "x": 0.4, "relative": True}
 
@@ -390,11 +389,9 @@ def _run_norm_hermite(rng):
         for k in range(3):
             for m in range(3):
                 closed = kn.norm_sq_closed_hermite(k, m, 0.3, p)
-                hm = sg.hermite_window(m)
-                quad = sg.window_norm_sq(sg.hermite_window(k)) * float(
-                    sg.signal_norm_sq_closed(
-                        sg.custom_window(hm.func, decay_radius=hm.decay_radius),
-                        0.3, p))
+                signal = sg.build_signal(sg.hermite_window(m), 0.3, p)
+                quad = (sg.window_norm_sq(sg.hermite_window(k))
+                        * sg.signal_norm_sq(signal))
                 worst = max(worst, abs(closed - quad) / abs(quad))
     return worst, {"n_max": 4, "k_max": 2, "m_max": 2, "relative": True}
 
@@ -428,7 +425,8 @@ def _run_zak_superosc(rng):
             for u in upts:
                 for eta in epts:
                     direct = zk.zak(s, float(u), float(eta))
-                    closed = zk.zak_superosc(g, 0.0, p, float(u), float(eta))
+                    closed = zk.zak_superosc_termwise(g, 0.0, p, float(u),
+                                                      float(eta))
                     worst = max(worst, abs(direct - closed))
     return float(worst), {"windows": ["gaussian", "hermite-1"], "n": [2, 4],
                           "grid": "4x4"}

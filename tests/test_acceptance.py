@@ -15,7 +15,7 @@ from superstft import transforms as tr
 from superstft.quadrature import make_spec
 from superstft.superosc import SuperoscParams
 from superstft.zak import (frame_check, theta_bound_check, zak,
-                           zak_shift_identity_check, zak_superosc)
+                           zak_shift_identity_check, zak_superosc_termwise)
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,21 +167,17 @@ def test_A7_closed_norms():
         for a in (1.5, 2.0):
             p = SuperoscParams(a=a, n=n)
             closed = kn.norm_sq_closed_gaussian(0.4, p)
-            quad = sg.window_norm_sq(g) * float(sg.signal_norm_sq_closed(
-                sg.custom_window(g.func, decay_radius=g.decay_radius),
-                0.4, p))
+            quad = sg.window_norm_sq(g) * sg.signal_norm_sq(
+                sg.build_signal(g, 0.4, p))
             worst = max(worst, abs(closed - quad) / abs(quad))
     for n in range(1, 5):
         p = SuperoscParams(a=1.5, n=n)
         for k in range(3):
             for m in range(3):
                 closed = kn.norm_sq_closed_hermite(k, m, 0.3, p)
-                hm = sg.hermite_window(m)
-                quad = sg.window_norm_sq(sg.hermite_window(k)) * float(
-                    sg.signal_norm_sq_closed(
-                        sg.custom_window(hm.func,
-                                         decay_radius=hm.decay_radius),
-                        0.3, p))
+                signal = sg.build_signal(sg.hermite_window(m), 0.3, p)
+                quad = (sg.window_norm_sq(sg.hermite_window(k))
+                        * sg.signal_norm_sq(signal))
                 worst = max(worst, abs(closed - quad) / abs(quad))
     _report("A7a", worst, 1e-5)
     assert worst <= 1e-5
@@ -250,7 +246,8 @@ def test_A10_zak_suite():
                 for eta in np.linspace(0.1, 6.0, 4):
                     worst = max(worst, abs(
                         zak(s, float(u), float(eta))
-                        - zak_superosc(win, 0.0, p, float(u), float(eta))))
+                        - zak_superosc_termwise(win, 0.0, p, float(u),
+                                                float(eta))))
     _report("A10a", float(worst), 1e-10)
     assert worst <= 1e-10
 
@@ -411,9 +408,7 @@ def test_A14_quadrature_stability(monkeypatch):
                 lambda t: sp.hermite_function(2, t),
                 0.7, spec=make_spec(12.0, 0.7)),
             "fourier": tr.fourier(s, 1.1),
-            "norm": float(sg.signal_norm_sq_closed(
-                sg.custom_window(g.func, decay_radius=g.decay_radius),
-                0.3, p)),
+            "norm": sg.signal_norm_sq(s),
             "evolve": ev.evolve_numeric(
                 g, ev.EvolutionPoint(x=0.2, t=0.4, x0=0.1, k0=1.0)),
             "moyal": tr.moyal_double_integral(sg.hermite_window(0), g),

@@ -39,14 +39,6 @@ def test_make_spec_accumulates_shifts():
     assert make_spec(5.0).truncation_radius == 5.0 + DEFAULT_PAD
 
 
-def test_doubled_keeps_radius():
-    spec = QuadratureSpec(truncation_radius=7.0, nodes_per_unit=32)
-    d = spec.doubled()
-    assert d.truncation_radius == 7.0
-    assert d.nodes_per_unit == 64
-    assert d.scheme == spec.scheme
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(truncation_radius=0.0)

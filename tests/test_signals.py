@@ -1,14 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from superstft.kernels import norm_sq_closed_gaussian, norm_sq_closed_hermite
 from superstft.quadrature import QuadratureSpec, integrate
 from superstft.signals import (Signal, build_limit_signal, build_signal,
                                custom_window, evaluate, gaussian_window,
                                hermite_window, shifted_window, signal_norm_sq,
-                               signal_norm_sq_closed, time_frequency_shift,
-                               window_norm_sq)
+                               time_frequency_shift, window_norm_sq)
 from superstft.special import hermite_function
 from superstft.superosc import SuperoscParams, f_n
 
@@ -101,40 +102,65 @@ def test_signal_radius_accounts_for_amplitude_growth():
 
 
 def test_signal_norm_closed_vs_quadrature():
-    """Closed-form ||S||^2 against direct quadrature of |S|^2."""
+    """||S||^2 by quadrature of |S|^2 against the closed double-sum twin."""
     g = gaussian_window()
     for (a, n, x) in [(1.5, 3, 0.0), (2.0, 5, 0.4)]:
         p = SuperoscParams(a=a, n=n)
-        closed = signal_norm_sq_closed(g, x, p)
-        assert closed.provenance == "closed-form"
+        closed = norm_sq_closed_gaussian(x, p) / window_norm_sq(g)
         s = build_signal(g, x, p)
         spec = QuadratureSpec(truncation_radius=float(s.decay_radius))
         quad = integrate(lambda t: np.abs(s(t)) ** 2, spec).real
+        got = signal_norm_sq(s)
+        assert type(got) is float and got == quad
         assert abs(closed - quad) < 1e-10 * abs(quad)
 
 
 def test_signal_norm_hermite_window():
+    """One route for every window: a Hermite window and the same evaluator
+    wrapped as a custom window give the same bits, and both agree with
+    the closed twin."""
     h1 = hermite_window(1)
     p = SuperoscParams(a=1.5, n=3)
-    closed = signal_norm_sq_closed(h1, 0.2, p)
+    # norm_sq_closed_hermite(0, m, ...) is ||h_0||^2 ||S||^2
+    closed = norm_sq_closed_hermite(0, 1, 0.2, p) / SQRT_PI
     w = custom_window(h1.func, decay_radius=h1.decay_radius)
-    quad = signal_norm_sq_closed(w, 0.2, p)
-    assert quad.provenance == "quadrature"
+    quad = signal_norm_sq(build_signal(h1, 0.2, p))
+    assert signal_norm_sq(build_signal(w, 0.2, p)) == quad
     assert abs(closed - quad) < 1e-9 * abs(quad)
-
-
-def test_signal_norm_dispatcher():
-    g = gaussian_window()
-    p = SuperoscParams(a=2.0, n=3)
-    s = build_signal(g, 0.0, p)
-    assert signal_norm_sq(s) == signal_norm_sq_closed(g, 0.0, p)
-    lim = build_limit_signal(g, 0.3, 2.0)
+    lim = build_limit_signal(gaussian_window(), 0.3, 2.0)
     # unimodular tone: the norm is the window norm
     assert abs(signal_norm_sq(lim) - SQRT_PI) < 1e-14
+
+
+def _norm_sq_mpmath(m, x, a, n):
+    """int (cos^2(t/n) + a^2 sin^2(t/n))^n h_m(t - x)^2 dt in mpmath: the
+    integrand is positive, so 20 digits leave no cancellation to fear."""
+    with mpmath.workdps(20):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+
+        def integrand(t):
+            c, s = mpmath.cos(t / n), mpmath.sin(t / n)
+            return ((c * c + a * a * s * s) ** n * mpmath.exp(-(t - x) ** 2)
+                    * mpmath.hermite(m, t - x) ** 2)
+
+        cuts = [-mpmath.inf, -8, 0, 8, mpmath.inf]
+        return float(mpmath.quad(integrand, cuts, method="gauss-legendre"))
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_signal_norm_large_n_matches_mpmath(m):
+    """The closed double sum raises from about n = 12 at a = 2; the
+    quadrature of |S|^2 stays within 1e-12 of the truth up to n = 128."""
+    for n in (16, 32, 64, 128):
+        for a in (2.0, 3.0, -4.0):
+            got = signal_norm_sq(build_signal(hermite_window(m), 0.4,
+                                              SuperoscParams(a=a, n=n)))
+            ref = _norm_sq_mpmath(m, 0.4, a, n)
+            assert abs(got - ref) <= 1e-12 * ref, (n, a, got, ref)
 
 
 def test_custom_window_norm_needs_radius():
     w = custom_window(lambda t: np.exp(-t * t))
     p = SuperoscParams(a=1.5, n=2)
     with pytest.raises(ValueError):
-        signal_norm_sq_closed(w, 0.0, p)
+        signal_norm_sq(build_signal(w, 0.0, p))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from superstft.superosc import SuperoscParams
 from superstft.zak import (FRAME_TOLERANCE, FrameVerdict, WienerEstimate,
                            frame_check, wiener_norm_estimate, zak,
                            zak_gaussian, zak_grid, zak_shift_identity_check,
-                           zak_superosc)
+                           zak_superosc, zak_superosc_termwise)
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,8 +72,33 @@ def test_zak_superosc_termwise_expansion():
             s = build_signal(g, 0.0, p)
             for (u, eta) in [(0.2, 0.5), (0.7, 4.0)]:
                 direct = zak(s, u, eta)
-                closed = zak_superosc(g, 0.0, p, u, eta)
+                closed = zak_superosc_termwise(g, 0.0, p, u, eta)
                 assert abs(direct - closed) < 1e-11
+
+
+def _zak_superosc_mpmath(m, x, p, u, eta):
+    """sum_{|k| <= 40} F_n(u - k) h_m(u - k - x) e^{i k eta} in mpmath, F_n
+    as a product; no term exceeds about 1, so 30 digits are plenty."""
+    with mpmath.workdps(30):
+        a, x, u = mpmath.mpf(p.a), mpmath.mpf(x), mpmath.mpf(u)
+        total = mpmath.mpc(0)
+        for k in range(-40, 41):
+            t = u - k
+            fn = (mpmath.cos(t / p.n) + 1j * a * mpmath.sin(t / p.n)) ** p.n
+            total += (fn * mpmath.exp(-(t - x) ** 2 / 2)
+                      * mpmath.hermite(m, t - x) * mpmath.expj(k * eta))
+        return complex(total)
+
+
+def test_zak_superosc_large_n_matches_mpmath():
+    """At n = 64, a = 2 the termwise expansion is off by about 1e3; the
+    lattice sum of the signal itself is within 1e-10 of mpmath."""
+    p = SuperoscParams(a=2.0, n=64)
+    for m in (0, 1):
+        g = hermite_window(m)
+        for (u, eta) in [(0.3, 1.1), (0.8, 4.0), (0.05, 6.0)]:
+            ref = _zak_superosc_mpmath(m, 0.5, p, u, eta)
+            assert abs(zak_superosc(g, 0.5, p, u, eta) - ref) <= 1e-10
 
 
 def test_theta_bound_holds():
