@@ -18,6 +18,7 @@ scalar; every number given must be finite.  CSV fields are printed with
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -106,12 +107,8 @@ def _positive_int(text):
     return val
 
 
-# rows are formatted and written this many at a time
+# at most this many rows are formatted and written at a time
 _ROW_BLOCK = 4096
-
-
-def _row_format(columns, last="%.17g"):
-    return ",".join(["%.17g"] * (columns - 1) + [last]) + "\n"
 
 
 def _modulus(values):
@@ -127,12 +124,32 @@ def _complex_columns(values):
     return [values.real, values.imag, _modulus(values)]
 
 
-def _write_rows(out, row_format, columns):
-    """Write equal-length columns as CSV rows, row_format holding one
-    conversion per column."""
-    for lo in range(0, len(columns[0]), _ROW_BLOCK):
-        block = [np.asarray(c)[lo:lo + _ROW_BLOCK].tolist() for c in columns]
-        out.write("".join(row_format % row for row in zip(*block)))
+def _labels(axis):
+    """The %.17g text of each value of a grid axis."""
+    return ["%.17g" % v for v in axis.tolist()]
+
+
+def _write_grid(out, templates, labels, columns):
+    """Write a grid as CSV rows, slice-major: row j of slice i is
+    ``templates[i] % (labels[j], c[i * len(labels) + j] for c in columns)``.
+
+    Each template holds its slice's fixed fields (the outer axis value, a
+    flag) as literal text and labels are the inner axis already formatted,
+    so only the value columns are converted here.  One % formats a block of
+    at most _ROW_BLOCK rows: whole slices while they fit, else part of one."""
+    size, width = len(labels), len(columns) + 1
+    step = max(1, _ROW_BLOCK // size)
+    for i in range(0, len(templates), step):
+        group = templates[i:i + step]
+        for lo in range(0, size, _ROW_BLOCK):
+            rows = labels[lo:lo + _ROW_BLOCK]
+            count = len(rows) * len(group)
+            fields = [None] * (width * count)
+            fields[0::width] = rows * len(group)
+            start = i * size + lo
+            for k, col in enumerate(columns, 1):
+                fields[k::width] = col[start:start + count].tolist()
+            out.write("".join([t * len(rows) for t in group]) % tuple(fields))
 
 
 def _json_default(obj):
@@ -191,16 +208,18 @@ def cmd_spectrogram(args):
         args._parser.error(str(exc))
 
     values = closed if closed is not None else numeric
-    columns = [np.repeat(args.u, args.eta.size), np.tile(args.eta, args.u.size),
-               *_complex_columns(values)]
+    columns = _complex_columns(values)
     header = "u,eta,re,im,abs"
     if args.mode == "both":
         header += ",abs_err"
         columns.append(_modulus(np.ravel(closed - numeric)))
+    # one slice per u, its eta rows in order
+    tail = ",%s," + ",".join(["%.17g"] * len(columns)) + "\n"
     out, close = _open_out(args.out)
     try:
         out.write(header + "\n")
-        _write_rows(out, _row_format(len(columns)), columns)
+        _write_grid(out, [u + tail for u in _labels(args.u)],
+                    _labels(args.eta), columns)
     finally:
         if close:
             out.close()
@@ -286,16 +305,14 @@ def cmd_evolve(args):
             val = evolve_hermite(order, pt, normalized=args.normalized)
             return val, int(oscillation_hazard(t, radius))
 
-    row_format = _row_format(6, last="%d")
-    size = args.x.size
+    labels = _labels(args.x)
     out, close = _open_out(args.out)
     try:
         out.write("x,t,re,im,abs,accuracy_flag\n")
-        for t in args.t:  # t-major row order, one grid call per time slice
-            v, flag = sample(float(t))
-            _write_rows(out, row_format,
-                        [args.x, np.full(size, t), *_complex_columns(v),
-                         [flag] * size])
+        for t in args.t.tolist():  # t-major row order, one grid call per slice
+            v, flag = sample(t)
+            template = "%%s,%.17g,%%.17g,%%.17g,%%.17g,%d\n" % (t, flag)
+            _write_grid(out, [template], labels, _complex_columns(v))
     finally:
         if close:
             out.close()
@@ -335,14 +352,12 @@ def build_parser():
     sp.add_argument("--mode", choices=("closed", "numeric", "both"),
                     default="closed")
     sp.add_argument("--out", default="-", help="output CSV path (- = stdout)")
-    sp.set_defaults(func=cmd_spectrogram)
 
     vf = sub.add_parser("verify",
                         help="run identity-verification suites (JSON report)")
     vf.add_argument("--suite", choices=verify_mod.SUITES, default="all")
     vf.add_argument("--seed", type=int, default=42)
     vf.add_argument("--json", default="-", help="report path (- = stdout)")
-    vf.set_defaults(func=cmd_verify)
 
     zf = sub.add_parser("zak-frame",
                         help="Gabor frame check via the lattice transform "
@@ -356,7 +371,6 @@ def build_parser():
     zf.add_argument("--tolerance", type=_positive_float, default=1e-8,
                     help="|Z| threshold of the frame verdict (finite, > 0)")
     zf.add_argument("--json", default="-", help="report path (- = stdout)")
-    zf.set_defaults(func=cmd_zak_frame)
 
     evp = sub.add_parser("evolve",
                          help="free Schroedinger evolution on an (x, t) grid "
@@ -380,13 +394,19 @@ def build_parser():
     evp.add_argument("--normalized", action="store_true",
                      help="divide by 2 pi so t = 0 returns the datum itself")
     evp.add_argument("--out", default="-", help="output CSV path (- = stdout)")
-    evp.set_defaults(func=cmd_evolve)
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser of this process, built on first use: parse_args leaves
+    it unchanged, so every call can share it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_axis_values(list(argv)))
@@ -397,7 +417,8 @@ def main(argv=None):
     if args.command == "evolve":
         if args.x is None or args.t is None:
             parser.error("evolve requires --x and --t grids")
-    return args.func(args)
+    # looked up by name on each call, so a rebound cmd_* is the one run
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

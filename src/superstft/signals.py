@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, default_nodes_per_unit, integrate
 from .special import hermite_function, hermite_norm_sq
 from .superosc import f_n
 
@@ -84,20 +84,22 @@ def custom_window(func, decay_radius=None):
     return Window(kind="custom", order=0, func=func, decay_radius=decay_radius)
 
 
-def window_norm_sq(g, spec=None):
+def window_norm_sq(g):
     """||g||^2 = integral of |g|^2.  Closed form for gaussian/hermite
-    (hermite_norm_sq, 2^m m! sqrt(pi)); quadrature for custom windows,
-    which therefore need a decay radius (or an explicit spec)."""
+    (hermite_norm_sq, 2^m m! sqrt(pi)); quadrature on [-R, R] for custom
+    windows, which therefore need a decay radius R."""
     if g.kind in ("gaussian", "hermite"):
         return float(hermite_norm_sq(g.order))
-    if spec is None:
-        if g.decay_radius is None:
-            raise ValueError(
-                "custom window needs a decay_radius (or an explicit "
-                "quadrature spec) to compute its norm"
-            )
-        spec = QuadratureSpec(truncation_radius=float(g.decay_radius))
-    return float(np.real(integrate(lambda t: np.abs(g(t)) ** 2, spec)))
+    if g.decay_radius is None:
+        raise ValueError("custom window needs a decay_radius to compute its norm")
+    return _norm_sq(g, g.decay_radius)
+
+
+def _norm_sq(f, radius):
+    """integral of |f|^2 over [-radius, radius] at the default node density
+    (so SUPERSTFT_QUAD_NODES applies)."""
+    spec = QuadratureSpec(float(radius), default_nodes_per_unit())
+    return float(np.real(integrate(lambda t: np.abs(f(t)) ** 2, spec)))
 
 
 def time_frequency_shift(x, omega, g, t):
@@ -195,6 +197,4 @@ def signal_norm_sq(sig):
         raise ValueError(
             "custom window needs a decay_radius to integrate the signal norm"
         )
-    spec = QuadratureSpec(truncation_radius=float(sig.decay_radius))
-    return float(np.real(integrate(lambda t: np.abs(evaluate(sig, t)) ** 2,
-                                   spec)))
+    return _norm_sq(lambda t: evaluate(sig, t), sig.decay_radius)

@@ -200,10 +200,10 @@ def moyal_double_integral(f1, g1, f2=None, g2=None):
     return complex(w @ (v1 * np.conj(v2)) @ w)
 
 
-def moyal_inner_product(f1, f2, g1, g2, spec=None):
+def moyal_inner_product(f1, f2, g1, g2):
     """The closed side of the orthogonality relation:
     2 pi <f1, f2> <g2, g1>, inner products done by quadrature."""
-    return TWO_PI * inner_product(f1, f2, spec=spec) * inner_product(g2, g1, spec=spec)
+    return TWO_PI * inner_product(f1, f2) * inner_product(g2, g1)
 
 
 def _axis_weights(axis):

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 import warnings
@@ -7,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from superstft.cli import (_axis, _complex_columns, _merge_axis_values,
-                           _row_format, _write_rows, main)
+import superstft.cli as cli
+from superstft.cli import (_ROW_BLOCK, _axis, _complex_columns, _labels,
+                           _merge_axis_values, _write_grid, main)
 
 
 def _read_csv(path):
@@ -262,18 +262,96 @@ def _reference_rows(pairs, values, extra=None):
     return "".join(lines)
 
 
+def _lines(text):
+    """Rows with their line ends: a mismatch is reported by row index
+    instead of by a diff of the whole text."""
+    return text.splitlines(keepends=True)
+
+
 def test_csv_writer_matches_per_cell_format():
     rng = np.random.default_rng(7)
     z = (rng.normal(size=6000) + 1j * rng.normal(size=6000)) \
         * 10.0 ** rng.integers(-5, 5, size=6000)
     # cells where np.abs and Python abs disagree in the last bit, if this
-    # numpy has any, come first; 6000 rows cross a row-block boundary
+    # numpy has any, come first
     disagree = np.abs(z) != np.array([abs(v) for v in z.tolist()])
     z = np.concatenate([z[disagree], z[~disagree]])
-    a, b = rng.normal(size=z.size), np.arange(z.size) * 0.1
-    out = io.StringIO()
-    _write_rows(out, _row_format(6), [a, b, *_complex_columns(z), -z.real])
-    assert out.getvalue() == _reference_rows(list(zip(a, b)), z, -z.real)
+    assert z.size > _ROW_BLOCK
+    tail = ",%s,%.17g,%.17g,%.17g,%.17g\n"
+    # (slices, rows per slice): many slices per write block, a slice
+    # spanning write blocks, and one-row slices
+    for shape in ((3, 2000), (1, 6000), (6000, 1)):
+        outer, inner = rng.normal(size=shape[0]), np.arange(shape[1]) * 0.1
+        writes = []
+        out = type("Out", (), {"write": staticmethod(writes.append)})
+        _write_grid(out, [u + tail for u in _labels(outer)], _labels(inner),
+                    [*_complex_columns(z), -z.real])
+        pairs = [(a, b) for a in outer for b in inner]
+        assert _lines("".join(writes)) == _lines(
+            _reference_rows(pairs, z, -z.real)), shape
+        # memory stays flat: no write holds more than one block of rows
+        assert max(w.count("\n") for w in writes) <= _ROW_BLOCK, shape
+
+
+def _spectrogram_reference(u, eta):
+    from superstft.kernels import stft_superosc_closed_grid
+    from superstft.signals import gaussian_window
+    from superstft.superosc import SuperoscParams
+    values = stft_superosc_closed_grid(gaussian_window(), 0.5,
+                                       SuperoscParams(a=2.0, n=8), u, eta)
+    pairs = [(ui, ei) for ui in u for ei in eta]
+    return "u,eta,re,im,abs\n" + _reference_rows(pairs, values.ravel())
+
+
+@pytest.mark.parametrize("u, eta", [
+    ("0.5", "-3:3:9001"),    # scalar u: one slice longer than a write block
+    ("-3:3:9001", "0.25"),   # scalar eta: one-row slices
+    ("-0", "-1:1:3"),        # -0.0 prints as -0
+])
+def test_spectrogram_axis_shapes_match_per_cell_writer(tmp_path, u, eta):
+    out = tmp_path / "s.csv"
+    assert main(["spectrogram", "--n", "8", "--x", "0.5", "--u", u,
+                 "--eta", eta, "--out", str(out)]) == 0
+    text = out.read_text()
+    expected = _spectrogram_reference(_axis(u), _axis(eta))
+    assert _lines(text) == _lines(expected)
+    if u == "-0":
+        assert text.splitlines()[1].startswith("-0,-1,")
+
+
+def test_evolve_hazard_slice_bytes_match_per_cell_writer(tmp_path):
+    from superstft.evolution import EvolutionPoint, evolve_hermite
+    out = tmp_path / "haz.csv"
+    with pytest.warns(RuntimeWarning):
+        assert main(["evolve", "--window", "hermite", "--order", "1",
+                     "--t", "0:2000:2", "--x", "0:1:4", "--out", str(out)]) == 0
+    xs = np.linspace(0, 1, 4)
+    expected = "x,t,re,im,abs,accuracy_flag\n"
+    with pytest.warns(RuntimeWarning):
+        for t, flag in ((0.0, "0"), (2000.0, "1")):
+            v = evolve_hermite(1, EvolutionPoint(xs, t, 0.0, 0.0))
+            expected += _reference_rows([(x, t) for x in xs], v,
+                                        [flag] * xs.size)
+    assert _lines(out.read_text()) == _lines(expected)
+
+
+def test_parser_is_built_once_and_handlers_resolved_per_call(monkeypatch,
+                                                            capsys):
+    """main builds its parser on the first call only, and runs the cmd_*
+    bound in the module at call time."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "cmd_zak_frame", lambda args: 7)
+    assert main(["zak-frame", "--window", "gaussian"]) == 7
+    assert main(["zak-frame", "--window", "gaussian"]) == 7
+    assert built == [1]
+    monkeypatch.undo()
+    assert main(["zak-frame", "--window", "gaussian", "--resolution",
+                 "16"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]
 
 
 @pytest.mark.parametrize("window", [["--window", "gaussian"],
