@@ -20,14 +20,13 @@ from .kernels import (FockPoint, TFQuadruple, fock_kernel,
                       hermite_convolution_closed, hermite_pair_integral,
                       i_km_closed, i_km_series, norm_sq_closed_gaussian,
                       norm_sq_closed_hermite, normalized_fock_kernel,
-                      stft_integral_representation, stft_superosc_closed,
-                      stft_superosc_closed_grid, stft_superosc_cross,
-                      stft_superosc_fock_form, stft_superosc_limit,
+                      stft_integral_representation, stft_superosc_closed_grid,
+                      stft_superosc_cross, stft_superosc_fock_form,
                       stft_superosc_limit_grid, stft_superosc_termwise_grid,
                       weyl_action_on_basis)
-from .quadrature import QuadratureSpec, integrate, integrate_2d, make_spec
-from .signals import (Signal, Window, build_limit_signal, build_signal,
-                      custom_window, gaussian_window, hermite_window,
+from .quadrature import QuadratureSpec, integrate, make_spec
+from .signals import (Signal, Window, build_signal, custom_window,
+                      gaussian_window, hermite_window, shifted_window,
                       signal_norm_sq, time_frequency_shift, window_norm_sq)
 from .special import (complex_hermite_2d, gaussian_integral,
                       hermite_function, hermite_norm_sq, hermite_polynomial,
@@ -50,9 +49,8 @@ __all__ = [
     "QuadratureSpec", "Signal", "SuperoscParams", "TFQuadruple",
     "WienerEstimate", "Window", "ambiguity", "app2_closed",
     "approximating_function", "apsthm_residual", "bargmann",
-    "build_limit_signal", "build_signal", "coefficients",
-    "complex_hermite_2d", "convolve", "custom_window",
-    "evolve_gaussian_closed",
+    "build_signal", "coefficients", "complex_hermite_2d", "convolve",
+    "custom_window", "evolve_gaussian_closed",
     "evolve_hermite", "evolve_numeric", "evolve_superosc",
     "evolve_superosc_integral_representation", "evolve_superosc_signal",
     "f_n", "fock_kernel", "fourier", "frame_check", "frequencies",
@@ -61,16 +59,15 @@ __all__ = [
     "hermite_convolution_closed", "hermite_function", "hermite_norm_sq",
     "hermite_pair_integral", "hermite_polynomial", "hermite_window",
     "i_km_closed", "i_km_series", "inner_product", "integrate",
-    "integrate_2d", "inverse_fourier", "laguerre", "make_spec",
+    "inverse_fourier", "laguerre", "make_spec",
     "moyal_double_integral", "moyal_inner_product", "norm_sq_closed_gaussian",
     "norm_sq_closed_hermite", "normalized_fock_kernel", "oscillation_hazard",
-    "pde_residual", "reconstruct", "run_suite", "signal_norm_sq",
-    "spectrogram", "stft", "stft_approx_hermite_closed",
+    "pde_residual", "reconstruct", "run_suite", "shifted_window",
+    "signal_norm_sq", "spectrogram", "stft", "stft_approx_hermite_closed",
     "stft_approx_via_ambiguity", "stft_grid", "stft_integral_representation",
-    "stft_superosc_closed", "stft_superosc_closed_grid",
-    "stft_superosc_cross", "stft_superosc_fock_form", "stft_superosc_limit",
-    "stft_superosc_limit_grid", "stft_superosc_termwise_grid",
-    "supershift_probe", "theta",
+    "stft_superosc_closed_grid", "stft_superosc_cross",
+    "stft_superosc_fock_form", "stft_superosc_limit_grid",
+    "stft_superosc_termwise_grid", "supershift_probe", "theta",
     "time_frequency_shift", "weyl_action_on_basis", "wiener_norm_estimate",
     "window_norm_sq", "zak", "zak_gaussian", "zak_grid", "zak_superosc",
     "zak_superosc_termwise",

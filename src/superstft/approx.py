@@ -16,8 +16,9 @@ import math
 
 import numpy as np
 
-from .signals import custom_window
-from .special import SQRT2, SQRT_PI, complex_hermite_2d, ipow
+from .kernels import _envelope, _hermite_term, hermite_pair_integral
+from .signals import _supershift_radius, custom_window
+from .special import SQRT_PI
 from .superosc import f_n, supershift_probe
 from .transforms import ambiguity, fourier
 
@@ -33,24 +34,21 @@ def approximating_function(psi, p):
             lambda w: np.asarray(psi(t + w), dtype=complex), p)
 
     r = getattr(psi, "decay_radius", None)
-    if r is None:
-        radius = None
-    else:
-        grow = 2.0 * p.n * math.log(max(1.0, abs(p.a)))
-        radius = 1.0 + math.ceil(math.sqrt(float(r) ** 2 + grow) + 1.0)
+    radius = None if r is None else 1.0 + _supershift_radius(r, p)
     return custom_window(func, decay_radius=radius)
 
 
-def apsthm_residual(psi, p, lam, spec=None):
+def apsthm_residual(psi, p, lam):
     """Residual of the factorization F(phi_{psi,n,a}) = F(psi) F_n at lam
-    (both sides by quadrature; the identity is exact)."""
+    (both sides by quadrature on the boxes the decay radii set; the
+    identity is exact)."""
     phi = approximating_function(psi, p)
-    lhs = fourier(phi, lam, spec=spec)
-    rhs = fourier(psi, lam, spec=spec) * f_n(p, lam)
+    lhs = fourier(phi, lam)
+    rhs = fourier(psi, lam) * f_n(p, lam)
     return float(abs(lhs - rhs))
 
 
-def stft_approx_via_ambiguity(g, p, u, eta, spec=None):
+def stft_approx_via_ambiguity(g, p, u, eta):
     """V_g(phi_{g,n,a})(u, eta) through the window's ambiguity function:
 
         e^{-i u eta / 2} sum_j C_j e^{i eta omega_j / 2}
@@ -58,7 +56,7 @@ def stft_approx_via_ambiguity(g, p, u, eta, spec=None):
 
     Each time-shifted term folds into one ambiguity evaluation."""
     total = supershift_probe(
-        lambda w: np.exp(0.5j * eta * w) * ambiguity(g, u + w, eta, spec=spec),
+        lambda w: np.exp(0.5j * eta * w) * ambiguity(g, u + w, eta),
         p)
     return complex(np.exp(-0.5j * u * eta) * total)
 
@@ -71,24 +69,15 @@ def stft_approx_hermite_closed(k, m, p, u, eta):
                 H_{k,m}(z_j, w_j),
 
         z_j = (-eta - i (u + omega_j)) / sqrt2,
-        w_j = (-eta + i (u + omega_j)) / sqrt2.
+        w_j = (-eta + i (u + omega_j)) / sqrt2,
 
-    Constant and H-arguments are the quadrature-confirmed ones (each
-    term is the master pair integral at shift -omega_j, frequency -eta);
-    stft_approx_hermite_uncalibrated evaluates the variant expression."""
-    if k < 0 or m < 0:
-        raise ValueError(f"orders must be >= 0, got {(k, m)}")
-    pref = SQRT_PI * ipow(k + m) * 2.0 ** (0.5 * (k + m)) * np.exp(
-        -0.25 * eta * eta - 0.5j * u * eta
-    )
-
-    def term(w):
-        s = u + w
-        return (np.exp(0.5j * eta * w - 0.25 * s * s)
-                * complex_hermite_2d(k, m, (-eta - 1j * s) / SQRT2,
-                                     (-eta + 1j * s) / SQRT2))
-
-    return complex(pref * supershift_probe(term, p))
+    that is, each term is the master pair integral at shift -omega_j and
+    frequency -eta, hermite_pair_integral(k, m, u, -omega_j, -eta).  That
+    pairing is the quadrature-confirmed one;
+    stft_approx_hermite_uncalibrated evaluates the variant expression.
+    Negative orders are a ValueError."""
+    return complex(supershift_probe(
+        lambda w: hermite_pair_integral(k, m, u, -w, -eta), p))
 
 
 def stft_approx_hermite_uncalibrated(k, m, p, u, eta):
@@ -98,22 +87,17 @@ def stft_approx_hermite_uncalibrated(k, m, p, u, eta):
           sum_j C_j e^{-omega_j^2/4 - (u - i eta) omega_j / 2}
                 H_{k,m}(z_j, conj(z_j)),
 
-        z_j = ((u + omega_j) + i eta) / sqrt2.
+        z_j = ((u + omega_j) + i eta) / sqrt2,
 
-    Same exponential content as the calibrated route but a different
-    constant and slot-mirrored H-arguments; kept so tests can pin the
-    exact relation between the two."""
-    if k < 0 or m < 0:
-        raise ValueError(f"orders must be >= 0, got {(k, m)}")
-    pref = (math.sqrt(math.pi / math.factorial(k)) * 2.0 ** (0.5 * k)
-            * np.exp(-0.5j * u * eta - 0.25 * (u * u + eta * eta)))
-
-    def term(w):
-        return (np.exp(-0.25 * w * w - 0.5 * (u - 1j * eta) * w)
-                * complex_hermite_2d(k, m, ((u + w) + 1j * eta) / SQRT2,
-                                     ((u + w) - 1j * eta) / SQRT2))
-
-    return complex(pref * supershift_probe(term, p))
+    which is 2^{-m/2} / sqrt(k!) times the coefficient sum of the pair
+    integral's envelope and polynomial at sum u - omega_j, difference
+    u + omega_j, frequency -eta and slot-mirrored H-arguments.  Same
+    exponential content as the calibrated route but a different constant;
+    kept so tests can pin the exact relation between the two."""
+    total = supershift_probe(
+        lambda w: _envelope(-eta, u - w, u + w) * _hermite_term(k, m, u + w, eta),
+        p)
+    return complex(2.0 ** (-0.5 * m) / math.sqrt(math.factorial(k)) * total)
 
 
 def app2_closed(u, eta, a):

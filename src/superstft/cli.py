@@ -30,8 +30,8 @@ from .evolution import (EvolutionPoint, evolve_gaussian_closed,
                         evolve_hermite, evolve_superosc, oscillation_hazard)
 from .kernels import stft_superosc_closed_grid, stft_superosc_limit_grid
 from .quadrature import DEFAULT_PAD
-from .signals import build_limit_signal, build_signal, gaussian_window, \
-    hermite_window
+from .signals import build_signal, gaussian_window, hermite_window, \
+    shifted_window
 from .special import MAX_HERMITE_ORDER
 from .superosc import SuperoscParams
 from .transforms import stft_grid
@@ -202,7 +202,7 @@ def cmd_spectrogram(args):
                                                   args.eta)
             numeric = None
             if args.mode in ("numeric", "both"):
-                s = build_limit_signal(g, args.x, args.a)
+                s = shifted_window(g, args.x, args.a)
                 numeric = stft_grid(s, g, args.u, args.eta).values
     except (ValueError, FloatingPointError) as exc:
         args._parser.error(str(exc))

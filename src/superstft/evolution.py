@@ -48,7 +48,7 @@ from .quadrature import (
     nodes_weights,
 )
 from .signals import hermite_window, window_norm_sq
-from .special import TWO_PI, _as_result, hermite_function
+from .special import TWO_PI, _as_result, _finite, hermite_function
 from .superosc import coefficients, frequencies
 
 SQRT_TWO_PI = math.sqrt(TWO_PI)
@@ -78,9 +78,7 @@ class EvolutionPoint:
 
     def __post_init__(self):
         for name in ("x", "t", "x0", "k0"):
-            v = getattr(self, name)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite, got {v}")
+            _finite(name, getattr(self, name))
 
 
 def oscillation_hazard(t, truncation_radius):
@@ -254,11 +252,11 @@ def evolve_superosc(p, y, t):
     At t = 0 this is F_n(y); as n grows it approaches e^{i a y - i a^2 t}
     (the supershift acts on the evolved closed form, which is entire in
     the frequency).  y and t broadcast together; the sum over j is one
-    contraction over the whole grid."""
+    contraction over the whole grid.  A non-finite y or t is a ValueError
+    that names it."""
     c = coefficients(p)
     w = frequencies(p)
-    y, t = np.broadcast_arrays(np.asarray(y, dtype=float),
-                               np.asarray(t, dtype=float))
+    y, t = np.broadcast_arrays(_finite("y", y), _finite("t", t))
     phase = np.multiply.outer(w, y) - np.multiply.outer(w * w, t)
     return _as_result(np.tensordot(c, np.exp(1j * phase), axes=1))
 

@@ -40,13 +40,14 @@ import numpy as np
 
 from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
                          nodes_weights)
-from .signals import (Signal, Window, build_limit_signal, build_signal,
+from .signals import (Signal, Window, build_signal, shifted_window,
                       signal_norm_sq, window_norm_sq)
 from .special import (
     SQRT2,
     SQRT_PI,
     TWO_PI,
     _as_result,
+    _finite,
     complex_hermite_2d,
     generalized_laguerre,
     hermite_norm_sq,
@@ -54,13 +55,7 @@ from .special import (
     ipow,
 )
 from .superosc import coefficients, f_n, supershift_probe
-from .transforms import ComplexGrid, reconstruct, stft
-
-
-def _check_finite(**vals):
-    for name, v in vals.items():
-        if not np.all(np.isfinite(np.asarray(v, dtype=complex))):
-            raise ValueError(f"{name} must be finite, got {v}")
+from .transforms import ComplexGrid, reconstruct, stft, stft_grid
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,8 @@ class TFQuadruple:
     eta: float
 
     def __post_init__(self):
-        _check_finite(x=self.x, omega=self.omega, u=self.u, eta=self.eta)
+        for name in ("x", "omega", "u", "eta"):
+            _finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ class FockPoint:
     z: complex
 
     def __post_init__(self):
-        _check_finite(z=self.z)
+        _finite("z", self.z)
 
 
 def _hermite_term(k, m, a, b):
@@ -149,12 +145,6 @@ def gabor_kernel_gaussian(q):
     return complex(_closed_kernel(0, q.x, q.omega, q.u, q.eta))
 
 
-def gabor_kernel_hermite_base(n, q):
-    """The Laguerre product gabor_kernel_gaussian(q) * L_n(((x-u)^2 + (omega-eta)^2)/2)
-    without the window-norm growth; see gabor_kernel_hermite_calibration."""
-    return gabor_kernel_hermite(n, q) / gabor_kernel_hermite_calibration(n)
-
-
 def gabor_kernel_hermite_calibration(n):
     """Factor 2^n n! carrying the squared-norm growth of the un-normalized
     Hermite window h_n; fixed by the quadrature oracle."""
@@ -172,45 +162,24 @@ def gabor_kernel_hermite(n, q):
 # Closed-form STFTs of superoscillating signals
 # ---------------------------------------------------------------------------
 
-def _grid_axes(g, x, u_axis, eta_axis):
-    """u and eta as float arrays, after checking the window has a closed
-    kernel and every point is finite."""
-    if g.kind not in ("gaussian", "hermite"):
-        raise ValueError("closed kernel grids need a gaussian or hermite window")
-    _check_finite(x=x, u=u_axis, eta=eta_axis)
-    return np.asarray(u_axis, dtype=float), np.asarray(eta_axis, dtype=float)
+def _grid_axes(x, u_axis, eta_axis):
+    """u and eta as float arrays, after checking that x and every point are
+    finite (a ValueError naming the argument otherwise)."""
+    _finite("x", x)
+    return _finite("u", u_axis), _finite("eta", eta_axis)
 
 
-def _tensor_axes(g, x, u_axis, eta_axis):
-    """u and eta shaped to broadcast to the tensor grid u x eta, of shape
-    u.shape + eta.shape (0-d axes give a single point)."""
-    u_axis, eta_axis = _grid_axes(g, x, u_axis, eta_axis)
+def _quadrature_grid(f, g, u_axis, eta_axis):
+    """V_g f on the tensor grid u x eta, shape u.shape + eta.shape: one
+    stft_grid over the flattened axes, on the box f's decay radius sets."""
+    values = stft_grid(f, g, u_axis.ravel(), eta_axis.ravel()).values
+    return _as_result(values.reshape(u_axis.shape + eta_axis.shape))
+
+
+def _tensor_axes(u_axis, eta_axis):
+    """u shaped to broadcast against eta to the tensor grid u x eta, of
+    shape u.shape + eta.shape (0-d axes give a single point)."""
     return u_axis.reshape(u_axis.shape + (1,) * eta_axis.ndim), eta_axis
-
-
-def stft_superosc_closed(g, x, p, u, eta):
-    """V_g(S)(u, eta) for the signal S(t) = F_n(t) g(t - x) built on the
-    same window g; by linearity this equals sum_j C_j K_g(x, omega_j; u, eta).
-    Gaussian and Hermite windows take the Gauss-Hermite product-form route
-    (the 0-d case of stft_superosc_closed_grid, which states its tolerance
-    and when it raises).  Any other window is one quadrature of F_n g,
-    stft(build_signal(g, x, p), g, u, eta), on the box the signal's decay
-    radius sets: F_n is evaluated as a product, so nothing cancels at
-    any n."""
-    if g.kind == "custom":
-        return stft(build_signal(g, x, p), g, u, eta)
-    return stft_superosc_closed_grid(g, x, p, u, eta)
-
-
-def stft_superosc_limit(g, x, a, u, eta):
-    """Large-n limit of stft_superosc_closed: the single kernel value
-    K_g(x, a; u, eta) at the superoscillation frequency a, the STFT of the
-    limit signal e^{i a t} g(t - x).  Any window other than Gaussian or
-    Hermite takes that STFT by quadrature,
-    stft(build_limit_signal(g, x, a), g, u, eta)."""
-    if g.kind == "custom":
-        return stft(build_limit_signal(g, x, a), g, u, eta)
-    return stft_superosc_limit_grid(g, x, a, u, eta)
 
 
 def stft_superosc_cross(k, m, x, p, u, eta):
@@ -270,7 +239,7 @@ def stft_superosc_fock_form(x, p, u, eta):
     Time-frequency data enter the complex plane scaled by 1/sqrt2 (both the
     kernel index omega_j/sqrt2 and the evaluation point conj(q)/sqrt2);
     with that scaling the sum is algebraically identical to
-    stft_superosc_closed with the Gaussian window."""
+    stft_superosc_termwise_grid with the Gaussian window."""
     q = FockPoint(z=eta - 1j * (u + x))
     m_inv = np.exp(-eta ** 2 / 4.0 - (u + x) ** 2 / 4.0 - 0.5j * (u + x) * eta)
     total = supershift_probe(
@@ -593,9 +562,19 @@ def _gauss_hermite_grid(m, x, p, u, eta, nodes):
 
 
 def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):
-    """stft_superosc_closed on a tensor grid, shape u.shape + eta.shape (a
-    single complex value for 0-d u and eta), for a gaussian or hermite
-    window h_m, by Gauss-Hermite quadrature of the product form:
+    """V_g(S)(u, eta) for the signal S(t) = F_n(t) g(t - x) built on the
+    same window g, on a tensor grid of shape u.shape + eta.shape (a single
+    complex value for 0-d u and eta); by linearity it equals
+    sum_j C_j K_g(x, omega_j; u, eta).  A non-finite x, u or eta is a
+    ValueError that names it.
+
+    A custom window has no closed kernel: its grid is one stft_grid of
+    build_signal(g, x, p) over the flattened axes, on the box the signal's
+    decay radius sets, so the window needs one.  F_n is evaluated as a
+    product, so nothing cancels at any n.
+
+    A gaussian or hermite window h_m takes Gauss-Hermite quadrature of the
+    product form:
 
         V(u, eta) = int e^{-it eta} F_n(t) h_m(t - x) h_m(t - u) dt
                   = e^{-i c eta} sum_k A[u, k] e^{-i s_k eta},
@@ -614,7 +593,9 @@ def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):
     _GH_MAX_NODES passes, stft_superosc_termwise_grid is used if its Higham
     bound (n + 1) u max(1, |a|)^n ||g||^2 is within the tolerance; otherwise
     this raises ValueError naming the eta range."""
-    u_axis, eta_axis = _grid_axes(g, x, u_axis, eta_axis)
+    u_axis, eta_axis = _grid_axes(x, u_axis, eta_axis)
+    if g.kind == "custom":
+        return _quadrature_grid(build_signal(g, x, p), g, u_axis, eta_axis)
     u, eta = u_axis.ravel(), eta_axis.ravel()
     shape = u_axis.shape + eta_axis.shape
     if not (u.size and eta.size):
@@ -650,18 +631,28 @@ def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):
 def stft_superosc_termwise_grid(g, x, p, u_axis, eta_axis):
     """The closed twin of stft_superosc_closed_grid: the coefficient sum
     sum_j C_j K_g(x, omega_j; u, eta) of closed Gabor kernels, term by term.
-    Same grid shapes and windows.  Exact in exact arithmetic, but the sum
-    cancels: sum_j |C_j| = max(1, |a|)^n, so its roundoff grows like
-    (n + 1) u max(1, |a|)^n ||g||^2 and it is wrong from about n = 32 at
-    a = 2.  The verify cases that pin the closed kernel sum and the two
-    integral representations, which invert it, use it."""
-    ug, eg = _tensor_axes(g, x, u_axis, eta_axis)
+    Same grid shapes; gaussian and hermite windows only.  Exact in exact
+    arithmetic, but the sum cancels: sum_j |C_j| = max(1, |a|)^n, so its
+    roundoff grows like (n + 1) u max(1, |a|)^n ||g||^2 and it is wrong
+    from about n = 32 at a = 2.  The verify cases that pin the closed
+    kernel sum and the two integral representations, which invert it, use
+    it."""
+    if g.kind not in ("gaussian", "hermite"):
+        raise ValueError("the termwise sum needs a gaussian or hermite window")
+    ug, eg = _tensor_axes(*_grid_axes(x, u_axis, eta_axis))
     return supershift_probe(lambda w: _closed_kernel(g.order, x, w, ug, eg), p)
 
 
 def stft_superosc_limit_grid(g, x, a, u_axis, eta_axis):
-    """The limit-signal kernel K_g(x, a; u, eta) on a tensor grid (a single
-    complex value for 0-d u and eta)."""
-    _check_finite(a=a)
-    ug, eg = _tensor_axes(g, x, u_axis, eta_axis)
+    """The large-n limit of stft_superosc_closed_grid: V_g of the limit
+    signal e^{i a t} g(t - x), the tone shifted_window(g, x, a), on a tensor
+    grid (a single complex value for 0-d u and eta).  For a gaussian or
+    hermite window that is the single kernel value K_g(x, a; u, eta); a
+    custom window takes it by quadrature, one stft_grid over the flattened
+    axes.  A non-finite a, x, u or eta is a ValueError that names it."""
+    _finite("a", a)
+    u_axis, eta_axis = _grid_axes(x, u_axis, eta_axis)
+    if g.kind == "custom":
+        return _quadrature_grid(shifted_window(g, x, a), g, u_axis, eta_axis)
+    ug, eg = _tensor_axes(u_axis, eta_axis)
     return _as_result(_closed_kernel(g.order, x, a, ug, eg))

@@ -2,9 +2,9 @@
 
 Every integral in this package has a smooth integrand with Gaussian-type
 decay, so integrals over R are truncated to [-T, T] and evaluated with a
-fixed composite rule.  For integrands that vanish (with all derivatives) at
-the truncation boundary both rules below converge far faster than their
-textbook orders, so the default density of 64 nodes per unit length is
+fixed composite Simpson rule.  For integrands that vanish (with all
+derivatives) at the truncation boundary the rule converges far faster than
+its textbook order, so the default density of 64 nodes per unit length is
 effectively exact for the Gaussian-enveloped integrands that appear here.
 
 The environment variable ``SUPERSTFT_QUAD_NODES`` overrides the default node
@@ -16,8 +16,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-
-SCHEMES = ("CompositeSimpson", "GaussLegendrePanels")
 
 DEFAULT_PAD = 8.0
 
@@ -44,11 +42,11 @@ def default_nodes_per_unit():
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation radius, node density and scheme for a line integral."""
+    """Truncation radius and node density of a composite-Simpson line
+    integral."""
 
     truncation_radius: float
     nodes_per_unit: int = 64
-    scheme: str = "CompositeSimpson"
 
     def __post_init__(self):
         if not self.truncation_radius > 0:
@@ -57,8 +55,6 @@ class QuadratureSpec:
             )
         if self.nodes_per_unit < 16:
             raise ValueError(f"nodes_per_unit must be >= 16, got {self.nodes_per_unit}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
 
 
 def make_spec(decay_radius, *shifts):
@@ -74,27 +70,18 @@ def make_spec(decay_radius, *shifts):
 
 
 def nodes_weights(spec):
-    """Quadrature nodes and weights on [-T, T] as a pair of float arrays."""
+    """Composite-Simpson nodes and weights on [-T, T] as a pair of float
+    arrays."""
     T = spec.truncation_radius
-    if spec.scheme == "CompositeSimpson":
-        n_int = int(np.ceil(2.0 * T * spec.nodes_per_unit))
-        if n_int % 2:
-            n_int += 1
-        x = np.linspace(-T, T, n_int + 1)
-        h = 2.0 * T / n_int
-        w = np.full(n_int + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return x, w * (h / 3.0)
-    # GaussLegendrePanels: ~unit-width panels, nodes_per_unit Legendre nodes each
-    panels = max(1, int(np.ceil(2.0 * T)))
-    edges = np.linspace(-T, T, panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(spec.nodes_per_unit)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w
+    n_int = int(np.ceil(2.0 * T * spec.nodes_per_unit))
+    if n_int % 2:
+        n_int += 1
+    x = np.linspace(-T, T, n_int + 1)
+    h = 2.0 * T / n_int
+    w = np.full(n_int + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return x, w * (h / 3.0)
 
 
 def _guard(vals):
@@ -128,14 +115,3 @@ def integrate(f, spec):
     vals = _guard(np.array(f(x)))
     return complex(np.dot(w, vals))
 
-
-def integrate_2d(f, spec_u, spec_v):
-    """Iterated integral of f(u, v) over the truncated box.
-
-    f must broadcast over meshgrid arrays (shape n_u x n_v).
-    """
-    xu, wu = nodes_weights(spec_u)
-    xv, wv = nodes_weights(spec_v)
-    U, V = np.meshgrid(xu, xv, indexing="ij")
-    vals = _guard(np.array(f(U, V)))
-    return complex(wu @ vals @ wv)

@@ -2,10 +2,13 @@
 
 A Window bundles an evaluator with the metadata the quadrature layer
 needs (an effective decay radius).  A Signal is a window translated to
-x and modulated either by the superoscillating sequence F_n (product
-form), by the limit tone e^{i a t}, or by nothing at all:
+x and modulated by the superoscillating sequence F_n (product form) or
+by nothing at all:
 
-    S(t) = F_n(t) g(t - x)    |    e^{i a t} g(t - x)    |    g(t - x).
+    S(t) = F_n(t) g(t - x)    |    g(t - x).
+
+The limit tone e^{i a t} g(t - x) that F_n(t) g(t - x) converges to is the
+time-frequency shift shifted_window(g, x, a).
 """
 
 import math
@@ -15,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import QuadratureSpec, default_nodes_per_unit, integrate
-from .special import hermite_function, hermite_norm_sq
+from .special import _finite, hermite_function, hermite_norm_sq
 from .superosc import f_n
 
 WINDOW_KINDS = ("gaussian", "hermite", "custom")
@@ -111,7 +114,10 @@ def time_frequency_shift(x, omega, g, t):
 
 def shifted_window(g, x, omega):
     """The time-frequency shift M_omega T_x g as a Window (custom kind,
-    decay radius inflated by |x|)."""
+    decay radius inflated by |x|).  A non-finite x or omega is a
+    ValueError that names it."""
+    _finite("x", x)
+    _finite("omega", omega)
     radius = None if g.decay_radius is None else float(g.decay_radius) + abs(x)
     return custom_window(
         lambda t: time_frequency_shift(x, omega, g, t), decay_radius=radius
@@ -120,41 +126,40 @@ def shifted_window(g, x, omega):
 
 @dataclass(frozen=True)
 class Signal:
-    """A modulated, translated window.  Exactly one modulation mode:
-    superosc (an (a, n) parameter set), limit_frequency (the pure tone
-    e^{i a t}), or neither (the bare translated window)."""
+    """A translated window, modulated by the superoscillating sequence
+    F_n when superosc holds an (a, n) parameter set.  A non-finite x is a
+    ValueError that names it."""
 
     window: Window
     x: float
     superosc: object = None
-    limit_frequency: float = None
-    decay_radius: float = None
 
     def __post_init__(self):
-        if self.superosc is not None and self.limit_frequency is not None:
-            raise ValueError(
-                "a signal is modulated by a superoscillating sequence or "
-                "by a limit tone, not both"
-            )
-        if self.decay_radius is None:
-            object.__setattr__(self, "decay_radius", _signal_radius(self))
+        _finite("x", self.x)
+
+    @property
+    def decay_radius(self):
+        """|x| plus the window's decay radius, grown by the amplitude of
+        F_n (see _supershift_radius); None when the window has none."""
+        r = self.window.decay_radius
+        if r is None:
+            return None
+        if self.superosc is not None:
+            r = _supershift_radius(r, self.superosc)
+        return abs(self.x) + float(r)
 
     def __call__(self, t):
         return evaluate(self, t)
 
 
-def _signal_radius(sig):
-    g_r = sig.window.decay_radius
-    if g_r is None:
-        return None
-    if sig.superosc is None:
-        return abs(sig.x) + float(g_r)
-    p = sig.superosc
-    # |F_n(t)| can reach max(1,|a|)^n before the window kills it, so the
-    # radius where |F_n g| drops below tolerance inflates accordingly:
-    # e^{-r^2/2} max(1,|a|)^n < e^{-g_r^2/2} at r^2 = g_r^2 + 2 n log max(1,|a|).
+def _supershift_radius(radius, p):
+    """ceil(sqrt(R^2 + 2 n log max(1, |a|)) + 1) for the decay radius R of a
+    Gaussian-type function.  |F_n(t)| and sum_j |C_j| reach max(1, |a|)^n,
+    so the radius where an (a, n)-weighted function drops below tolerance
+    inflates accordingly: e^{-r^2/2} max(1,|a|)^n < e^{-R^2/2} at
+    r^2 = R^2 + 2 n log max(1,|a|)."""
     grow = 2.0 * p.n * math.log(max(1.0, abs(p.a)))
-    return abs(sig.x) + float(math.ceil(math.sqrt(g_r**2 + grow) + 1.0))
+    return float(math.ceil(math.sqrt(float(radius) ** 2 + grow) + 1.0))
 
 
 def evaluate(sig, t):
@@ -163,8 +168,6 @@ def evaluate(sig, t):
     base = sig.window(t - sig.x)
     if sig.superosc is not None:
         out = f_n(sig.superosc, t) * base
-    elif sig.limit_frequency is not None:
-        out = np.exp(1j * sig.limit_frequency * t) * base
     else:
         out = base * np.exp(0j)
     out = np.asarray(out)
@@ -176,11 +179,6 @@ def build_signal(g, x, p):
     return Signal(window=g, x=float(x), superosc=p)
 
 
-def build_limit_signal(g, x, a):
-    """The limit signal e^{i a t} g(t - x) the modulated one converges to."""
-    return Signal(window=g, x=float(x), limit_frequency=float(a))
-
-
 def signal_norm_sq(sig):
     """||S||^2 for any Signal, as a float.
 
@@ -189,8 +187,8 @@ def signal_norm_sq(sig):
     F_n is evaluated as a product, so nothing cancels at any n (the
     closed double sum over C_j C_k, which does cancel, is kept as the
     twins norm_sq_closed_gaussian and norm_sq_closed_hermite).  Its window
-    therefore needs a decay radius.  The limit tone and the bare window
-    have |modulation| = 1, so their norm is the window norm."""
+    therefore needs a decay radius.  The bare window's norm is the window
+    norm."""
     if sig.superosc is None:
         return window_norm_sq(sig.window)
     if sig.decay_radius is None:

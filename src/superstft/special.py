@@ -33,6 +33,17 @@ def _as_result(out):
     return complex(out) if np.ndim(out) == 0 else out
 
 
+def _finite(name, values):
+    """values as a float array (complex for complex input); a NaN or
+    infinite entry is a ValueError that names the argument."""
+    arr = np.asarray(values)
+    if arr.dtype.kind != "c":
+        arr = np.asarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def _descalarize(t, dtype=float):
     arr = np.asarray(t, dtype=dtype)
     return arr, arr.ndim == 0

@@ -21,20 +21,11 @@ import numpy as np
 from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
                          nodes_weights)
 from .signals import Window, window_norm_sq
-from .special import SQRT2, TWO_PI
+from .special import SQRT2, TWO_PI, _finite
 
 
 def _decay_radius_of(f):
     return getattr(f, "decay_radius", None)
-
-
-def _finite(name, values):
-    """values as a float array; a NaN or infinite entry is a ValueError
-    that names the argument."""
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    return arr
 
 
 def _resolve_spec(spec, *funcs, shifts=()):
@@ -100,10 +91,11 @@ def convolve(f, g, lam, spec=None):
     )
 
 
-def ambiguity(g, u, eta, spec=None):
+def ambiguity(g, u, eta):
     """Ambiguity function A[g](u, eta) = e^{i u eta/2} V_g g(u, eta)
-    = int g(t + u/2) conj(g(t - u/2)) e^{-i eta t} dt."""
-    return np.exp(0.5j * u * eta) * stft(g, g, u, eta, spec=spec)
+    = int g(t + u/2) conj(g(t - u/2)) e^{-i eta t} dt, on the box the
+    window's decay radius sets."""
+    return np.exp(0.5j * u * eta) * stft(g, g, u, eta)
 
 
 def bargmann(f, z, spec=None):

@@ -236,7 +236,7 @@ def _run_supershift_limit(rng):
     for n in (10, 40):
         p = SuperoscParams(a=a, n=n)
         errs[n] = abs(kn.stft_superosc_termwise_grid(g, x, p, u, eta)
-                      - kn.stft_superosc_limit(g, x, a, u, eta))
+                      - kn.stft_superosc_limit_grid(g, x, a, u, eta))
     ratios.append(errs[40] / errs[10])
     for (k, m) in [(1, 2), (0, 1)]:
         for n in (10, 40):

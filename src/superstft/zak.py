@@ -25,11 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import build_signal, gaussian_window, shifted_window
-from .special import TWO_PI, theta
+from .special import TWO_PI, _finite, theta
 from .superosc import supershift_probe
 
 # default |Z| threshold separating "bounded below" from "numerically zero"
 FRAME_TOLERANCE = 1e-8
+
+# samples of |f| per unit cell in wiener_norm_estimate
+_SAMPLES_PER_CELL = 64
 
 
 def _truncation_order(f, u_max):
@@ -50,9 +53,10 @@ def zak(f, u, eta):
 
 
 def zak_grid(f, u_axis, eta_axis):
-    """Z(f) sampled on a tensor grid, shape (len(u_axis), len(eta_axis))."""
-    u_axis = np.asarray(u_axis, dtype=float)
-    eta_axis = np.asarray(eta_axis, dtype=float)
+    """Z(f) sampled on a tensor grid, shape (len(u_axis), len(eta_axis)).
+    A non-finite point is a ValueError that names its axis."""
+    u_axis = _finite("u_axis", u_axis)
+    eta_axis = _finite("eta_axis", eta_axis)
     kmax = _truncation_order(f, np.max(np.abs(u_axis)) if u_axis.size else 0.0)
     k = np.arange(-kmax, kmax + 1)
     a = np.asarray(f(u_axis[:, None] - k[None, :]), dtype=complex)
@@ -211,17 +215,16 @@ class WienerEstimate:
     heuristic: bool = True
 
 
-def wiener_norm_estimate(f, samples_per_cell=64):
-    """Estimate sum_k sup_{[k, k+1)} |f| by dense sampling of each unit
-    cell out to the decay radius."""
+def wiener_norm_estimate(f):
+    """Estimate sum_k sup_{[k, k+1)} |f| by sampling each unit cell at
+    _SAMPLES_PER_CELL points, out to the decay radius."""
     r = getattr(f, "decay_radius", None)
     if r is None:
         raise ValueError("wiener estimate needs an evaluator with a decay_radius")
     kmax = int(math.ceil(float(r))) + 1
-    s = np.linspace(0.0, 1.0, int(samples_per_cell), endpoint=False)
+    s = np.linspace(0.0, 1.0, _SAMPLES_PER_CELL, endpoint=False)
     total = 0.0
     for k in range(-kmax, kmax):
         total += float(np.max(np.abs(np.asarray(f(k + s)))))
-    return WienerEstimate(
-        value=total, cells=2 * kmax, samples_per_cell=int(samples_per_cell)
-    )
+    return WienerEstimate(value=total, cells=2 * kmax,
+                          samples_per_cell=_SAMPLES_PER_CELL)

@@ -195,8 +195,9 @@ def test_A8_supershift_convergence():
     g = sg.gaussian_window()
     ratios = {}
 
-    errs = {n: abs(kn.stft_superosc_closed(g, x, SuperoscParams(a, n), u, eta)
-                   - kn.stft_superosc_limit(g, x, a, u, eta))
+    errs = {n: abs(kn.stft_superosc_closed_grid(g, x, SuperoscParams(a, n),
+                                                u, eta)
+                   - kn.stft_superosc_limit_grid(g, x, a, u, eta))
             for n in (10, 40)}
     ratios["gaussian-kernel"] = errs[40] / errs[10]
 

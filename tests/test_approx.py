@@ -7,7 +7,8 @@ from superstft.approx import (app2_closed, approximating_function,
                               apsthm_residual, stft_approx_hermite_closed,
                               stft_approx_hermite_uncalibrated,
                               stft_approx_via_ambiguity)
-from superstft.signals import custom_window, gaussian_window, hermite_window
+from superstft.signals import (build_signal, custom_window, gaussian_window,
+                               hermite_window)
 from superstft.superosc import SuperoscParams, coefficients, frequencies, f_n
 from superstft.transforms import fourier, stft
 
@@ -26,6 +27,19 @@ def test_approximating_function_values():
     for t in (-1.0, 0.0, 0.7):
         expect = sum(cj * g(t + wj) for cj, wj in zip(c, w))
         assert abs(phi(t) - expect) < 1e-13
+
+
+def test_one_growth_radius_for_signal_and_average():
+    """The modulated signal and the approximating average grow their decay
+    radius by the same rule, ceil(sqrt(R^2 + 2 n log max(1, |a|)) + 1)."""
+    h3 = hermite_window(3)
+    r = h3.decay_radius
+    for (a, n) in [(2.0, 64), (0.5, 3), (-3.0, 17)]:
+        p = SuperoscParams(a=a, n=n)
+        grown = math.ceil(math.sqrt(r * r + 2.0 * n * math.log(max(1.0, abs(a))))
+                          + 1.0)
+        assert build_signal(h3, -0.7, p).decay_radius == 0.7 + grown
+        assert approximating_function(h3, p).decay_radius == 1.0 + grown
 
 
 def test_approximating_function_supershifts_to_time_shift():

@@ -22,9 +22,9 @@ TWO_PI = 2.0 * math.pi
 
 
 def test_point_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^x must be finite"):
         EvolutionPoint(x=math.nan, t=0.0, x0=0.0, k0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^t must be finite"):
         EvolutionPoint(x=0.0, t=math.inf, x0=0.0, k0=0.0)
 
 
@@ -205,6 +205,15 @@ def test_superosc_grid_matches_point_calls():
 def test_point_validation_covers_arrays():
     with pytest.raises(ValueError):
         EvolutionPoint(x=np.array([0.0, math.nan]), t=0.0, x0=0.0, k0=0.0)
+
+
+@pytest.mark.parametrize("y, t, name", [
+    (math.nan, 0.5, "y"), (np.array([0.0, math.inf]), 0.5, "y"),
+    (0.5, -math.inf, "t"), (0.5, np.array([0.0, math.nan]), "t")])
+def test_superosc_evolution_rejects_non_finite_points(y, t, name):
+    """A non-finite y or t is a ValueError naming it, not a NaN value."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        evolve_superosc(SuperoscParams(2.0, 64), y, t)
 
 
 def test_hazard_warns_once_per_grid_call():

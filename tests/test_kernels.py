@@ -8,7 +8,6 @@ from superstft import kernels, superosc, verify
 from superstft.kernels import (TFQuadruple, fock_kernel,
                                gabor_kernel_gaussian,
                                gabor_kernel_hermite,
-                               gabor_kernel_hermite_base,
                                gabor_kernel_hermite_calibration,
                                gabor_kernel_numeric, generating_product_check,
                                generating_sum_check, hermite_autoconvolution,
@@ -18,19 +17,17 @@ from superstft.kernels import (TFQuadruple, fock_kernel,
                                i_km_series, norm_sq_closed_gaussian,
                                norm_sq_closed_hermite, normalized_fock_kernel,
                                phi_na_norm, stft_integral_representation,
-                               stft_superosc_closed, stft_superosc_closed_grid,
-                               stft_superosc_cross,
+                               stft_superosc_closed_grid, stft_superosc_cross,
                                stft_superosc_cross_mirror,
-                               stft_superosc_fock_form, stft_superosc_limit,
+                               stft_superosc_fock_form,
                                stft_superosc_limit_cross,
                                stft_superosc_limit_grid,
                                stft_superosc_termwise_grid,
                                weyl_action_on_basis)
 from superstft.quadrature import make_spec
-from superstft.signals import (build_limit_signal, build_signal,
-                               custom_window, gaussian_window, hermite_window,
-                               window_norm_sq)
-from superstft.special import hermite_function
+from superstft.signals import (build_signal, custom_window, gaussian_window,
+                               hermite_window, shifted_window, window_norm_sq)
+from superstft.special import hermite_function, laguerre
 from superstft.superosc import SuperoscParams, f_n
 from superstft.transforms import convolve, fourier, stft
 
@@ -72,9 +69,11 @@ def test_gabor_kernel_hermite_calibrated():
             closed = gabor_kernel_hermite(n, q)
             numeric = gabor_kernel_numeric(g, q)
             assert abs(closed - numeric) < 1e-10
-            # and the base form alone is off by exactly that factor
-            assert abs(gabor_kernel_hermite_base(n, q)
-                       * gabor_kernel_hermite_calibration(n) - closed) < 1e-13
+            # and the Laguerre product alone is off by exactly that factor
+            r2 = ((x - u) ** 2 + (omega - eta) ** 2) / 2.0
+            base = gabor_kernel_gaussian(q) * laguerre(n, r2)
+            assert abs(base * gabor_kernel_hermite_calibration(n)
+                       - closed) < 1e-13
 
 
 def test_stft_superosc_closed_vs_numeric():
@@ -86,18 +85,18 @@ def test_stft_superosc_closed_vs_numeric():
         p = SuperoscParams(a=a, n=n)
         s = build_signal(g, x, p)
         for (u, eta) in [(0.4, -0.6), (0.0, 1.0)]:
-            closed = stft_superosc_closed(g, x, p, u, eta)
+            closed = stft_superosc_closed_grid(g, x, p, u, eta)
             numeric = stft(s, g, u, eta)
             assert abs(closed - numeric) < 1e-10 * (1 + a) ** n
 
 
 def test_stft_superosc_limit_is_single_kernel():
-    """The limit signal's transform is one kernel evaluation K_g(x, a; .)."""
+    """The limit tone's transform is one kernel evaluation K_g(x, a; .)."""
     g = gaussian_window()
     x, a = 0.3, 2.0
-    s = build_limit_signal(g, x, a)
+    s = shifted_window(g, x, a)
     for (u, eta) in [(0.2, 0.5), (-1.0, 1.5)]:
-        closed = stft_superosc_limit(g, x, a, u, eta)
+        closed = stft_superosc_limit_grid(g, x, a, u, eta)
         assert abs(closed - stft(s, g, u, eta)) < 1e-12
         q = TFQuadruple(x=x, omega=a, u=u, eta=eta)
         assert abs(closed - gabor_kernel_gaussian(q)) < 1e-14
@@ -109,7 +108,7 @@ def test_cross_reduces_to_gaussian():
     p = SuperoscParams(a=1.5, n=3)
     for (u, eta) in [(0.3, 0.4), (-0.5, 1.0)]:
         cross = stft_superosc_cross(0, 0, 0.2, p, u, eta)
-        plain = stft_superosc_closed(g, 0.2, p, u, eta)
+        plain = stft_superosc_closed_grid(g, 0.2, p, u, eta)
         assert abs(cross - plain) < 1e-12
 
 
@@ -164,7 +163,7 @@ def test_fock_form_equals_closed():
         p = SuperoscParams(a=float(rng.uniform(1.2, 2.2)),
                            n=int(rng.integers(1, 6)))
         lhs = stft_superosc_fock_form(x, p, u, eta)
-        rhs = stft_superosc_closed(g, x, p, u, eta)
+        rhs = stft_superosc_closed_grid(g, x, p, u, eta)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -298,6 +297,7 @@ def test_integral_representation_recovers_f_n():
 
 
 def test_closed_grids_match_scalars():
+    """Grid entries equal the 0-d calls at the same points."""
     g = gaussian_window()
     p = SuperoscParams(a=2.0, n=3)
     u = np.linspace(-1.0, 1.0, 4)
@@ -305,58 +305,98 @@ def test_closed_grids_match_scalars():
     grid = stft_superosc_closed_grid(g, 0.2, p, u, eta)
     for i in (0, 3):
         for j in (0, 2):
-            assert abs(grid[i, j]
-                       - stft_superosc_closed(g, 0.2, p, u[i], eta[j])) < 1e-13
+            assert abs(grid[i, j] - stft_superosc_closed_grid(
+                g, 0.2, p, u[i], eta[j])) < 1e-13
     lim = stft_superosc_limit_grid(g, 0.2, 2.0, u, eta)
     for i in (1, 2):
         for j in (0, 1):
-            assert abs(lim[i, j]
-                       - stft_superosc_limit(g, 0.2, 2.0, u[i], eta[j])) < 1e-13
+            assert abs(lim[i, j] - stft_superosc_limit_grid(
+                g, 0.2, 2.0, u[i], eta[j])) < 1e-13
 
 
 def test_custom_window_falls_back_to_quadrature():
-    """A custom window has no closed kernel: the scalar routes take one
-    quadrature STFT of the signal F_n g (or of the limit signal), which
-    does not cancel at n = 64, a = 2, and the closed grids refuse it."""
+    """A custom window has no closed kernel: each grid is one quadrature
+    STFT of the signal F_n g (or of the limit tone), which does not cancel
+    at n = 64, a = 2, agrees with the Gaussian window's closed routes, and
+    matches its own per-point calls on a 13 x 11 grid."""
     g = gaussian_window()
     c = custom_window(g.func, decay_radius=9.0)
     for p in (SuperoscParams(a=1.5, n=3), SuperoscParams(a=2.0, n=64)):
         for (u, eta) in [(0.4, -0.6), (-1.0, 1.2)]:
-            assert abs(stft_superosc_closed(c, 0.3, p, u, eta)
-                       - stft_superosc_closed(g, 0.3, p, u, eta)) < 1e-12
-            assert abs(stft_superosc_limit(c, 0.3, p.a, u, eta)
-                       - stft_superosc_limit(g, 0.3, p.a, u, eta)) < 1e-12
-    p = SuperoscParams(a=1.5, n=3)
-    axis = np.linspace(-1.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        stft_superosc_closed_grid(c, 0.3, p, axis, axis)
-    with pytest.raises(ValueError):
-        stft_superosc_limit_grid(c, 0.3, 1.5, axis, axis)
+            assert abs(stft_superosc_closed_grid(c, 0.3, p, u, eta)
+                       - stft_superosc_closed_grid(g, 0.3, p, u, eta)) < 1e-12
+            assert abs(stft_superosc_limit_grid(c, 0.3, p.a, u, eta)
+                       - stft_superosc_limit_grid(g, 0.3, p.a, u, eta)) < 1e-12
+    p = SuperoscParams(a=2.0, n=64)
+    u = np.linspace(-3.0, 3.0, 13)
+    eta = np.linspace(-2.5, 2.5, 11)
+    for grid, point in (
+            (stft_superosc_closed_grid(c, 0.5, p, u, eta),
+             lambda ui, ei: stft_superosc_closed_grid(c, 0.5, p, ui, ei)),
+            (stft_superosc_limit_grid(c, 0.5, 2.0, u, eta),
+             lambda ui, ei: stft_superosc_limit_grid(c, 0.5, 2.0, ui, ei))):
+        assert grid.shape == (13, 11)
+        points = np.array([[point(ui, ei) for ei in eta] for ui in u])
+        assert np.max(np.abs(grid - points)) < 1e-14
+    # any axis shapes: the grid is u.shape + eta.shape
+    block = stft_superosc_closed_grid(c, 0.5, p, u[:12].reshape(3, 4), eta[:2])
+    assert block.shape == (3, 4, 2)
+    assert np.array_equal(block.reshape(12, 2),
+                          stft_superosc_closed_grid(c, 0.5, p, u[:12], eta[:2]))
+    # the quadrature box comes from the window's decay radius
+    with pytest.raises(ValueError, match="decay_radius"):
+        stft_superosc_closed_grid(custom_window(g.func), 0.5, p, u, eta)
+    with pytest.raises(ValueError, match="gaussian or hermite"):
+        stft_superosc_termwise_grid(c, 0.5, p, u, eta)
 
 
 @pytest.mark.parametrize("g", [gaussian_window(), hermite_window(1),
-                               hermite_window(3)])
+                               hermite_window(3),
+                               custom_window(gaussian_window().func,
+                                             decay_radius=9.0)])
 def test_closed_grids_take_0d_axes(g):
-    """With scalar u and eta the grids return the scalar call's value."""
+    """With scalar u and eta the grids return a complex, the value of the
+    one-point grid to the bit."""
     p = SuperoscParams(a=2.0, n=5)
     for (u, eta) in [(0.4, -0.6), (-1.3, 2.1)]:
-        assert (stft_superosc_closed_grid(g, 0.2, p, u, eta)
-                == stft_superosc_closed(g, 0.2, p, u, eta))
-        assert (stft_superosc_limit_grid(g, 0.2, 2.0, u, eta)
-                == stft_superosc_limit(g, 0.2, 2.0, u, eta))
+        v = stft_superosc_closed_grid(g, 0.2, p, u, eta)
+        assert type(v) is complex
+        assert v == stft_superosc_closed_grid(g, 0.2, p, [u], [eta])[0, 0]
+        v = stft_superosc_limit_grid(g, 0.2, 2.0, u, eta)
+        assert type(v) is complex
+        assert v == stft_superosc_limit_grid(g, 0.2, 2.0, [u], [eta])[0, 0]
 
 
 def test_closed_routes_reject_non_finite_points():
     g = hermite_window(2)
     p = SuperoscParams(a=2.0, n=3)
     axis = np.linspace(-1.0, 1.0, 3)
-    for call in (lambda: stft_superosc_closed(g, 0.0, p, math.nan, 0.5),
-                 lambda: stft_superosc_limit(g, math.inf, 2.0, 0.1, 0.5),
-                 lambda: stft_superosc_limit(g, 0.0, math.nan, 0.1, 0.5),
+    for call in (lambda: stft_superosc_closed_grid(g, 0.0, p, math.nan, 0.5),
+                 lambda: stft_superosc_limit_grid(g, math.inf, 2.0, 0.1, 0.5),
+                 lambda: stft_superosc_limit_grid(g, 0.0, math.nan, 0.1, 0.5),
                  lambda: stft_superosc_closed_grid(g, 0.0, p, axis,
                                                    np.append(axis, math.nan))):
         with pytest.raises(ValueError, match="must be finite"):
             call()
+
+
+@pytest.mark.parametrize("g", [gaussian_window(), hermite_window(3),
+                               custom_window(gaussian_window().func,
+                                             decay_radius=9.0)],
+                         ids=["gaussian", "hermite3", "custom"])
+@pytest.mark.parametrize("name", ["x", "u", "eta"])
+def test_grids_name_the_non_finite_argument(g, name):
+    """For every window kind, a NaN or infinite x, u or eta is a ValueError
+    that names it, from both grids and whether the point is 0-d or on an
+    axis."""
+    p = SuperoscParams(a=2.0, n=8)
+    for bad in (math.nan, -math.inf, [0.0, math.inf]):
+        args = {"x": 0.5, "u": [0.3, 0.4], "eta": 1.7, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            stft_superosc_closed_grid(g, args["x"], p, args["u"], args["eta"])
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            stft_superosc_limit_grid(g, args["x"], 2.0, args["u"],
+                                     args["eta"])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +458,7 @@ def test_closed_headline_cell():
     """spectrogram --n 64 --a 2 --x 0.5 at (u, eta) = (0.3, 1.7); the
     termwise sum gives about 812 here."""
     p = SuperoscParams(a=2.0, n=64)
-    v = stft_superosc_closed(gaussian_window(), 0.5, p, 0.3, 1.7)
+    v = stft_superosc_closed_grid(gaussian_window(), 0.5, p, 0.3, 1.7)
     truth = _termwise_mp(0, 0.5, p, [(0.3, 1.7)])[0]
     assert abs(truth - (1.7291548539502524 + 0.21297391851867206j)) < 1e-15
     assert abs(v - truth) < 1e-10

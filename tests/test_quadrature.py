@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,18 +6,17 @@ import pytest
 
 from superstft.quadrature import (DEFAULT_PAD, QuadratureSpec, _guard,
                                   default_nodes_per_unit, integrate,
-                                  integrate_2d, make_spec, nodes_weights)
+                                  make_spec, nodes_weights)
 
 SQRT_PI = math.sqrt(math.pi)
 
 
 def test_gaussian_line_integral():
     """int e^{-t^2} dt = sqrt(pi), effectively exact for a truncated
-    Gaussian under both schemes."""
-    for scheme in ("CompositeSimpson", "GaussLegendrePanels"):
-        spec = QuadratureSpec(truncation_radius=9.0, scheme=scheme)
-        val = integrate(lambda t: np.exp(-t * t), spec)
-        assert abs(val - SQRT_PI) < 1e-14
+    Gaussian."""
+    spec = QuadratureSpec(truncation_radius=9.0)
+    val = integrate(lambda t: np.exp(-t * t), spec)
+    assert abs(val - SQRT_PI) < 1e-14
 
 
 def test_oscillatory_gaussian_integral():
@@ -25,12 +25,6 @@ def test_oscillatory_gaussian_integral():
     for w in (-3.0, -0.5, 0.0, 1.0, 2.5):
         val = integrate(lambda t: np.exp(-t * t + 1j * w * t), spec)
         assert abs(val - SQRT_PI * math.exp(-w * w / 4.0)) < 1e-13
-
-
-def test_integrate_2d_separable():
-    spec = QuadratureSpec(truncation_radius=9.0)
-    val = integrate_2d(lambda u, v: np.exp(-u * u - v * v), spec, spec)
-    assert abs(val - math.pi) < 1e-13
 
 
 def test_make_spec_accumulates_shifts():
@@ -44,8 +38,16 @@ def test_spec_validation():
         QuadratureSpec(truncation_radius=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(truncation_radius=1.0, nodes_per_unit=8)
-    with pytest.raises(ValueError):
-        QuadratureSpec(truncation_radius=1.0, scheme="Trapezoid")
+
+
+def test_spec_is_a_frozen_hashable_value():
+    """Equal specs hash alike (so distinct rules can be counted) and a spec
+    cannot be changed after construction."""
+    a, b = QuadratureSpec(3.0, 24), QuadratureSpec(3.0, 24)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, QuadratureSpec(3.0)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.nodes_per_unit = 32
 
 
 def test_nodes_env_override(monkeypatch):
@@ -69,13 +71,11 @@ def test_nonfinite_integrand_raises():
 
 
 def test_weights_integrate_constants():
-    """Weights sum to the interval length on both schemes."""
-    for scheme in ("CompositeSimpson", "GaussLegendrePanels"):
-        spec = QuadratureSpec(truncation_radius=3.0, nodes_per_unit=24,
-                              scheme=scheme)
-        x, w = nodes_weights(spec)
-        assert x.shape == w.shape
-        assert abs(w.sum() - 6.0) < 1e-12
+    """Weights sum to the interval length."""
+    spec = QuadratureSpec(truncation_radius=3.0, nodes_per_unit=24)
+    x, w = nodes_weights(spec)
+    assert x.shape == w.shape
+    assert abs(w.sum() - 6.0) < 1e-12
 
 
 TINY = np.finfo(float).tiny

@@ -6,12 +6,13 @@ import pytest
 
 from superstft.kernels import norm_sq_closed_gaussian, norm_sq_closed_hermite
 from superstft.quadrature import QuadratureSpec, integrate
-from superstft.signals import (Signal, build_limit_signal, build_signal,
-                               custom_window, evaluate, gaussian_window,
-                               hermite_window, shifted_window, signal_norm_sq,
-                               time_frequency_shift, window_norm_sq)
+from superstft.signals import (Signal, build_signal, custom_window, evaluate,
+                               gaussian_window, hermite_window, shifted_window,
+                               signal_norm_sq, time_frequency_shift,
+                               window_norm_sq)
 from superstft.special import hermite_function
 from superstft.superosc import SuperoscParams, f_n
+from superstft.zak import zak_superosc
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -90,11 +91,35 @@ def test_time_frequency_shift():
     assert abs(w(t) - expect) < 1e-15
 
 
-def test_signal_modes_are_exclusive():
+def test_signal_decay_radius_is_derived():
+    """The radius is |x| plus the window's radius (grown by F_n when
+    modulated), never a constructor argument."""
     g = gaussian_window()
-    with pytest.raises(ValueError):
-        Signal(window=g, x=0.0, superosc=SuperoscParams(a=2.0, n=2),
-               limit_frequency=2.0)
+    assert Signal(window=g, x=-1.5).decay_radius == 1.5 + g.decay_radius
+    assert Signal(window=custom_window(g.func), x=0.0).decay_radius is None
+    with pytest.raises(TypeError):
+        Signal(window=g, x=0.0, decay_radius=3.0)
+    with pytest.raises(TypeError):
+        Signal(window=g, x=0.0, limit_frequency=2.0)
+
+
+def test_signal_and_tone_reject_non_finite_parameters():
+    """A NaN or infinite center (or tone frequency) fails by name when the
+    signal or the tone is built, not later as a NaN radius in a quadrature
+    box or a lattice truncation."""
+    g = gaussian_window()
+    p = SuperoscParams(a=2.0, n=8)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^x must be finite"):
+            build_signal(g, bad, p)
+        with pytest.raises(ValueError, match="^x must be finite"):
+            Signal(window=g, x=bad)
+        with pytest.raises(ValueError, match="^x must be finite"):
+            zak_superosc(g, bad, p, 0.3, 1.1)
+        with pytest.raises(ValueError, match="^x must be finite"):
+            shifted_window(g, bad, 2.0)
+        with pytest.raises(ValueError, match="^omega must be finite"):
+            shifted_window(g, 0.5, bad)
 
 
 def test_signal_evaluation():
@@ -103,7 +128,7 @@ def test_signal_evaluation():
     s = build_signal(g, 0.5, p)
     t = np.linspace(-2, 2, 9)
     np.testing.assert_allclose(s(t), f_n(p, t) * g(t - 0.5), atol=1e-14)
-    lim = build_limit_signal(g, 0.5, 2.0)
+    lim = shifted_window(g, 0.5, 2.0)
     np.testing.assert_allclose(lim(t), np.exp(2j * t) * g(t - 0.5), atol=1e-14)
     bare = Signal(window=g, x=0.5)
     np.testing.assert_allclose(bare(t), g(t - 0.5) + 0j, atol=1e-15)
@@ -145,9 +170,9 @@ def test_signal_norm_hermite_window():
     quad = signal_norm_sq(build_signal(h1, 0.2, p))
     assert signal_norm_sq(build_signal(w, 0.2, p)) == quad
     assert abs(closed - quad) < 1e-9 * abs(quad)
-    lim = build_limit_signal(gaussian_window(), 0.3, 2.0)
+    lim = shifted_window(gaussian_window(), 0.3, 2.0)
     # unimodular tone: the norm is the window norm
-    assert abs(signal_norm_sq(lim) - SQRT_PI) < 1e-14
+    assert abs(window_norm_sq(lim) - SQRT_PI) < 1e-14
 
 
 def _norm_sq_mpmath(m, x, a, n):

@@ -171,3 +171,16 @@ def test_wiener_norm_estimate():
     assert est.samples_per_cell == 64
     # dominated by the central cells; adding the theta value as a gauge
     assert est.value > float(np.real(theta(0.0, 1j / TWO_PI))) - 1.0
+
+
+@pytest.mark.parametrize("u, eta, name", [
+    (0.0, math.inf, "eta_axis"), (0.0, math.nan, "eta_axis"),
+    (math.nan, 0.0, "u_axis"), (-math.inf, 0.0, "u_axis")])
+def test_non_finite_points_rejected_by_name(u, eta, name):
+    """A NaN or infinite point is a ValueError naming its axis, not a NaN
+    value or a failed integer conversion of the truncation order."""
+    g = gaussian_window()
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        zak(g, u, eta)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        zak_grid(g, [0.5, u], [eta, 1.0])
