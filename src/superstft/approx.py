@@ -5,20 +5,19 @@ pattern is
 
     phi_{psi,n,a}(t) = sum_j C_j(n, a) psi(t + omega_j),
 
-a band-limited-shift average converging to psi(t + a).  Its STFT is
-computed two independent ways — through the ambiguity function of the
-window and through the 2D-complex Hermite closed form — plus the n -> oo
-Gaussian limit.  On the Fourier side the average factorizes exactly:
-F(phi_{psi,n,a}) = F(psi) F_n.
+a band-limited-shift average converging to psi(t + a).  On the Fourier
+side the average factorizes exactly: F(phi_{psi,n,a}) = F(psi) F_n.  Its
+STFT is computed two independent ways — through the ambiguity function of
+the window (a coefficient sum) and, for Hermite windows, through that
+factorization as the kernels module's Gauss-Hermite product-form grid —
+plus the n -> oo Gaussian limit.
 """
-
-import math
 
 import numpy as np
 
-from .kernels import _envelope, _hermite_term, hermite_pair_integral
+from .kernels import _tensor_axes, stft_superosc_cross
 from .signals import _supershift_radius, custom_window
-from .special import SQRT_PI
+from .special import SQRT_PI, _as_result, _finite, ipow
 from .superosc import f_n, supershift_probe
 from .transforms import ambiguity, fourier
 
@@ -62,42 +61,21 @@ def stft_approx_via_ambiguity(g, p, u, eta):
 
 
 def stft_approx_hermite_closed(k, m, p, u, eta):
-    """V_{h_k}(phi_{h_m,n,a})(u, eta) in closed form:
+    """V_{h_k}(phi_{h_m,n,a})(u, eta) on the tensor grid of shape
+    u.shape + eta.shape (a single complex value for 0-d u and eta).  With
+    F(phi) = F(h_m) F_n and F(h_j) = sqrt(2 pi) (-i)^j h_j, Parseval gives
 
-        sqrt(pi) i^{k+m} 2^{(k+m)/2} e^{-eta^2/4 - i u eta / 2}
-          sum_j C_j e^{i eta omega_j / 2 - (u + omega_j)^2 / 4}
-                H_{k,m}(z_j, w_j),
+        V_{h_k} phi(u, eta) = (-i)^m i^k e^{-i u eta} W(eta, -u),
 
-        z_j = (-eta - i (u + omega_j)) / sqrt2,
-        w_j = (-eta + i (u + omega_j)) / sqrt2,
-
-    that is, each term is the master pair integral at shift -omega_j and
-    frequency -eta, hermite_pair_integral(k, m, u, -omega_j, -eta).  That
-    pairing is the quadrature-confirmed one;
-    stft_approx_hermite_uncalibrated evaluates the variant expression.
-    Negative orders are a ValueError."""
-    return complex(supershift_probe(
-        lambda w: hermite_pair_integral(k, m, u, -w, -eta), p))
-
-
-def stft_approx_hermite_uncalibrated(k, m, p, u, eta):
-    """The variant closed expression
-
-        sqrt(pi / k!) 2^{k/2} e^{-i u eta / 2 - (u^2 + eta^2)/4}
-          sum_j C_j e^{-omega_j^2/4 - (u - i eta) omega_j / 2}
-                H_{k,m}(z_j, conj(z_j)),
-
-        z_j = ((u + omega_j) + i eta) / sqrt2,
-
-    which is 2^{-m/2} / sqrt(k!) times the coefficient sum of the pair
-    integral's envelope and polynomial at sum u - omega_j, difference
-    u + omega_j, frequency -eta and slot-mirrored H-arguments.  Same
-    exponential content as the calibrated route but a different constant;
-    kept so tests can pin the exact relation between the two."""
-    total = supershift_probe(
-        lambda w: _envelope(-eta, u - w, u + w) * _hermite_term(k, m, u + w, eta),
-        p)
-    return complex(2.0 ** (-0.5 * m) / math.sqrt(math.factorial(k)) * total)
+    W = stft_superosc_cross(k, m, 0, p, ., .), so nothing cancels at any n
+    (the equal sum_j C_j hermite_pair_integral(k, m, u, -omega_j, -eta)
+    does).  A non-finite u or eta is a ValueError that names it; negative
+    orders are a ValueError too."""
+    u, eta = _finite("u", u), _finite("eta", eta)
+    w = np.moveaxis(np.asarray(stft_superosc_cross(k, m, 0.0, p, eta, -u)),
+                    range(eta.ndim), range(-eta.ndim, 0))
+    ug, eg = _tensor_axes(u, eta)
+    return _as_result(ipow(k - m) * np.exp(-1j * ug * eg) * w)
 
 
 def app2_closed(u, eta, a):

@@ -26,10 +26,14 @@ Every closed sum over the superoscillation coefficients goes through
 supershift_probe, and the Gabor kernels of the Gaussian and Hermite
 windows share one grid evaluator, _closed_kernel; a scalar call is the
 0-d case of the grid call.  Those sums cancel, since
-sum_j |C_j| = max(1, |a|)^n, so the superoscillation STFT
-(stft_superosc_closed_grid) does not form one: it integrates the product
+sum_j |C_j| = max(1, |a|)^n, so no superoscillation STFT with a Hermite
+window forms one.  The same-window grid (stft_superosc_closed_grid), the
+cross-window grid (stft_superosc_cross, signal on h_m, window h_k) and the
+approximating-sequence grid (approx.stft_approx_hermite_closed) are all
+calls of one core, _hermite_superosc_grid, which integrates the product
 form of F_n against the window pair by Gauss-Hermite quadrature.  The
-coefficient sum stays as its closed twin, stft_superosc_termwise_grid.
+coefficient sums stay only as that core's fallback: the closed twin
+stft_superosc_termwise_grid for k = m, the pair-integral sum for k != m.
 """
 
 import math
@@ -40,8 +44,8 @@ import numpy as np
 
 from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
                          nodes_weights)
-from .signals import (Signal, Window, build_signal, shifted_window,
-                      signal_norm_sq, window_norm_sq)
+from .signals import (Signal, Window, build_signal, hermite_window,
+                      shifted_window, signal_norm_sq)
 from .special import (
     SQRT2,
     SQRT_PI,
@@ -99,7 +103,7 @@ def _envelope(lam, s, d):
 
 def hermite_pair_integral(k, m, u, x, lam):
     """int e^{i t lam} h_k(t - u) h_m(t - x) dt in closed form (see module
-    docstring).  u, x real scalars; lam may be a real scalar or array."""
+    docstring), for real u, x and lam that broadcast together."""
     lam = np.asarray(lam, dtype=float)
     return _as_result(ipow(k + m) * _envelope(lam, u + x, u - x)
                       * _hermite_term(k, m, lam, x - u))
@@ -180,28 +184,6 @@ def _tensor_axes(u_axis, eta_axis):
     """u shaped to broadcast against eta to the tensor grid u x eta, of
     shape u.shape + eta.shape (0-d axes give a single point)."""
     return u_axis.reshape(u_axis.shape + (1,) * eta_axis.ndim), eta_axis
-
-
-def stft_superosc_cross(k, m, x, p, u, eta):
-    """V_{h_k}(S)(u, eta) for the signal built on the *other* Hermite window
-    h_m: sum_j C_j int e^{it(omega_j - eta)} h_k(t - u) h_m(t - x) dt, each
-    term a hermite_pair_integral."""
-    return complex(supershift_probe(
-        lambda w: hermite_pair_integral(k, m, u, x, w - eta), p))
-
-
-def stft_superosc_cross_mirror(k, m, x, p, u, eta):
-    """Slot-exchanged variant of stft_superosc_cross; equals
-    (-1)^{k+m} * stft_superosc_cross identically."""
-    return complex(supershift_probe(
-        lambda w: _pair_integral_mirror(k, m, u, x, w - eta), p))
-
-
-def _pair_integral_mirror(k, m, u, x, lam):
-    # sqrt(pi)(-1)^m 2^{(k+m)/2} e^{...} H_{k,m}(alpha, conj-alpha) with
-    # alpha = (u - x + i lam)/sqrt2: the exchanged-slot expression
-    return ((-1.0) ** m * _envelope(lam, x + u, x - u)
-            * _hermite_term(k, m, u - x, lam))
 
 
 def stft_superosc_limit_cross(k, m, x, a, u, eta):
@@ -518,41 +500,41 @@ def _gauss_hermite(nodes):
     return s, w
 
 
-def _rule_nodes(band, m):
-    """Nodes of the smallest rule resolving the band, plus 2m for the
-    H_m H_m factor, or None if that exceeds the cap."""
+def _rule_nodes(band, k, m):
+    """Nodes of the smallest rule resolving the band, plus k + m for the
+    H_m H_k factor, or None if that exceeds the cap."""
     for nodes, nu in _GH_BANDS:
         if band <= nu:
-            nodes += 2 * m
+            nodes += k + m
             return nodes if nodes + _GH_CHECK_NODES <= _GH_MAX_NODES else None
     return None
 
 
-def _product_matrix(m, x, p, u, s, w):
-    """A[u, k] = w_k e^{-d^2/4} F_n(c + s_k) H_m(s_k + d/2) H_m(s_k - d/2)
+def _product_matrix(k, m, x, p, u, s, w):
+    """A[u, i] = w_i e^{-d^2/4} F_n(c + s_i) H_m(s_i + d/2) H_k(s_i - d/2)
     for a 1-D u, and c = (x + u)/2."""
     c = (x + u) / 2.0
     half = np.clip(u - x, -_D_MAX, _D_MAX)[:, None] / 2.0
     a = np.exp(-half * half) * w
-    if m:
+    if k or m:
         a = (a * hermite_polynomial(m, s + half)
-             * hermite_polynomial(m, s - half))
+             * hermite_polynomial(k, s - half))
     return _guard(a * f_n(p, c[:, None] + s)), c
 
 
-def _gauss_hermite_grid(m, x, p, u, eta, nodes):
+def _gauss_hermite_grid(k, m, x, p, u, eta, nodes):
     """V on the 1-D axes u x eta from the nodes-point rule, with its
     truncation estimate (the largest change of the extreme-eta columns on a
     rule _GH_CHECK_NODES larger) and its roundoff bound
-    max_u (n + N) u sum_k |A[u, k]|."""
+    max_u (n + N) u sum_i |A[u, i]|."""
     s, w = _gauss_hermite(nodes)
-    a, c = _product_matrix(m, x, p, u, s, w)
+    a, c = _product_matrix(k, m, x, p, u, s, w)
     phase = np.exp(-1j * np.multiply.outer(c, eta))
     v = a @ np.exp(-1j * np.multiply.outer(s, eta))
     v *= phase
     ends = [int(np.argmin(eta)), int(np.argmax(eta))]
     s2, w2 = _gauss_hermite(nodes + _GH_CHECK_NODES)
-    a2, _ = _product_matrix(m, x, p, u, s2, w2)
+    a2, _ = _product_matrix(k, m, x, p, u, s2, w2)
     check = a2 @ np.exp(-1j * np.multiply.outer(s2, eta[ends]))
     check *= phase[:, ends]
     trunc = float(np.max(np.abs(check - v[:, ends])))
@@ -561,71 +543,97 @@ def _gauss_hermite_grid(m, x, p, u, eta, nodes):
     return v, trunc, roundoff
 
 
-def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):
-    """V_g(S)(u, eta) for the signal S(t) = F_n(t) g(t - x) built on the
-    same window g, on a tensor grid of shape u.shape + eta.shape (a single
-    complex value for 0-d u and eta); by linearity it equals
-    sum_j C_j K_g(x, omega_j; u, eta).  A non-finite x, u or eta is a
-    ValueError that names it.
-
-    A custom window has no closed kernel: its grid is one stft_grid of
-    build_signal(g, x, p) over the flattened axes, on the box the signal's
-    decay radius sets, so the window needs one.  F_n is evaluated as a
-    product, so nothing cancels at any n.
-
-    A gaussian or hermite window h_m takes Gauss-Hermite quadrature of the
+def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
+    """V_{h_k}(S)(u, eta) for S(t) = F_n(t) h_m(t - x) on the tensor grid of
+    the finite axes u_axis x eta_axis (shape u.shape + eta.shape, a single
+    complex value for 0-d axes), by Gauss-Hermite quadrature of the
     product form:
 
-        V(u, eta) = int e^{-it eta} F_n(t) h_m(t - x) h_m(t - u) dt
-                  = e^{-i c eta} sum_k A[u, k] e^{-i s_k eta},
-        A[u, k] = w_k e^{-d^2/4} F_n(c + s_k) H_m(s_k + d/2) H_m(s_k - d/2),
+        V(u, eta) = int e^{-it eta} F_n(t) h_m(t - x) h_k(t - u) dt
+                  = e^{-i c eta} sum_i A[u, i] e^{-i s_i eta},
+        A[u, i] = w_i e^{-d^2/4} F_n(c + s_i) H_m(s_i + d/2) H_k(s_i - d/2),
 
     c = (x + u)/2, d = u - x, with F_n(t) = (cos(t/n) + i a sin(t/n))^n
     evaluated as a product, so nothing cancels and the cost of the one
     (U x N) @ (N x E) product does not grow with n.  The N-node rule is
-    picked from the band max|eta| + max(1, |a|) (_GH_BANDS) plus 2m nodes.
+    picked from the band max|eta| + max(1, |a|) (_GH_BANDS) plus k + m
+    nodes.
 
-    The result is within 1e-12 max(1, ||S|| ||g||) of the truth, where
-    ||S|| ||g|| bounds |V| everywhere (Cauchy-Schwarz, S(t) = F_n(t) g(t - x)).
-    Two checks hold it there: the extreme-eta columns must agree with a
-    rule of N + 40 nodes, and the roundoff bound (n + N) u sum_k |A[u, k]|
-    (u the unit roundoff) must be within the tolerance.  When no rule up to
-    _GH_MAX_NODES passes, stft_superosc_termwise_grid is used if its Higham
-    bound (n + 1) u max(1, |a|)^n ||g||^2 is within the tolerance; otherwise
-    this raises ValueError naming the eta range."""
-    u_axis, eta_axis = _grid_axes(x, u_axis, eta_axis)
-    if g.kind == "custom":
-        return _quadrature_grid(build_signal(g, x, p), g, u_axis, eta_axis)
+    The result is within 1e-12 max(1, ||S|| ||h_k||) of the truth, where
+    ||S|| ||h_k|| bounds |V| everywhere (Cauchy-Schwarz).  Two checks hold
+    it there: the extreme-eta columns must agree with a rule of N + 40
+    nodes, and the roundoff bound (n + N) u sum_i |A[u, i]| (u the unit
+    roundoff) must be within the tolerance.  When no rule up to
+    _GH_MAX_NODES passes, the coefficient sum is used if its Higham bound
+    (n + 1) u max(1, |a|)^n ||h_k|| ||h_m|| is within the tolerance: the
+    closed Gabor kernels of stft_superosc_termwise_grid for k = m, the
+    pair integrals sum_j C_j hermite_pair_integral(k, m, u, x, omega_j -
+    eta) otherwise.  Failing that, this raises ValueError naming the eta
+    range; negative orders are a ValueError too."""
+    if k < 0 or m < 0:
+        raise ValueError(f"orders must be nonnegative, got ({k}, {m})")
     u, eta = u_axis.ravel(), eta_axis.ravel()
     shape = u_axis.shape + eta_axis.shape
     if not (u.size and eta.size):
         return np.zeros(shape, dtype=complex)
-    m = g.order
-    g_norm_sq = window_norm_sq(g)
-    tol = _ROUTE_TOL * max(
-        1.0, math.sqrt(signal_norm_sq(build_signal(g, x, p)) * g_norm_sq))
+    k_norm_sq = hermite_norm_sq(k)
+    tol = _ROUTE_TOL * max(1.0, math.sqrt(
+        signal_norm_sq(build_signal(hermite_window(m), x, p)) * k_norm_sq))
     band = float(np.max(np.abs(eta))) + max(1.0, abs(p.a))
-    nodes = _rule_nodes(band, m)
+    nodes = _rule_nodes(band, k, m)
     if nodes is None:
         why = (f"no rule within {_GH_MAX_NODES} nodes resolves the band "
                f"{band:.4g}")
     else:
-        v, trunc, roundoff = _gauss_hermite_grid(m, x, p, u, eta, nodes)
+        v, trunc, roundoff = _gauss_hermite_grid(k, m, x, p, u, eta, nodes)
         if max(trunc, roundoff) <= tol:
             return _as_result(v.reshape(shape))
         why = (f"{nodes} nodes leave truncation {trunc:.3g} and roundoff "
                f"bound {roundoff:.3g}")
     # Higham's bound of the termwise sum, in log space: max(1, |a|)^n and
     # the coefficients themselves overflow for large n
-    log_bound = (math.log((p.n + 1) * _UNIT_ROUNDOFF * g_norm_sq)
+    log_bound = (math.log((p.n + 1) * _UNIT_ROUNDOFF
+                          * math.sqrt(k_norm_sq * hermite_norm_sq(m)))
                  + p.n * math.log(max(1.0, abs(p.a))))
     if log_bound <= math.log(tol):
-        return stft_superosc_termwise_grid(g, x, p, u_axis, eta_axis)
+        if k == m:
+            return stft_superosc_termwise_grid(hermite_window(m), x, p,
+                                               u_axis, eta_axis)
+        ug, eg = _tensor_axes(u_axis, eta_axis)
+        return supershift_probe(
+            lambda w: hermite_pair_integral(k, m, ug, x, w - eg), p)
     raise ValueError(
-        f"superoscillation STFT (n = {p.n}, a = {p.a}, order {m}) not "
-        f"resolved to {tol:.3g} for eta in [{eta.min():.6g}, {eta.max():.6g}]: "
-        f"Gauss-Hermite: {why}; termwise sum: roundoff bound "
-        f"10^{log_bound / math.log(10.0):.1f}")
+        f"superoscillation STFT (n = {p.n}, a = {p.a}, windows h_{k} and "
+        f"h_{m}) not resolved to {tol:.3g} for eta in "
+        f"[{eta.min():.6g}, {eta.max():.6g}]: Gauss-Hermite: {why}; "
+        f"termwise sum: roundoff bound 10^{log_bound / math.log(10.0):.1f}")
+
+
+def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):
+    """V_g(S)(u, eta) for the signal S(t) = F_n(t) g(t - x) built on the
+    same window g, on a tensor grid of shape u.shape + eta.shape (a single
+    complex value for 0-d u and eta); by linearity it equals
+    sum_j C_j K_g(x, omega_j; u, eta).  A gaussian or hermite window h_m
+    takes _hermite_superosc_grid with k = m.  A custom window has no closed
+    kernel: its grid is one stft_grid of build_signal(g, x, p) over the
+    flattened axes, on the box the signal's decay radius sets, so the
+    window needs one.  Either way F_n is evaluated as a product, so nothing
+    cancels at any n.  A non-finite x, u or eta is a ValueError that names
+    it."""
+    u_axis, eta_axis = _grid_axes(x, u_axis, eta_axis)
+    if g.kind == "custom":
+        return _quadrature_grid(build_signal(g, x, p), g, u_axis, eta_axis)
+    return _hermite_superosc_grid(g.order, g.order, x, p, u_axis, eta_axis)
+
+
+def stft_superosc_cross(k, m, x, p, u, eta):
+    """V_{h_k}(S)(u, eta) for the signal S(t) = F_n(t) h_m(t - x) built on
+    the *other* Hermite window h_m, by _hermite_superosc_grid: a tensor
+    grid of shape u.shape + eta.shape, a complex for 0-d u and eta.  It
+    equals the cancelling sum of pair integrals
+    sum_j C_j hermite_pair_integral(k, m, u, x, omega_j - eta).  A
+    non-finite x, u or eta is a ValueError that names it."""
+    return _hermite_superosc_grid(k, m, x, p, *_grid_axes(x, u, eta))
 
 
 def stft_superosc_termwise_grid(g, x, p, u_axis, eta_axis):

@@ -97,23 +97,22 @@ def _run_superosc_stft(rng):
        "Gauss-Hermite product-form STFT of a superoscillation-modulated "
        "window at large n", 1e-10)
 def _run_superosc_stft_stable(rng):
-    # one seeded draw per run: all 24 combinations would add about 6 % to
+    # one seeded draw per run: all 48 combinations would add about 0.4 s to
     # a verify run
-    order = int(rng.choice([0, 1]))
+    k, m = (int(v) for v in rng.choice([0, 1], size=2))
     n = int(rng.choice([16, 32, 64, 96]))
     a = float(rng.choice([1.5, 2.0, 3.0]))
-    g = sg.hermite_window(order)
     grid = np.linspace(-2.0, 2.0, 5)
     x = 0.5
     p = SuperoscParams(a=a, n=n)
-    s = sg.build_signal(g, x, p)
-    stable = kn.stft_superosc_closed_grid(g, x, p, grid, grid)
-    numeric = tr.stft_grid(s, g, grid, grid,
+    s = sg.build_signal(sg.hermite_window(m), x, p)
+    stable = kn.stft_superosc_cross(k, m, x, p, grid, grid)
+    numeric = tr.stft_grid(s, sg.hermite_window(k), grid, grid,
                            spec=make_spec(s.decay_radius, 2.0)).values
     worst = float(np.max(np.abs(stable - numeric)))
     return worst / max(1.0, float(np.max(np.abs(numeric)))), {
-        "window": "gaussian" if order == 0 else "hermite-1", "a": a, "n": n,
-        "x": x, "grid": "5x5 on [-2,2]^2", "error_scale": "max(1, max|V|)"}
+        "k": k, "m": m, "a": a, "n": n, "x": x, "grid": "5x5 on [-2,2]^2",
+        "error_scale": "max(1, max|V|)"}
 
 
 @_case("energy-orthogonality", "stft",

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import stft_approx_hermite_uncalibrated
 from superstft.approx import (app2_closed, approximating_function,
                               apsthm_residual, stft_approx_hermite_closed,
-                              stft_approx_hermite_uncalibrated,
                               stft_approx_via_ambiguity)
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window)

@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import stft_superosc_cross_mirror
 from superstft import kernels, superosc, verify
+from superstft.approx import stft_approx_hermite_closed
 from superstft.kernels import (TFQuadruple, fock_kernel,
                                gabor_kernel_gaussian,
                                gabor_kernel_hermite,
@@ -18,7 +20,6 @@ from superstft.kernels import (TFQuadruple, fock_kernel,
                                norm_sq_closed_hermite, normalized_fock_kernel,
                                phi_na_norm, stft_integral_representation,
                                stft_superosc_closed_grid, stft_superosc_cross,
-                               stft_superosc_cross_mirror,
                                stft_superosc_fock_form,
                                stft_superosc_limit_cross,
                                stft_superosc_limit_grid,
@@ -26,9 +27,10 @@ from superstft.kernels import (TFQuadruple, fock_kernel,
                                weyl_action_on_basis)
 from superstft.quadrature import make_spec
 from superstft.signals import (build_signal, custom_window, gaussian_window,
-                               hermite_window, shifted_window, window_norm_sq)
+                               hermite_window, shifted_window, signal_norm_sq,
+                               window_norm_sq)
 from superstft.special import hermite_function, laguerre
-from superstft.superosc import SuperoscParams, f_n
+from superstft.superosc import SuperoscParams, f_n, supershift_probe
 from superstft.transforms import convolve, fourier, stft
 
 rng = np.random.default_rng(2024)
@@ -375,8 +377,11 @@ def test_closed_routes_reject_non_finite_points():
                  lambda: stft_superosc_limit_grid(g, math.inf, 2.0, 0.1, 0.5),
                  lambda: stft_superosc_limit_grid(g, 0.0, math.nan, 0.1, 0.5),
                  lambda: stft_superosc_closed_grid(g, 0.0, p, axis,
-                                                   np.append(axis, math.nan))):
-        with pytest.raises(ValueError, match="must be finite"):
+                                                   np.append(axis, math.nan)),
+                 lambda: stft_superosc_cross(1, 2, 0.3, SuperoscParams(2, 8),
+                                             math.nan, 0.5),
+                 lambda: stft_approx_hermite_closed(1, 2, p, 0.1, math.inf)):
+        with pytest.raises(ValueError, match="^(x|a|u|eta) must be finite"):
             call()
 
 
@@ -466,6 +471,58 @@ def test_closed_headline_cell():
                - truth) > 1.0
 
 
+def _pair_sum_mp(k, m, p, shifts):
+    """sum_j C_j hermite_pair_integral(k, m, u, x_j, lam_j) in mpmath with
+    n log10(max(1, |a|)) + 30 digits, (u, x_j, lam_j) = shifts(omega_j)."""
+    n = p.n
+    with mpmath.workdps(int(n * math.log10(max(1.0, abs(p.a)))) + 30):
+        a = mpmath.mpf(p.a)
+        total = mpmath.mpc(0)
+        for j in range(n + 1):
+            u, x, lam = shifts(1 - mpmath.mpf(2 * j) / n)
+            z = (lam - 1j * (u - x)) / mpmath.sqrt(2)
+            w = (lam + 1j * (u - x)) / mpmath.sqrt(2)
+            poly = sum((-1) ** i * mpmath.factorial(i) * mpmath.binomial(k, i)
+                       * mpmath.binomial(m, i) * z ** (m - i) * w ** (k - i)
+                       for i in range(min(k, m) + 1))
+            total += (mpmath.binomial(n, j) * ((1 + a) / 2) ** (n - j)
+                      * ((1 - a) / 2) ** j * mpmath.sqrt(mpmath.pi)
+                      * 1j ** (k + m) * mpmath.sqrt(2) ** (k + m)
+                      * mpmath.exp(-lam ** 2 / 4 + 1j * lam * (u + x) / 2
+                                   - (u - x) ** 2 / 4) * poly)
+        return complex(total)
+
+
+def test_mixed_order_headline_cells():
+    """The cross-window and approximating-sequence transforms at n = 64,
+    a = 2, (k, m) = (2, 3), (u, eta) = (0.3, 1.7), within
+    1e-10 max(1, ||S|| ||h_k||) of the mpmath pair-integral sum, where the
+    double-precision sum is off by thousands; the 0-d calls are the
+    one-point grids to the bit."""
+    p = SuperoscParams(a=2.0, n=64)
+    k, m, x, u, eta = 2, 3, 0.5, 0.3, 1.7
+    mp = mpmath.mpf
+    k_norm = math.sqrt(window_norm_sq(hermite_window(k)))
+    for value, grid, shifts, x_sig, expect in (
+            (stft_superosc_cross(k, m, x, p, u, eta),
+             stft_superosc_cross(k, m, x, p, [u], [eta]),
+             lambda w: (mp(u), mp(x), w - mp(eta)), x,
+             -8.7535944862680597 + 11.789617035638132j),
+            (stft_approx_hermite_closed(k, m, p, u, eta),
+             stft_approx_hermite_closed(k, m, p, [u], [eta]),
+             lambda w: (mp(u), -w, -mp(eta)), 0.0,
+             -2.904239386124034 - 4.3925266514968666j)):
+        truth = _pair_sum_mp(k, m, p, shifts)
+        assert abs(truth - expect) < 1e-15
+        # ||phi|| = ||F_n h_m|| for phi = sum_j C_j h_m(. + omega_j)
+        norm = math.sqrt(signal_norm_sq(build_signal(hermite_window(m),
+                                                     x_sig, p)))
+        assert abs(value - truth) <= 1e-10 * max(1.0, norm * k_norm)
+        assert type(value) is complex and value == grid[0, 0]
+    assert abs(supershift_probe(lambda w: hermite_pair_integral(
+        k, m, u, x, w - eta), p) - stft_superosc_cross(k, m, x, p, u, eta)) > 1e3
+
+
 def test_closed_grid_supershift_rate_up_to_n2000(monkeypatch):
     """V_n tends to the limit kernel like 1/n, through n = 2000, where the
     coefficients overflow: the route never forms them."""
@@ -489,7 +546,7 @@ def test_verify_stable_case_passes_its_draws():
     for seed in range(1, 9):
         err, params = run(np.random.default_rng(seed))
         assert err <= tolerance, (seed, params, err)
-        drawn.add((params["window"], params["n"], params["a"]))
+        drawn.add((params["k"], params["m"], params["n"], params["a"]))
     assert len(drawn) > 1
 
 
