@@ -18,6 +18,7 @@ scalar; every number given must be finite.  CSV fields are printed with
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -100,11 +101,16 @@ def _order(text):
     return val
 
 
-def _positive_int(text):
-    val = int(text)
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {val}")
-    return val
+def _int_at_least(lo):
+    """An argparse type: an integer >= lo."""
+    def parse(text):
+        val = int(text)
+        if val < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {val}")
+        return val
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
 
 
 # at most this many rows are formatted and written at a time
@@ -162,11 +168,15 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _open_out(path):
-    """Return (stream, needs_close) for '-' = stdout or a file path."""
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+@contextlib.contextmanager
+def _output(path):
+    """The stream to write to: stdout for '-', else the file at path,
+    closed on exit."""
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
 
 
 def _window_from_args(args):
@@ -215,14 +225,10 @@ def cmd_spectrogram(args):
         columns.append(_modulus(np.ravel(closed - numeric)))
     # one slice per u, its eta rows in order
     tail = ",%s," + ",".join(["%.17g"] * len(columns)) + "\n"
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(header + "\n")
         _write_grid(out, [u + tail for u in _labels(args.u)],
                     _labels(args.eta), columns)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -233,13 +239,9 @@ def cmd_spectrogram(args):
 def cmd_verify(args):
     results = verify_mod.run_suite(args.suite, seed=args.seed)
     payload = verify_mod.report(results, args.seed)
-    out, close = _open_out(args.json)
-    try:
+    with _output(args.json) as out:
         json.dump(payload, out, indent=2, default=_json_default)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -270,13 +272,9 @@ def cmd_zak_frame(args):
             "heuristic": wiener.heuristic,
         },
     }
-    out, close = _open_out(args.json)
-    try:
+    with _output(args.json) as out:
         json.dump(payload, out, indent=2, default=_json_default)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -305,17 +303,20 @@ def cmd_evolve(args):
             val = evolve_hermite(order, pt, normalized=args.normalized)
             return val, int(oscillation_hazard(t, radius))
 
-    labels = _labels(args.x)
-    out, close = _open_out(args.out)
+    # every slice is computed before a row is written, so a value no route
+    # can give is a one-line usage error with no partial CSV
+    times = args.t.tolist()
     try:
+        slices = [sample(t) for t in times]  # one grid call per slice
+    except (ValueError, FloatingPointError) as exc:
+        args._parser.error(str(exc))
+
+    labels = _labels(args.x)
+    with _output(args.out) as out:
         out.write("x,t,re,im,abs,accuracy_flag\n")
-        for t in args.t.tolist():  # t-major row order, one grid call per slice
-            v, flag = sample(t)
+        for t, (v, flag) in zip(times, slices):  # t-major row order
             template = "%%s,%.17g,%%.17g,%%.17g,%%.17g,%d\n" % (t, flag)
             _write_grid(out, [template], labels, _complex_columns(v))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -341,7 +342,7 @@ def build_parser():
                     default="superosc")
     sp.add_argument("--a", type=_finite_float, default=2.0,
                     help="superoscillation target frequency")
-    sp.add_argument("--n", type=_positive_int, default=None,
+    sp.add_argument("--n", type=_int_at_least(1), default=None,
                     help="superoscillation order")
     sp.add_argument("--x", type=_finite_float, default=0.0,
                     help="signal center")
@@ -356,7 +357,7 @@ def build_parser():
     vf = sub.add_parser("verify",
                         help="run identity-verification suites (JSON report)")
     vf.add_argument("--suite", choices=verify_mod.SUITES, default="all")
-    vf.add_argument("--seed", type=int, default=42)
+    vf.add_argument("--seed", type=_int_at_least(0), default=42)
     vf.add_argument("--json", default="-", help="report path (- = stdout)")
 
     zf = sub.add_parser("zak-frame",
@@ -366,8 +367,9 @@ def build_parser():
     zf.add_argument("--window", choices=("gaussian", "hermite"), default=None)
     zf.add_argument("--order", type=_order, default=0)
     zf.add_argument("--a", type=_finite_float, default=2.0)
-    zf.add_argument("--n", type=_positive_int, default=None)
-    zf.add_argument("--resolution", type=_positive_int, default=128)
+    zf.add_argument("--n", type=_int_at_least(1), default=None)
+    zf.add_argument("--resolution", type=_int_at_least(2), default=128,
+                    help="scan points per axis (>= 2)")
     zf.add_argument("--tolerance", type=_positive_float, default=1e-8,
                     help="|Z| threshold of the frame verdict (finite, > 0)")
     zf.add_argument("--json", default="-", help="report path (- = stdout)")
@@ -382,7 +384,7 @@ def build_parser():
                      help="evolve the bare superoscillating sequence "
                           "F_n(x, t) instead of a window atom")
     evp.add_argument("--a", type=_finite_float, default=2.0)
-    evp.add_argument("--n", type=_positive_int, default=None)
+    evp.add_argument("--n", type=_int_at_least(1), default=None)
     evp.add_argument("--x0", type=_finite_float, default=0.0,
                      help="datum center")
     evp.add_argument("--k0", type=_finite_float, default=0.0,

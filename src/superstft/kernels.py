@@ -13,14 +13,7 @@ closed-form STFTs of superoscillating signals, Hermite convolutions and
 the compact I_{k,m} forms all come out of it by choosing arguments.
 
 Each of those is a phase times _envelope times _hermite_term, the
-polynomial 2^{(k+m)/2} H_{k,m}((a + ib)/sqrt2, (a - ib)/sqrt2).  Several
-identities circulate in two variants that differ by exchanging the two
-polynomial slots of H_{k,m} (a conjugation for real parameters) or,
-equivalently, by a (-1)^{k+m} sign.  Both variants are kept — the
-principal names are the ones the quadrature oracles confirm, and the
-``*_mirror`` names evaluate the exchanged-slot expressions (the same
-_hermite_term with b negated) so tests can pin the exact relation
-between them.
+polynomial 2^{(k+m)/2} H_{k,m}((a + ib)/sqrt2, (a - ib)/sqrt2).
 
 Every closed sum over the superoscillation coefficients goes through
 supershift_probe, and the Gabor kernels of the Gaussian and Hermite
@@ -42,11 +35,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
-                         nodes_weights)
+from .quadrature import QuadratureSpec, _guard, make_spec, nodes_weights
 from .signals import (Signal, Window, build_signal, hermite_window,
                       shifted_window, signal_norm_sq)
 from .special import (
+    MAX_COMPLEX_HERMITE_ORDER,
     SQRT2,
     SQRT_PI,
     TWO_PI,
@@ -279,27 +272,6 @@ def norm_sq_closed_gaussian(x, p):
     return SQRT_PI * _norm_double_sum(0, x, p)
 
 
-def phi_na_norm(x, p):
-    """(1/sqrt(pi)) int |phi_na(s)|^2 e^{-s^2} ds by quadrature on
-    [-12, 12], with phi_na(s) = sum_l C_l e^{-2 l^2/n^2 + (2l/n)(s - ix)}.
-    Equals norm_sq_closed_gaussian(x, p)/pi — the Gaussian-weighted 1D
-    avatar of the time-frequency energy."""
-    spec = QuadratureSpec(truncation_radius=12.0)
-    c = coefficients(p)
-    l = np.arange(p.n + 1)
-    amp = c * np.exp(-2.0 * l ** 2 / p.n ** 2 - (2.0 * l / p.n) * 1j * x)
-
-    def phi(s):
-        return np.tensordot(amp, np.exp(np.multiply.outer(2.0 * l / p.n, s)),
-                            axes=(0, 0))
-
-    def integrand(s):
-        v = phi(s)
-        return np.abs(v) ** 2 * np.exp(-s * s)
-
-    return float(integrate(integrand, spec).real) / SQRT_PI
-
-
 def norm_sq_closed_hermite(k, m, x, p):
     """Closed double sum for the Hermite pair (analysis window h_k, signal
     built on h_m):
@@ -328,15 +300,6 @@ def hermite_convolution_closed(k, m, x, u, lam):
     This is the variant the convolution quadrature confirms."""
     return complex(ipow(k - m) * _envelope(lam, x + u, x - u)
                    * _hermite_term(k, m, x - u, lam))
-
-
-def hermite_convolution_mirror(k, m, x, u, lam):
-    """Slot-exchanged variant
-    sqrt(pi) i^{m-k} 2^{(k+m)/2} e^{...} H_{k,m}((u-x+i lam)/sqrt2, (u-x-i lam)/sqrt2);
-    for real parameters this is the conjugate-polynomial evaluation and
-    coincides with hermite_convolution_closed exactly when k = m."""
-    return complex(ipow(m - k) * _envelope(lam, x + u, x - u)
-                   * _hermite_term(k, m, u - x, lam))
 
 
 def hermite_autoconvolution(k, m, lam):
@@ -373,15 +336,6 @@ def i_km_closed(k, m, x, u, lam):
     identical to i_km_series for all (complex) arguments."""
     return complex((-1.0) ** m * _hermite_term(k, m, complex(u) - complex(x),
                                                 -complex(lam)))
-
-
-def i_km_mirror(k, m, x, u, lam):
-    """Slot-exchanged compact form
-    (-1)^m 2^{(k+m)/2} H_{k,m}((u - x + i lam)/sqrt2, (u - x - i lam)/sqrt2);
-    conjugate evaluation of i_km_closed for real arguments, equal to it
-    exactly when k = m."""
-    return complex((-1.0) ** m * _hermite_term(k, m, complex(u) - complex(x),
-                                                complex(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +522,9 @@ def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
     (n + 1) u max(1, |a|)^n ||h_k|| ||h_m|| is within the tolerance: the
     closed Gabor kernels of stft_superosc_termwise_grid for k = m, the
     pair integrals sum_j C_j hermite_pair_integral(k, m, u, x, omega_j -
-    eta) otherwise.  Failing that, this raises ValueError naming the eta
-    range; negative orders are a ValueError too."""
+    eta) otherwise, for orders up to MAX_COMPLEX_HERMITE_ORDER.  Failing
+    that, this raises ValueError naming the eta range; negative orders are
+    a ValueError too."""
     if k < 0 or m < 0:
         raise ValueError(f"orders must be nonnegative, got ({k}, {m})")
     u, eta = u_axis.ravel(), eta_axis.ravel()
@@ -595,7 +550,10 @@ def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
     log_bound = (math.log((p.n + 1) * _UNIT_ROUNDOFF
                           * math.sqrt(k_norm_sq * hermite_norm_sq(m)))
                  + p.n * math.log(max(1.0, abs(p.a))))
-    if log_bound <= math.log(tol):
+    termwise = f"roundoff bound 10^{log_bound / math.log(10.0):.1f}"
+    if k != m and max(k, m) > MAX_COMPLEX_HERMITE_ORDER:
+        termwise = f"pair integrals stop at order {MAX_COMPLEX_HERMITE_ORDER}"
+    elif log_bound <= math.log(tol):
         if k == m:
             return stft_superosc_termwise_grid(hermite_window(m), x, p,
                                                u_axis, eta_axis)
@@ -606,7 +564,7 @@ def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
         f"superoscillation STFT (n = {p.n}, a = {p.a}, windows h_{k} and "
         f"h_{m}) not resolved to {tol:.3g} for eta in "
         f"[{eta.min():.6g}, {eta.max():.6g}]: Gauss-Hermite: {why}; "
-        f"termwise sum: roundoff bound 10^{log_bound / math.log(10.0):.1f}")
+        f"termwise sum: {termwise}")
 
 
 def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):

@@ -3,8 +3,7 @@
 Hermite polynomials/functions, (generalized) Laguerre polynomials, the
 2D-complex Hermite polynomials H_{k,l}(z, w), a truncated Jacobi theta
 series, and the Gaussian integral.  Evaluation uses recurrences where the
-explicit sums would lose precision; the explicit sums are kept around as
-cross-check oracles.
+explicit sums would lose precision.
 """
 
 import math
@@ -70,17 +69,6 @@ def hermite_polynomial(n, t):
     return float(h) if scalar else h
 
 
-def hermite_polynomial_sum(n, t):
-    """Explicit-sum H_n(t); reference oracle for the recurrence, small n only."""
-    t, scalar = _descalarize(t)
-    out = np.zeros_like(t)
-    for m in range(n // 2 + 1):
-        coef = ((-1) ** m * math.factorial(n)
-                / (math.factorial(m) * math.factorial(n - 2 * m)))
-        out = out + coef * (2.0 * t) ** (n - 2 * m)
-    return float(out) if scalar else out
-
-
 def hermite_function(n, t):
     """Hermite function h_n(t) = e^{-t^2/2} H_n(t).
 
@@ -122,15 +110,6 @@ def generalized_laguerre(n, alpha, x):
 def laguerre(n, x):
     """Laguerre polynomial L_n(x) = L_n^0(x)."""
     return generalized_laguerre(n, 0, x)
-
-
-def laguerre_sum(n, x):
-    """Explicit-sum L_n(x) = sum_i (-1)^i C(n, n-i) x^i / i!; test oracle."""
-    x, scalar = _descalarize(x)
-    out = np.zeros_like(x)
-    for i in range(n + 1):
-        out = out + (-1.0) ** i * math.comb(n, n - i) * x ** i / math.factorial(i)
-    return float(out) if scalar else out
 
 
 @lru_cache(maxsize=None)

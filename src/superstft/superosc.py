@@ -43,12 +43,22 @@ class SuperoscParams:
 
 def coefficients(p):
     """Coefficient vector C_j(n, a), j = 0..n.  Sums to 1; the absolute
-    sum is max(1, |a|)^n, which is what makes |a| > 1 interesting."""
+    sum is max(1, |a|)^n, which is what makes |a| > 1 interesting.  A term
+    that overflows double precision (for every a from about n = 1030,
+    where the binomials do) is a ValueError naming n and a."""
     n, a = p.n, p.a
-    return np.array([
-        math.comb(n, j) * ((1.0 + a) / 2.0) ** (n - j) * ((1.0 - a) / 2.0) ** j
-        for j in range(n + 1)
-    ])
+    try:
+        terms = [
+            math.comb(n, j) * ((1.0 + a) / 2.0) ** (n - j) * ((1.0 - a) / 2.0) ** j
+            for j in range(n + 1)
+        ]
+        # the terms sum to 1, so a non-finite sum means one overflowed
+        if math.isfinite(sum(terms)):
+            return np.array(terms)
+    except OverflowError:
+        pass
+    raise ValueError(f"coefficients C_j(n, a) overflow double precision at "
+                     f"n = {n}, a = {a}")
 
 
 def frequencies(p):
@@ -64,12 +74,6 @@ def f_n(p, t):
     t = np.asarray(t, dtype=float)
     out = (np.cos(t / p.n) + 1j * p.a * np.sin(t / p.n)) ** p.n
     return complex(out) if out.ndim == 0 else out
-
-
-def f_n_direct(p, t):
-    """F_n(t) as the explicit exponential sum; oracle for f_n."""
-    t = np.asarray(t, dtype=float)
-    return supershift_probe(lambda w: np.exp(1j * w * t), p)
 
 
 def supershift_probe(closed_form_at, p):

@@ -1,14 +1,21 @@
-"""Variant closed expressions that only the tests use.
+"""Variant expressions and explicit sums that only the tests use.
 
-Each evaluates an expression that circulates next to a library closed form
-and differs from it by exchanging the two polynomial slots of H_{k,m} or
-by a constant; the tests pin the exact relation between the two.
+The variant closed expressions circulate next to a library closed form and
+differ from it by exchanging the two polynomial slots of H_{k,m} (a
+conjugation for real parameters) or by a constant; the tests pin the
+exact relation between the two.  The explicit sums and the quadrature
+avatar are independent oracles for the library's recurrences, product
+form and closed norms.
 """
 
 import math
 
+import numpy as np
+
 from superstft.kernels import _envelope, _hermite_term
-from superstft.superosc import supershift_probe
+from superstft.quadrature import QuadratureSpec, integrate
+from superstft.special import SQRT_PI, _descalarize, ipow
+from superstft.superosc import coefficients, supershift_probe
 
 
 def _pair_integral_mirror(k, m, u, x, lam):
@@ -43,3 +50,68 @@ def stft_approx_hermite_uncalibrated(k, m, p, u, eta):
         lambda w: _envelope(-eta, u - w, u + w) * _hermite_term(k, m, u + w, eta),
         p)
     return complex(2.0 ** (-0.5 * m) / math.sqrt(math.factorial(k)) * total)
+
+
+def hermite_convolution_mirror(k, m, x, u, lam):
+    """Slot-exchanged variant of hermite_convolution_closed,
+    sqrt(pi) i^{m-k} 2^{(k+m)/2} e^{...} H_{k,m}((u-x+i lam)/sqrt2, (u-x-i lam)/sqrt2);
+    for real parameters this is the conjugate-polynomial evaluation and
+    coincides with hermite_convolution_closed exactly when k = m."""
+    return complex(ipow(m - k) * _envelope(lam, x + u, x - u)
+                   * _hermite_term(k, m, u - x, lam))
+
+
+def i_km_mirror(k, m, x, u, lam):
+    """Slot-exchanged compact form
+    (-1)^m 2^{(k+m)/2} H_{k,m}((u - x + i lam)/sqrt2, (u - x - i lam)/sqrt2);
+    conjugate evaluation of i_km_closed for real arguments, equal to it
+    exactly when k = m."""
+    return complex((-1.0) ** m * _hermite_term(k, m, complex(u) - complex(x),
+                                                complex(lam)))
+
+
+def phi_na_norm(x, p):
+    """(1/sqrt(pi)) int |phi_na(s)|^2 e^{-s^2} ds by quadrature on
+    [-12, 12], with phi_na(s) = sum_l C_l e^{-2 l^2/n^2 + (2l/n)(s - ix)}.
+    Equals norm_sq_closed_gaussian(x, p)/pi — the Gaussian-weighted 1D
+    avatar of the time-frequency energy."""
+    spec = QuadratureSpec(truncation_radius=12.0)
+    c = coefficients(p)
+    l = np.arange(p.n + 1)
+    amp = c * np.exp(-2.0 * l ** 2 / p.n ** 2 - (2.0 * l / p.n) * 1j * x)
+
+    def phi(s):
+        return np.tensordot(amp, np.exp(np.multiply.outer(2.0 * l / p.n, s)),
+                            axes=(0, 0))
+
+    def integrand(s):
+        v = phi(s)
+        return np.abs(v) ** 2 * np.exp(-s * s)
+
+    return float(integrate(integrand, spec).real) / SQRT_PI
+
+
+def hermite_polynomial_sum(n, t):
+    """Explicit-sum H_n(t); reference oracle for the recurrence, small n only."""
+    t, scalar = _descalarize(t)
+    out = np.zeros_like(t)
+    for m in range(n // 2 + 1):
+        coef = ((-1) ** m * math.factorial(n)
+                / (math.factorial(m) * math.factorial(n - 2 * m)))
+        out = out + coef * (2.0 * t) ** (n - 2 * m)
+    return float(out) if scalar else out
+
+
+def laguerre_sum(n, x):
+    """Explicit-sum L_n(x) = sum_i (-1)^i C(n, n-i) x^i / i!; test oracle."""
+    x, scalar = _descalarize(x)
+    out = np.zeros_like(x)
+    for i in range(n + 1):
+        out = out + (-1.0) ** i * math.comb(n, n - i) * x ** i / math.factorial(i)
+    return float(out) if scalar else out
+
+
+def f_n_direct(p, t):
+    """F_n(t) as the explicit exponential sum; oracle for f_n."""
+    t = np.asarray(t, dtype=float)
+    return supershift_probe(lambda w: np.exp(1j * w * t), p)

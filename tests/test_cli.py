@@ -109,6 +109,37 @@ def test_order_above_maximum_is_a_usage_error(argv, capsys):
     assert captured.out == "" and "--order: must be in 0..64" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+    (["zak-frame", "--window", "gaussian", "--resolution", "1"],
+     "--resolution: must be >= 2, got 1"),
+])
+def test_out_of_domain_integer_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrogram", "--n", "1100", "--a", "0.5", "--u", "0", "--eta", "50"],
+    ["evolve", "--superosc", "--n", "1100", "--a", "0.5", "--x", "0",
+     "--t", "0"],
+])
+def test_coefficient_overflow_is_a_usage_error(argv, tmp_path, capsys):
+    """The termwise fallback and the superoscillating evolution form the
+    coefficients, which overflow at n = 1100: exit 2, one line, no rows."""
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "overflow double precision at n = 1100, a = 0.5" in err
+    assert not out.exists()
+
+
 def test_verify_report(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["verify", "--suite", "zak", "--json", str(out)])

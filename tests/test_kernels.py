@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import stft_superosc_cross_mirror
+from oracles import (hermite_convolution_mirror, i_km_mirror, phi_na_norm,
+                     stft_superosc_cross_mirror)
 from superstft import kernels, superosc, verify
 from superstft.approx import stft_approx_hermite_closed
 from superstft.kernels import (TFQuadruple, fock_kernel,
@@ -14,11 +15,10 @@ from superstft.kernels import (TFQuadruple, fock_kernel,
                                gabor_kernel_numeric, generating_product_check,
                                generating_sum_check, hermite_autoconvolution,
                                hermite_convolution_closed,
-                               hermite_convolution_mirror,
-                               hermite_pair_integral, i_km_closed, i_km_mirror,
+                               hermite_pair_integral, i_km_closed,
                                i_km_series, norm_sq_closed_gaussian,
                                norm_sq_closed_hermite, normalized_fock_kernel,
-                               phi_na_norm, stft_integral_representation,
+                               stft_integral_representation,
                                stft_superosc_closed_grid, stft_superosc_cross,
                                stft_superosc_fock_form,
                                stft_superosc_limit_cross,
@@ -31,7 +31,7 @@ from superstft.signals import (build_signal, custom_window, gaussian_window,
                                window_norm_sq)
 from superstft.special import hermite_function, laguerre
 from superstft.superosc import SuperoscParams, f_n, supershift_probe
-from superstft.transforms import convolve, fourier, stft
+from superstft.transforms import convolve, fourier, stft, stft_grid
 
 rng = np.random.default_rng(2024)
 
@@ -51,13 +51,17 @@ def test_pair_integral_vs_quadrature():
 
 
 def test_gabor_kernel_gaussian_closed():
-    g = gaussian_window()
+    """Closed Gaussian kernel against quadrature; the order-0 Hermite kernel
+    and its quadrature are the same numbers."""
+    g, h0 = gaussian_window(), hermite_window(0)
     for _ in range(10):
         x, omega, u, eta = rng.uniform(-2.0, 2.0, 4)
         q = TFQuadruple(x=x, omega=omega, u=u, eta=eta)
         closed = gabor_kernel_gaussian(q)
         numeric = gabor_kernel_numeric(g, q)
         assert abs(closed - numeric) < 1e-12
+        assert gabor_kernel_hermite(0, q) == closed
+        assert gabor_kernel_numeric(h0, q) == numeric
 
 
 def test_gabor_kernel_hermite_calibrated():
@@ -79,7 +83,8 @@ def test_gabor_kernel_hermite_calibrated():
 
 
 def test_stft_superosc_closed_vs_numeric():
-    """Closed kernel sum = quadrature STFT of the modulated signal."""
+    """Closed kernel sum = quadrature STFT of the modulated signal, at
+    points and on the 5x5 grid over [-2, 2]^2 (n = 2, 4, 8)."""
     for (kind, a, n, x) in [("gaussian", 1.5, 3, 0.0),
                             ("gaussian", 2.0, 5, 0.5),
                             ("hermite", 1.5, 2, 0.3)]:
@@ -90,6 +95,18 @@ def test_stft_superosc_closed_vs_numeric():
             closed = stft_superosc_closed_grid(g, x, p, u, eta)
             numeric = stft(s, g, u, eta)
             assert abs(closed - numeric) < 1e-10 * (1 + a) ** n
+    grid = np.linspace(-2.0, 2.0, 5)
+    for g in (gaussian_window(), hermite_window(1)):
+        for a in (1.5, 2.0):
+            for n in (2, 4, 8):
+                p = SuperoscParams(a=a, n=n)
+                for x in (0.0, 0.5):
+                    s = build_signal(g, x, p)
+                    closed = stft_superosc_closed_grid(g, x, p, grid, grid)
+                    numeric = stft_grid(s, g, grid, grid, spec=make_spec(
+                        s.decay_radius, 2.0)).values
+                    err = np.max(np.abs(closed - numeric))
+                    assert err < 1e-10 * (1 + a) ** n, (g.kind, a, n, x, err)
 
 
 def test_stft_superosc_limit_is_single_kernel():
@@ -139,12 +156,20 @@ def test_cross_mirror_relation():
 
 
 def test_limit_cross_is_n_to_infinity_limit():
+    """The cross-window and Gaussian transforms approach their limit
+    kernels: the error at n = 40 is below 0.6 times that at n = 10."""
     a, x4, u, eta = 1.5, 0.3, 0.4, 0.8
+    g = gaussian_window()
     errs = {}
     for n in (10, 40):
         p = SuperoscParams(a=a, n=n)
         errs[n] = abs(stft_superosc_cross(1, 2, x4, p, u, eta)
                       - stft_superosc_limit_cross(1, 2, x4, a, u, eta))
+    assert errs[40] < 0.6 * errs[10]
+    for n in (10, 40):
+        p = SuperoscParams(a=a, n=n)
+        errs[n] = abs(stft_superosc_closed_grid(g, x4, p, u, eta)
+                      - stft_superosc_limit_grid(g, x4, a, u, eta))
     assert errs[40] < 0.6 * errs[10]
 
 
@@ -219,6 +244,26 @@ def test_hermite_convolution_closed():
                         lam, spec=make_spec(12.0, lam))
         closed = hermite_convolution_closed(k, m, x, u, lam)
         assert abs(quad - closed) < 1e-11
+    # every pair k, m <= 4, with the unmodulated specialization and the
+    # slot-exchanged print on the diagonal
+    draws = np.random.default_rng(42)
+    for k in range(5):
+        for m in range(5):
+            x, u = draws.uniform(-1.0, 1.0, 2)
+            lam = draws.uniform(-3.0, 3.0)
+            quad = convolve(
+                lambda t: np.exp(1j * x * t) * hermite_function(k, t),
+                lambda t: np.exp(1j * u * t) * hermite_function(m, t),
+                lam, spec=make_spec(12.0, lam))
+            closed = hermite_convolution_closed(k, m, x, u, lam)
+            assert abs(quad - closed) < 1e-11, (k, m)
+            if k == m:
+                assert abs(hermite_convolution_mirror(k, m, x, u, lam)
+                           - closed) < 1e-12, k
+            quad0 = convolve(lambda t: hermite_function(k, t),
+                             lambda t: hermite_function(m, t),
+                             lam, spec=make_spec(12.0, lam))
+            assert abs(quad0 - hermite_autoconvolution(k, m, lam)) < 1e-11
 
 
 def test_hermite_convolution_mirror_relation():
@@ -281,6 +326,13 @@ def test_generating_checks_agree():
         assert abs(lhs - rhs) < 1e-10
         lhs, rhs = generating_product_check(x, 0.3, -0.2, lam, 20)
         assert abs(lhs - rhs) < 1e-10
+    # frozen reference value of the product identity
+    u = v = 0.2
+    x, lam = 0.1, 0.5
+    lhs, _ = generating_product_check(x, u, v, lam, 20)
+    frozen = 2.0 * math.pi * np.exp(-u * v - (x - lam) ** 2 + (u + v) ** 2 / 2.0
+                                    + math.sqrt(2.0) * 1j * (x - lam) * (u + v))
+    assert abs(lhs - frozen) < 1e-10
 
 
 def test_integral_representation_recovers_f_n():
@@ -575,6 +627,13 @@ def test_unresolved_closed_grid_raises(n, a, eta, why):
     with pytest.raises(ValueError, match=rf"eta in \[{lo:g}, {hi:g}\].*{why}"):
         stft_superosc_closed_grid(gaussian_window(), 0.5, p,
                                   np.linspace(-1.0, 1.0, 3), np.array(eta))
+
+
+def test_cross_orders_above_pair_integrals_raise_route_error():
+    """No rule resolves |eta| = 50 and the pair integrals stop at order 32:
+    the route's ValueError names the eta range."""
+    with pytest.raises(ValueError, match=r"eta in \[-50, 50\].*order 32"):
+        stft_superosc_cross(40, 33, 0.0, SuperoscParams(2, 8), 0.0, [-50, 50])
 
 
 def test_gauss_hermite_rules_resolve_their_bands():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, eval_hermite
 
+from oracles import hermite_polynomial_sum, laguerre_sum
 from superstft.quadrature import QuadratureSpec, integrate
 from superstft.special import (MAX_COMPLEX_HERMITE_ORDER, MAX_HERMITE_ORDER,
                                complex_hermite_2d,
                                complex_hermite_generating_sum,
                                gaussian_integral, hermite_function,
-                               hermite_norm_sq, hermite_polynomial,
-                               hermite_polynomial_sum, ipow, laguerre,
-                               laguerre_sum, theta)
+                               hermite_norm_sq, hermite_polynomial, ipow,
+                               laguerre, theta)
 
 rng = np.random.default_rng(1234)
 

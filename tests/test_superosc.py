@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from oracles import f_n_direct
 from superstft.superosc import (SuperoscParams, coefficients, f_n,
-                                f_n_direct, frequencies, supershift_probe)
+                                frequencies, supershift_probe)
 
 rng = np.random.default_rng(7)
 
@@ -25,6 +27,17 @@ def test_coefficient_sums():
             c = coefficients(SuperoscParams(a=a, n=n))
             assert abs(c.sum() - 1.0) < 1e-12
             assert abs(np.abs(c).sum() - max(1.0, abs(a)) ** n) < 1e-9 * max(1.0, abs(a)) ** n
+    # the largest n whose binomials stay in double range
+    c = coefficients(SuperoscParams(a=0.5, n=1029))
+    assert abs(c.sum() - 1.0) < 1e-12 and abs(np.abs(c).sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("a, n", [(0.5, 1100), (2.0, 1000), (1e200, 2)])
+def test_coefficient_overflow_names_n_and_a(a, n):
+    """Binomials past the double range, a product that overflows to inf,
+    and a power that overflows: each is a ValueError naming n and a."""
+    with pytest.raises(ValueError, match=re.escape(f"n = {n}, a = {a}")):
+        coefficients(SuperoscParams(a=a, n=n))
 
 
 def test_frequencies_band():
