@@ -28,10 +28,11 @@ warned or flagged value is always the quadrature value the warning or flag
 describes.
 
 The evolution routes are grid-first: the fields of an EvolutionPoint (and
-the y, t of evolve_superosc) may be arrays that broadcast together, and a
-scalar call is the 0-d case of the same code.  evolve_hermite takes one t
-per call, since its route (and quadrature rule) depends on t;
-evolve_numeric, the momentum-space oracle, takes single points.
+the y, t of evolve_superosc and evolve_superosc_integral_representation)
+may be arrays that broadcast together, and a scalar call is the 0-d case of
+the same code.  evolve_hermite takes one t per call, since its route (and
+quadrature rule) depends on t; evolve_numeric, the momentum-space oracle,
+takes single points.
 """
 
 import math
@@ -288,19 +289,25 @@ def evolve_superosc_integral_representation(g, x, p, y, t):
     form.  Implemented for the Gaussian window, whose STFT of S has the
     closed kernel form; the (u, eta) box is the square of half-width
     13 + |x| with 16 Simpson nodes per unit, which truncates where that
-    kernel falls below 1e-12."""
+    kernel falls below 1e-12.  y and t broadcast together: the V_g S grid
+    is built once per call, and each point contracts it against its own
+    grid of evolved atoms, so a point's value is the one-point call's to
+    the bit.  A non-finite y or t is a ValueError that names it."""
     if g.kind != "gaussian":
         raise ValueError(
             "the integral-representation cross-check is implemented for "
             "the gaussian window"
         )
+    y, t = np.broadcast_arrays(_finite("y", y), _finite("t", t))
     outer = QuadratureSpec(truncation_radius=13.0 + abs(x), nodes_per_unit=16)
-    xu, wu = nodes_weights(outer)
-    xe, we = nodes_weights(outer)
-    v = stft_superosc_termwise_grid(g, x, p, xu, xe)
-    atoms = _gaussian_closed_arr(y, t, xu[:, None], xe)
-    total = complex(wu @ (v * atoms) @ we)
-    return total / (TWO_PI**2 * window_norm_sq(g))
+    xu, w = nodes_weights(outer)
+    v = stft_superosc_termwise_grid(g, x, p, xu, xu)
+    scale = TWO_PI**2 * window_norm_sq(g)
+    out = np.empty(y.shape, dtype=complex)
+    for i in np.ndindex(y.shape):
+        atoms = _gaussian_closed_arr(y[i], t[i], xu[:, None], xu)
+        out[i] = complex(w @ (v * atoms) @ w) / scale
+    return _as_result(out)
 
 
 def pde_residual(func, x, t, h=1e-3):

@@ -47,6 +47,7 @@ from .special import (
     _finite,
     complex_hermite_2d,
     generalized_laguerre,
+    hermite_function,
     hermite_norm_sq,
     hermite_polynomial,
     ipow,
@@ -297,9 +298,10 @@ def hermite_convolution_closed(k, m, x, u, lam):
         sqrt(pi) i^{k-m} 2^{(k+m)/2} e^{-lam^2/4 + i lam (x+u)/2 - (x-u)^2/4}
             H_{k,m}((x - u + i lam)/sqrt2, (x - u - i lam)/sqrt2).
 
-    This is the variant the convolution quadrature confirms."""
-    return complex(ipow(k - m) * _envelope(lam, x + u, x - u)
-                   * _hermite_term(k, m, x - u, lam))
+    This is the variant the convolution quadrature confirms.  x, u and
+    lam broadcast together; a scalar call returns a complex."""
+    return _as_result(ipow(k - m) * _envelope(lam, x + u, x - u)
+                      * _hermite_term(k, m, x - u, lam))
 
 
 def hermite_autoconvolution(k, m, lam):
@@ -342,26 +344,32 @@ def i_km_closed(k, m, x, u, lam):
 # Generating-sum checks
 # ---------------------------------------------------------------------------
 
+def _generating_terms(u, v, K):
+    """(k, m, u^k v^m / (2^{(k+m)/2} k! m!)) for k, m <= K, the terms both
+    generating identities sum (weights of the points' shape)."""
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    for k in range(K + 1):
+        for m in range(K + 1):
+            yield k, m, (u ** k * v ** m
+                         / (2.0 ** ((k + m) / 2.0)
+                            * math.factorial(k) * math.factorial(m)))
+
+
 def generating_sum_check(x, u, v, lam, K):
     """Pair (LHS, RHS) of the modulated-convolution generating identity:
 
         LHS = sum_{k,m <= K} u^k v^m / (2^{(k+m)/2} k! m!) (M_x h_k * M_x h_m)(lam)
         RHS = sqrt(pi) e^{-lam^2/4 + lam (i x + (u+v)/sqrt2)} e^{-uv}.
 
-    The truncated LHS converges to the RHS for |u|, |v| <= 1."""
-    u = complex(u)
-    v = complex(v)
-    lhs = 0.0 + 0.0j
-    for k in range(K + 1):
-        for m in range(K + 1):
-            lhs += (u ** k * v ** m
-                    / (2.0 ** ((k + m) / 2.0)
-                       * math.factorial(k) * math.factorial(m))
-                    * hermite_convolution_closed(k, m, x, x, lam))
-    rhs = complex(SQRT_PI * np.exp(-lam ** 2 / 4.0
-                                   + lam * (1j * x + (u + v) / SQRT2)
-                                   - u * v))
-    return lhs, rhs
+    The truncated LHS converges to the RHS for |u|, |v| <= 1.  x, u, v and
+    lam broadcast together: each side is an array of the points' shape, or
+    a complex for a scalar call."""
+    lhs = sum(c * hermite_convolution_closed(k, m, x, x, lam)
+              for k, m, c in _generating_terms(u, v, K))
+    rhs = SQRT_PI * np.exp(-lam ** 2 / 4.0
+                           + lam * (1j * x + (u + v) / SQRT2) - u * v)
+    return _as_result(lhs), _as_result(rhs)
 
 
 def generating_product_check(x, u, v, lam, K):
@@ -373,24 +381,15 @@ def generating_product_check(x, u, v, lam, K):
         RHS = 2 pi e^{-uv - (x-lam)^2 + (u+v)^2/2 + sqrt2 i (x-lam)(u+v)}.
 
     The 2 pi carries the Fourier-pairing normalization of this library's
-    transform convention."""
-    from .special import hermite_function
-
-    u = complex(u)
-    v = complex(v)
-    s = lam - x
-    lhs = 0.0 + 0.0j
-    for k in range(K + 1):
-        for m in range(K + 1):
-            lhs += (u ** k * v ** m
-                    / (2.0 ** ((k + m) / 2.0)
-                       * math.factorial(k) * math.factorial(m))
-                    * ipow(-(k + m))
-                    * hermite_function(k, s) * hermite_function(m, s))
-    lhs *= TWO_PI
-    rhs = complex(TWO_PI * np.exp(-u * v - s * s + (u + v) ** 2 / 2.0
-                                  - SQRT2 * 1j * s * (u + v)))
-    return lhs, rhs
+    transform convention.  x, u, v and lam broadcast together as in
+    generating_sum_check; h_k(lam - x) is evaluated once per order."""
+    s = np.asarray(lam, dtype=float) - np.asarray(x, dtype=float)
+    h = [hermite_function(k, s) for k in range(K + 1)]
+    lhs = TWO_PI * sum(c * ipow(-(k + m)) * h[k] * h[m]
+                       for k, m, c in _generating_terms(u, v, K))
+    rhs = TWO_PI * np.exp(-u * v - s * s + (u + v) ** 2 / 2.0
+                          - SQRT2 * 1j * s * (u + v))
+    return _as_result(lhs), _as_result(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -148,14 +148,12 @@ def complex_hermite_generating_sum(z, w, u, v, K):
     """Truncated double sum  sum_{k,l <= K} H_{k,l}(z,w) u^k v^l / (k! l!).
 
     Converges to exp(u*w + v*z - u*v); the index k pairs with w and l
-    pairs with z, matching the pairing inside H_{k,l} itself.
+    pairs with z, matching the pairing inside H_{k,l} itself.  z, w, u and
+    v broadcast together; a scalar call returns a complex.
     """
-    total = 0.0 + 0.0j
-    for k in range(K + 1):
-        for l in range(K + 1):
-            total += (complex_hermite_2d(k, l, z, w) * u ** k * v ** l
-                      / (math.factorial(k) * math.factorial(l)))
-    return total
+    return _as_result(sum(complex_hermite_2d(k, l, z, w) * u ** k * v ** l
+                          / (math.factorial(k) * math.factorial(l))
+                          for k in range(K + 1) for l in range(K + 1)))
 
 
 def theta(z, tau, k_pad=0):

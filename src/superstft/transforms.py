@@ -172,24 +172,49 @@ def spectrogram(grid, g=None):
     return out
 
 
-# the outer (u, eta) rule of moyal_double_integral, one for both axes
-_MOYAL_OUTER = QuadratureSpec(truncation_radius=12.0, nodes_per_unit=16)
+def _boundary_max(mags):
+    """Largest entry on the edge of a 2D grid of magnitudes."""
+    return max(mags[0].max(), mags[-1].max(), mags[:, 0].max(), mags[:, -1].max())
 
 
 def moyal_double_integral(f1, g1, f2=None, g2=None):
     """int int V_{g1} f1 (u, eta) conj(V_{g2} f2 (u, eta)) du deta by
-    tensor quadrature: the outer rule is |u|, |eta| <= 12 at 16 Simpson
-    nodes per unit, and each stft_grid infers its own inner box.
+    tensor quadrature of two stft_grid calls.  The outer rule takes
+    |u|, |eta| <= R at 16 Simpson nodes per unit, R the largest decay
+    radius of f1, g1, f2 and g2; the time radius also sizes the eta box,
+    which holds for the Hermite-type functions this serves, whose Fourier
+    transforms decay like the functions.  Each stft_grid integrates t over
+    make_spec(f.decay_radius): f(t) conj(g(t - u)) is negligible wherever
+    f is, so the shift by |u| does not widen the box.  A factor without a
+    decay_radius is a ValueError that names it, and so is an integrand
+    above 1e-12 of its peak on the box's edge (a function whose transform
+    outlasts its time radius, such as a narrow custom window): a larger
+    decay_radius widens the box.
     Defaults f2 = f1, g2 = g1 give the energy
     int int |V_g f|^2 = 2 pi ||f||^2 ||g||^2."""
     if f2 is None:
         f2 = f1
     if g2 is None:
         g2 = g1
-    x, w = nodes_weights(_MOYAL_OUTER)
-    v1 = stft_grid(f1, g1, x, x).values
-    v2 = v1 if (f2 is f1 and g2 is g1) else stft_grid(f2, g2, x, x).values
-    return complex(w @ (v1 * np.conj(v2)) @ w)
+    factors = {"f1": f1, "g1": g1, "f2": f2, "g2": g2}
+    for name, h in factors.items():
+        if _decay_radius_of(h) is None:
+            raise ValueError(
+                f"moyal_double_integral: {name} carries no decay_radius")
+    radius = max(float(h.decay_radius) for h in factors.values())
+    x, w = nodes_weights(QuadratureSpec(radius, 16))
+    v1 = stft_grid(f1, g1, x, x, make_spec(f1.decay_radius)).values
+    v2 = (v1 if (f2 is f1 and g2 is g1)
+          else stft_grid(f2, g2, x, x, make_spec(f2.decay_radius)).values)
+    integrand = v1 * np.conj(v2)
+    mags = np.abs(integrand)
+    edge, peak = _boundary_max(mags), mags.max()
+    if edge > 1e-12 * peak:
+        raise ValueError(
+            f"moyal_double_integral: the (u, eta) box |u|, |eta| <= {radius:g} "
+            f"does not cover the transforms (edge/peak = {edge / peak:.1e}); "
+            "a larger decay_radius widens it")
+    return complex(w @ integrand @ w)
 
 
 def moyal_inner_product(f1, f2, g1, g2):
@@ -243,8 +268,7 @@ def reconstruct(grid, g, y):
     we = _axis_weights(xe)
     vals = grid.values
     mags = np.abs(vals)
-    boundary = max(mags[0].max(), mags[-1].max(),
-                   mags[:, 0].max(), mags[:, -1].max())
+    boundary = _boundary_max(mags)
     interior = mags.max()
     if interior > 0.0 and boundary > 1e-6 * interior:
         tail = boundary * 2.0 * ((xu[-1] - xu[0]) + (xe[-1] - xe[0]))

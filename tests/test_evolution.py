@@ -140,13 +140,27 @@ def test_integral_representation_path():
     """Phase-space inversion route agrees with the mode-sum route."""
     g = gaussian_window()
     p = SuperoscParams(a=2.0, n=4)
-    for (y, t) in [(0.7, 0.4), (-0.3, 0.1)]:
+    points = [(0.7, 0.4), (-0.3, 0.1), (0.0, 0.8)]
+    scalar = []
+    for (y, t) in points:
         v1 = evolve_superosc_signal(g, 0.5, p, y, t)
         v2 = evolve_superosc_integral_representation(g, 0.5, p, y, t)
+        assert type(v2) is complex
         assert abs(v1 - v2) < 1e-9
+        scalar.append(v2)
+    # y and t broadcast: one call gives each point's one-point value
+    y, t = np.array(points).T
+    grid = evolve_superosc_integral_representation(g, 0.5, p, y, t)
+    assert grid.shape == (3,)
+    np.testing.assert_allclose(grid, scalar, rtol=1e-15, atol=0.0)
+    col = evolve_superosc_integral_representation(g, 0.5, p, y[:, None], 0.4)
+    assert col.shape == (3, 1)
+    assert abs(col[0, 0] - scalar[0]) <= 1e-15 * abs(scalar[0])
     h1 = hermite_window(1)
     with pytest.raises(ValueError):
         evolve_superosc_integral_representation(h1, 0.0, p, 0.3, 0.1)
+    with pytest.raises(ValueError):
+        evolve_superosc_integral_representation(h1, 0.0, p, y, t)
 
 
 EPS = np.finfo(float).eps

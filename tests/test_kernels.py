@@ -243,6 +243,7 @@ def test_hermite_convolution_closed():
                         lambda t: np.exp(1j * u * t) * hermite_function(m, t),
                         lam, spec=make_spec(12.0, lam))
         closed = hermite_convolution_closed(k, m, x, u, lam)
+        assert type(closed) is complex
         assert abs(quad - closed) < 1e-11
     # every pair k, m <= 4, with the unmodulated specialization and the
     # slot-exchanged print on the diagonal
@@ -333,6 +334,25 @@ def test_generating_checks_agree():
     frozen = 2.0 * math.pi * np.exp(-u * v - (x - lam) ** 2 + (u + v) ** 2 / 2.0
                                     + math.sqrt(2.0) * 1j * (x - lam) * (u + v))
     assert abs(lhs - frozen) < 1e-10
+
+
+@pytest.mark.parametrize("check", [generating_sum_check,
+                                   generating_product_check])
+def test_generating_checks_on_point_arrays(check):
+    """Five points in one call give the five scalar calls' values; a
+    scalar call returns a pair of complex."""
+    gen = np.random.default_rng(7)
+    x = gen.uniform(-1.0, 1.0, 5)
+    lam = gen.uniform(-1.5, 1.5, 5)
+    u = gen.uniform(-0.5, 0.5, 5) + 1j * gen.uniform(-0.25, 0.25, 5)
+    v = gen.uniform(-0.5, 0.5, 5) + 1j * gen.uniform(-0.25, 0.25, 5)
+    scalar = [check(*pt, 20) for pt in zip(x, u, v, lam)]
+    assert all(type(side) is complex for pair in scalar for side in pair)
+    lhs, rhs = check(x, u, v, lam, 20)
+    assert lhs.shape == rhs.shape == (5,)
+    np.testing.assert_allclose(lhs, [p[0] for p in scalar], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(rhs, [p[1] for p in scalar], rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_integral_representation_recovers_f_n():

@@ -126,12 +126,19 @@ def test_complex_hermite_order_limit():
 
 def test_generating_sum_matches_exponential():
     """sum H_{k,l} u^k v^l / (k! l!) -> e^{u w + v z - u v}."""
+    points = []
     for _ in range(5):
         z, w = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
         u, v = rng.uniform(-0.5, 0.5, 2)
         lhs = complex_hermite_generating_sum(z, w, u, v, 20)
+        assert type(lhs) is complex
         rhs = np.exp(u * w + v * z - u * v)
         assert abs(lhs - rhs) < 1e-10
+        points.append((z, w, u, v, lhs))
+    # the five points in one call give the five scalar values
+    z, w, u, v, scalar = (np.array(col) for col in zip(*points))
+    np.testing.assert_allclose(complex_hermite_generating_sum(z, w, u, v, 20),
+                               scalar, rtol=1e-15, atol=0.0)
 
 
 def test_theta_frozen_value():

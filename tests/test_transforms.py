@@ -182,11 +182,13 @@ def test_reconstruct_rejects_undersized_grid():
         reconstruct(grid, g, np.array([0.0]))
 
 
-def _unguarded_stft_grid(f, g, u_axis, eta_axis):
-    """stft_grid's matrix product rebuilt without the quadrature guard:
-    returns the weighted integrand and the product."""
-    spec = make_spec(max(f.decay_radius, g.decay_radius),
-                     float(np.max(np.abs(u_axis))))
+def _unguarded_stft_grid(f, g, u_axis, eta_axis, spec=None):
+    """stft_grid's matrix product rebuilt without the quadrature guard, on
+    the given spec or on stft_grid's implicit box: returns the weighted
+    integrand and the product."""
+    if spec is None:
+        spec = make_spec(max(f.decay_radius, g.decay_radius),
+                         float(np.max(np.abs(u_axis))))
     t, w = nodes_weights(spec)
     a = (w * np.asarray(f(t), dtype=complex)
          * np.conj(np.asarray(g(t[None, :] - u_axis[:, None]), dtype=complex)))
@@ -199,28 +201,58 @@ def _has_subnormals(a):
     return np.any((parts != 0.0) & (np.abs(parts) < tiny))
 
 
-MOYAL_OUTER = QuadratureSpec(truncation_radius=12.0, nodes_per_unit=16)
+# a +-12 outer grid, wide enough that the windows' tails underflow
+WIDE_OUTER = QuadratureSpec(truncation_radius=12.0, nodes_per_unit=16)
 
 
 def test_stft_grid_bit_identical_to_unguarded_product():
     """Zeroing the subnormal tails of the integrand leaves every value of
-    the Moyal outer grid unchanged to the bit."""
+    a wide outer grid unchanged to the bit."""
     h1 = hermite_window(1)
-    xu, _ = nodes_weights(MOYAL_OUTER)
+    xu, _ = nodes_weights(WIDE_OUTER)
     a, ref = _unguarded_stft_grid(h1, h1, xu, xu)
     assert _has_subnormals(a)  # the guard has something to zero here
     assert np.array_equal(stft_grid(h1, h1, xu, xu).values, ref)
 
 
 def test_moyal_double_integral_bit_identical_to_unguarded():
+    """The Moyal integral is the tensor quadrature of two stft_grid
+    products: outer rule |u|, |eta| <= the largest decay radius at 16
+    nodes per unit, inner box make_spec(f.decay_radius).  Its nonzero
+    samples stay above e^-552, far from the subnormal range below e^-708,
+    so the guard has nothing to zero here; the subnormal case is the test
+    above."""
     h0, h1, phi = hermite_window(0), hermite_window(1), gaussian_window()
-    xu, wu = nodes_weights(MOYAL_OUTER)
-    a1, v1 = _unguarded_stft_grid(h0, phi, xu, xu)
-    a2, v2 = _unguarded_stft_grid(h1, h1, xu, xu)
-    assert _has_subnormals(a1) and _has_subnormals(a2)
+    xu, wu = nodes_weights(QuadratureSpec(h1.decay_radius, 16))
+    _, v1 = _unguarded_stft_grid(h0, phi, xu, xu, make_spec(h0.decay_radius))
+    _, v2 = _unguarded_stft_grid(h1, h1, xu, xu, make_spec(h1.decay_radius))
     ref = complex(wu @ (v1 * np.conj(v2)) @ wu)
     got = moyal_double_integral(h0, phi, h1, h1)
     assert got.real == ref.real and got.imag == ref.imag
+
+
+def test_moyal_double_integral_names_factor_without_decay_radius():
+    """Every factor sizes a box, so one without a decay radius is refused
+    by name."""
+    g = gaussian_window()
+    bare = custom_window(lambda t: np.exp(-0.5 * np.asarray(t) ** 2))
+    with pytest.raises(ValueError, match="f1 carries no decay_radius"):
+        moyal_double_integral(bare, g)
+    with pytest.raises(ValueError, match="g2 carries no decay_radius"):
+        moyal_double_integral(g, g, g, bare)
+
+
+def test_moyal_double_integral_refuses_a_box_that_truncates():
+    """e^{-t^2} is below 1e-16 past |t| = 6.5, but its transform lasts
+    longer: on the box that radius sets, the energy came out 4.3e-6 low.
+    That box is refused; a wider decay radius gives the energy."""
+    narrow = lambda t: np.exp(-np.asarray(t) ** 2)
+    energy = math.pi ** 2  # 2 pi ||w||^4, ||w||^2 = sqrt(pi / 2)
+    short = custom_window(narrow, decay_radius=6.5)
+    with pytest.raises(ValueError, match="does not cover the transforms"):
+        moyal_double_integral(short, short)
+    wide = custom_window(narrow, decay_radius=11.0)
+    assert abs(moyal_double_integral(wide, wide) - energy) < 1e-12 * energy
 
 
 def test_stft_grid_rejects_non_finite_window():
