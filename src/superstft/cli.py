@@ -260,8 +260,17 @@ def cmd_zak_frame(args):
             else hermite_window(args.order)
     else:
         args._parser.error("give either --signal superosc-gaussian or --window")
-    verdict = frame_check(f, args.resolution, tolerance=args.tolerance)
-    wiener = wiener_norm_estimate(f)
+    # JSON has no NaN or infinity: a scan that met one (F_n overflows at
+    # large n and a, for instance) is a one-line usage error, not bad JSON
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdict = frame_check(f, args.resolution, tolerance=args.tolerance)
+        wiener = wiener_norm_estimate(f)
+    numbers = {"lowerBound": verdict.lower_bound,
+               "upperBound": verdict.upper_bound,
+               "wienerEstimate": wiener.value}
+    if not all(map(math.isfinite, numbers.values())):
+        args._parser.error("frame bounds or Wiener estimate not finite: " + ", ".join(
+            f"{name} {value}" for name, value in numbers.items()))
     payload = {
         "schema": 1,
         **verdict.to_dict(),

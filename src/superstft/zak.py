@@ -16,7 +16,10 @@ attribute (Window and Signal both do).
 Frame verdicts are sampling-based: a grid scan of |Z| on the fundamental
 domain can certify a positive minimum (Frame) or confirm a near-zero
 under refinement (NotFrame), but a grid can also alias a true zero, so
-anything else stays Inconclusive.
+anything else stays Inconclusive.  The scan builds the evaluator matrix
+f(u - k) and the phase matrix e^{i k eta} once and reduces |Z| over
+blocks of grid rows, so its memory is linear in the resolution; the
+refinement stops at the first block that confirms a near-zero.
 """
 
 import math
@@ -30,6 +33,10 @@ from .superosc import supershift_probe
 
 # default |Z| threshold separating "bounded below" from "numerically zero"
 FRAME_TOLERANCE = 1e-8
+
+# u-rows of |Z| per block of a frame scan: a 64 x 2048 complex block is
+# 2 MB, so a block stays cache-sized at the resolutions zak-frame runs at
+_SCAN_ROWS = 64
 
 # samples of |f| per unit cell in wiener_norm_estimate
 _SAMPLES_PER_CELL = 64
@@ -52,15 +59,21 @@ def zak(f, u, eta):
     return complex(zak_grid(f, [u], [eta])[0, 0])
 
 
-def zak_grid(f, u_axis, eta_axis):
-    """Z(f) sampled on a tensor grid, shape (len(u_axis), len(eta_axis)).
-    A non-finite point is a ValueError that names its axis."""
-    u_axis = _finite("u_axis", u_axis)
-    eta_axis = _finite("eta_axis", eta_axis)
+def _lattice(f, u_axis, eta_axis):
+    """The two factors of the truncated lattice sum Z = a @ e on a tensor
+    grid: a = f(u - k), shape (len(u_axis), 2K + 1), and e = e^{i k eta},
+    shape (2K + 1, len(eta_axis))."""
     kmax = _truncation_order(f, np.max(np.abs(u_axis)) if u_axis.size else 0.0)
     k = np.arange(-kmax, kmax + 1)
     a = np.asarray(f(u_axis[:, None] - k[None, :]), dtype=complex)
     e = np.exp(1j * np.multiply.outer(k, eta_axis))
+    return a, e
+
+
+def zak_grid(f, u_axis, eta_axis):
+    """Z(f) sampled on a tensor grid, shape (len(u_axis), len(eta_axis)).
+    A non-finite point is a ValueError that names its axis."""
+    a, e = _lattice(f, _finite("u_axis", u_axis), _finite("eta_axis", eta_axis))
     return a @ e
 
 
@@ -159,12 +172,40 @@ class FrameVerdict:
         }
 
 
+def _scan_axes(resolution):
+    """The u and eta axes of the scan grid on [0, 1] x [0, 2 pi], inclusive
+    endpoints."""
+    return np.linspace(0.0, 1.0, resolution), np.linspace(0.0, TWO_PI, resolution)
+
+
+def _scan_blocks(f, u_axis, eta_axis):
+    """|Z(f)| on the tensor grid, yielded as (first row, block) in blocks
+    of at most _SCAN_ROWS u-rows; the lattice factors are built once per
+    scan and no full grid is ever held.
+
+    The blocks are near-equal, so none has a single row: numpy multiplies
+    one row by a matrix-vector routine, whose sums can differ in the last
+    bit from the rows of the full product a @ e that zak_grid returns."""
+    a, e = _lattice(f, u_axis, eta_axis)
+    row = 0
+    for block in np.array_split(a, -(-len(u_axis) // _SCAN_ROWS)):
+        yield row, np.abs(block @ e)
+        row += len(block)
+
+
 def _scan(f, resolution):
-    u_axis = np.linspace(0.0, 1.0, resolution)
-    eta_axis = np.linspace(0.0, TWO_PI, resolution)
-    mags = np.abs(zak_grid(f, u_axis, eta_axis))
-    i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
-    return mags, (float(u_axis[i]), float(eta_axis[j]))
+    """(min, max, argmin (u, eta)) of |Z(f)| on the scan grid, reduced
+    block by block with the semantics of np.min, np.max and np.argmin over
+    the whole grid: a NaN propagates and the first minimum wins a tie."""
+    u_axis, eta_axis = _scan_axes(resolution)
+    lower, upper, at = math.nan, -math.inf, None
+    for row, mags in _scan_blocks(f, u_axis, eta_axis):
+        i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
+        low = float(mags[i, j])
+        if at is None or low < lower or (math.isnan(low) and not math.isnan(lower)):
+            lower, at = low, (row + i, j)
+        upper = float(np.maximum(upper, mags.max()))
+    return lower, upper, (float(u_axis[at[0]]), float(eta_axis[at[1]]))
 
 
 def frame_check(f, resolution, tolerance=FRAME_TOLERANCE):
@@ -177,22 +218,30 @@ def frame_check(f, resolution, tolerance=FRAME_TOLERANCE):
     confirmed near-zero yields 'NotFrame', since coarse grids can alias
     true zeros.  Sampling can never prove the absence of an off-grid
     zero, so verdicts are numerical evidence, not proofs.
+
+    Both scans are blocked reductions over _SCAN_ROWS rows of the grid at
+    a time, so memory grows linearly in the resolution, not with its
+    square.  The refinement stops at the first block whose minimum is
+    below the tolerance, which already settles 'NotFrame'; a NaN met
+    before that block leaves the verdict 'Inconclusive'.
     """
     resolution = int(resolution)
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-    mags, loc = _scan(f, resolution)
-    lower = float(mags.min())
-    upper = float(mags.max())
+    lower, upper, loc = _scan(f, resolution)
     if not math.isfinite(upper):
         verdict = "Inconclusive"
     elif lower > tolerance:
         verdict = "Frame"
     else:
-        refined, _ = _scan(f, 2 * resolution)
-        verdict = "NotFrame" if float(refined.min()) < tolerance else "Inconclusive"
+        verdict = "Inconclusive"
+        for _, mags in _scan_blocks(f, *_scan_axes(2 * resolution)):
+            low = mags.min()
+            if not low >= tolerance:  # below it, or NaN
+                verdict = "NotFrame" if low < tolerance else "Inconclusive"
+                break
     return FrameVerdict(
         lower_bound=lower,
         upper_bound=upper,
@@ -222,9 +271,11 @@ def wiener_norm_estimate(f):
     if r is None:
         raise ValueError("wiener estimate needs an evaluator with a decay_radius")
     kmax = int(math.ceil(float(r))) + 1
+    k = np.arange(-kmax, kmax)
     s = np.linspace(0.0, 1.0, _SAMPLES_PER_CELL, endpoint=False)
+    sups = np.max(np.abs(np.asarray(f(k[:, None] + s[None, :]))), axis=1)
     total = 0.0
-    for k in range(-kmax, kmax):
-        total += float(np.max(np.abs(np.asarray(f(k + s)))))
+    for sup in sups.tolist():  # cell by cell, left to right
+        total += sup
     return WienerEstimate(value=total, cells=2 * kmax,
                           samples_per_cell=_SAMPLES_PER_CELL)

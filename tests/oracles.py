@@ -5,7 +5,8 @@ differ from it by exchanging the two polynomial slots of H_{k,m} (a
 conjugation for real parameters) or by a constant; the tests pin the
 exact relation between the two.  The explicit sums and the quadrature
 avatar are independent oracles for the library's recurrences, product
-form and closed norms.
+form and closed norms.  The full-grid frame check is the reference for
+the library's blocked scan.
 """
 
 import math
@@ -14,8 +15,9 @@ import numpy as np
 
 from superstft.kernels import _envelope, _hermite_term
 from superstft.quadrature import QuadratureSpec, integrate
-from superstft.special import SQRT_PI, _descalarize, ipow
+from superstft.special import SQRT_PI, TWO_PI, _descalarize, ipow
 from superstft.superosc import coefficients, supershift_probe
+from superstft.zak import FrameVerdict, zak_grid
 
 
 def _pair_integral_mirror(k, m, u, x, lam):
@@ -115,3 +117,31 @@ def f_n_direct(p, t):
     """F_n(t) as the explicit exponential sum; oracle for f_n."""
     t = np.asarray(t, dtype=float)
     return supershift_probe(lambda w: np.exp(1j * w * t), p)
+
+
+def _scan_full(f, resolution):
+    """|Z(f)| on the whole resolution^2 grid of [0, 1] x [0, 2 pi] and the
+    (u, eta) of its np.argmin."""
+    u_axis = np.linspace(0.0, 1.0, resolution)
+    eta_axis = np.linspace(0.0, TWO_PI, resolution)
+    mags = np.abs(zak_grid(f, u_axis, eta_axis))
+    i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
+    return mags, (float(u_axis[i]), float(eta_axis[j]))
+
+
+def frame_check_full(f, resolution, tolerance):
+    """frame_check with every scan held as a full grid and the refinement
+    run to the end; oracle for the library's blocked, early-stopping scan."""
+    mags, loc = _scan_full(f, resolution)
+    lower = float(mags.min())
+    upper = float(mags.max())
+    if not math.isfinite(upper):
+        verdict = "Inconclusive"
+    elif lower > tolerance:
+        verdict = "Frame"
+    else:
+        refined, _ = _scan_full(f, 2 * resolution)
+        verdict = "NotFrame" if float(refined.min()) < tolerance else "Inconclusive"
+    return FrameVerdict(lower_bound=lower, upper_bound=upper,
+                        grid_resolution=resolution, verdict=verdict,
+                        min_location=loc, tolerance=float(tolerance))

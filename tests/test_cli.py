@@ -198,6 +198,18 @@ def test_zak_frame_rejects_bad_tolerance(tolerance, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_zak_frame_non_finite_bounds_are_a_usage_error(capsys):
+    """F_n overflows at n = 64, a = 1e6, so the scan and the Wiener sum meet
+    NaN; JSON cannot carry it, so the CLI exits 2 with one line."""
+    with pytest.raises(SystemExit) as exc:
+        main(["zak-frame", "--signal", "superosc-gaussian", "--a", "1e6",
+              "--n", "64", "--resolution", "16"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_zak_frame_requires_subject():
     with pytest.raises(SystemExit) as exc:
         main(["zak-frame", "--resolution", "32"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,6 +13,8 @@ from superstft.zak import (FRAME_TOLERANCE, FrameVerdict, WienerEstimate,
                            frame_check, wiener_norm_estimate, zak,
                            zak_gaussian, zak_grid, zak_shift_identity_check,
                            zak_superosc, zak_superosc_termwise)
+
+from oracles import frame_check_full
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,6 +143,82 @@ def test_frame_check_superosc_signal():
     assert frame_check(s, 256).verdict == "Frame"
 
 
+_SCAN_WINDOWS = {
+    "gaussian": gaussian_window(),
+    "h1": hermite_window(1),
+    "h3": hermite_window(3),
+    "superosc-n8": build_signal(gaussian_window(), 0.0, SuperoscParams(2.0, 8)),
+}
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 64, 129, 1000])
+@pytest.mark.parametrize("name", sorted(_SCAN_WINDOWS))
+def test_blocked_scan_matches_full_grid(name, resolution):
+    """The blocked, early-stopping scan gives the bounds, the argmin and
+    the verdict of the full-grid scan, to the bit; 1000 is no multiple of
+    the block, and 129 would leave a one-row block in blocks of 64."""
+    f = _SCAN_WINDOWS[name]
+    assert frame_check(f, resolution) == frame_check_full(f, resolution,
+                                                          FRAME_TOLERANCE)
+
+
+def test_frame_check_gaussian_aliased_zero_is_inconclusive():
+    """At resolution 129 the grid hits the zero of Z(g) at (1/2, pi); the
+    258 refinement has no point there, so nothing confirms it."""
+    v = frame_check(gaussian_window(), 129)
+    assert v.verdict == "Inconclusive"
+    assert v.lower_bound < FRAME_TOLERANCE
+    assert v.min_location == (0.5, math.pi)
+
+
+@pytest.mark.parametrize("resolution", [129, 300])
+def test_frame_check_nan_window_is_inconclusive(resolution):
+    """A window that is NaN near t = 0.3 propagates NaN into both bounds;
+    the minimum is placed at the first NaN, as np.argmin places it (in the
+    second block of rows at resolution 300)."""
+    w = custom_window(
+        lambda t: np.where(np.abs(t - 0.3) < 0.02, np.nan, np.exp(-t * t / 2)),
+        decay_radius=9.0)
+    v = frame_check(w, resolution)
+    ref = frame_check_full(w, resolution, FRAME_TOLERANCE)
+    assert v.verdict == ref.verdict == "Inconclusive"
+    assert math.isnan(v.lower_bound) and math.isnan(v.upper_bound)
+    assert v.min_location == ref.min_location
+    assert abs(v.min_location[0] - 0.3) < 0.02 and v.min_location[1] == 0.0
+
+
+@pytest.mark.parametrize("centre, verdict", [(1 / 127, "Inconclusive"),
+                                             (101 / 127, "NotFrame")])
+def test_refinement_stops_at_first_confirmed_zero(centre, verdict):
+    """h_1 made NaN on a band that only the 128 refinement samples, in its
+    first block of rows (with the zero at u = 0) or in its second.  A NaN
+    met before the block that confirms the zero leaves 'Inconclusive';
+    one met only after it is never computed, and the zero gives 'NotFrame'
+    (where the full refinement, which sees the NaN, says 'Inconclusive')."""
+    h1 = hermite_window(1)
+    w = custom_window(
+        lambda t: np.where(np.abs(t - centre) < 5e-4, np.nan, h1(t)),
+        decay_radius=h1.decay_radius)
+    v = frame_check(w, 64)
+    assert np.isfinite(v.upper_bound) and v.lower_bound < FRAME_TOLERANCE
+    assert v.verdict == verdict
+    assert frame_check_full(w, 64, FRAME_TOLERANCE).verdict == "Inconclusive"
+
+
+def test_frame_scan_memory_is_linear_in_resolution():
+    """The full 1024^2 scan and its 2048^2 refinement held about 100 MB;
+    the blocked scan holds the two lattice factors and one block."""
+    f = hermite_window(1)
+    tracemalloc.start()
+    try:
+        v = frame_check(f, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.verdict == "NotFrame"
+    assert peak <= 16e6, peak
+
+
 def test_frame_check_validation():
     with pytest.raises(ValueError):
         frame_check(gaussian_window(), 1)
@@ -171,6 +250,25 @@ def test_wiener_norm_estimate():
     assert est.samples_per_cell == 64
     # dominated by the central cells; adding the theta value as a gauge
     assert est.value > float(np.real(theta(0.0, 1j / TWO_PI))) - 1.0
+
+
+@pytest.mark.parametrize("f", [
+    gaussian_window(), hermite_window(3), hermite_window(20),
+    build_signal(gaussian_window(), 0.0, SuperoscParams(2.0, 32))])
+def test_wiener_norm_estimate_is_one_call_and_the_cell_sum(f):
+    """One evaluator call on all cells; the value is the cell-by-cell sum
+    of sampled sups, to the bit."""
+    calls = []
+    counted = custom_window(lambda t: calls.append(1) or f(t),
+                            decay_radius=f.decay_radius)
+    est = wiener_norm_estimate(counted)
+    assert len(calls) == 1
+    kmax = est.cells // 2
+    s = np.linspace(0.0, 1.0, est.samples_per_cell, endpoint=False)
+    total = 0.0
+    for k in range(-kmax, kmax):
+        total += float(np.max(np.abs(f(k + s))))
+    assert est.value == total
 
 
 @pytest.mark.parametrize("u, eta, name", [
