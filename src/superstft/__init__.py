@@ -13,10 +13,9 @@ from .evolution import (EvolutionPoint, evolve_gaussian_closed,
                         evolve_hermite, evolve_numeric, evolve_superosc,
                         evolve_superosc_integral_representation,
                         evolve_superosc_signal, oscillation_hazard,
-                        pde_residual)
-from .kernels import (FockPoint, TFQuadruple, fock_kernel,
-                      gabor_kernel_gaussian, gabor_kernel_hermite,
-                      gabor_kernel_numeric, hermite_autoconvolution,
+                        pde_residual, slice_hazard)
+from .kernels import (TFQuadruple, fock_kernel, gabor_kernel_numeric,
+                      hermite_autoconvolution,
                       hermite_convolution_closed, hermite_pair_integral,
                       i_km_closed, i_km_series, norm_sq_closed_gaussian,
                       norm_sq_closed_hermite, normalized_fock_kernel,
@@ -45,7 +44,7 @@ from .zak import (FrameVerdict, WienerEstimate, frame_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexGrid", "EvolutionPoint", "FockPoint", "FrameVerdict",
+    "ComplexGrid", "EvolutionPoint", "FrameVerdict",
     "QuadratureSpec", "Signal", "SuperoscParams", "TFQuadruple",
     "WienerEstimate", "Window", "ambiguity", "app2_closed",
     "approximating_function", "apsthm_residual", "bargmann",
@@ -54,7 +53,7 @@ __all__ = [
     "evolve_hermite", "evolve_numeric", "evolve_superosc",
     "evolve_superosc_integral_representation", "evolve_superosc_signal",
     "f_n", "fock_kernel", "fourier", "frame_check", "frequencies",
-    "gabor_kernel_gaussian", "gabor_kernel_hermite", "gabor_kernel_numeric",
+    "gabor_kernel_numeric",
     "gaussian_integral", "gaussian_window", "hermite_autoconvolution",
     "hermite_convolution_closed", "hermite_function", "hermite_norm_sq",
     "hermite_pair_integral", "hermite_polynomial", "hermite_window",
@@ -63,7 +62,7 @@ __all__ = [
     "moyal_double_integral", "moyal_inner_product", "norm_sq_closed_gaussian",
     "norm_sq_closed_hermite", "normalized_fock_kernel", "oscillation_hazard",
     "pde_residual", "reconstruct", "run_suite", "shifted_window",
-    "signal_norm_sq", "spectrogram", "stft", "stft_approx_hermite_closed",
+    "signal_norm_sq", "slice_hazard", "spectrogram", "stft", "stft_approx_hermite_closed",
     "stft_approx_via_ambiguity", "stft_grid", "stft_integral_representation",
     "stft_superosc_closed_grid", "stft_superosc_cross",
     "stft_superosc_fock_form", "stft_superosc_limit_grid",

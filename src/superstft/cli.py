@@ -28,9 +28,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .evolution import (EvolutionPoint, evolve_gaussian_closed,
-                        evolve_hermite, evolve_superosc, oscillation_hazard)
+                        evolve_hermite, evolve_superosc, slice_hazard)
 from .kernels import stft_superosc_closed_grid, stft_superosc_limit_grid
-from .quadrature import DEFAULT_PAD
 from .signals import build_signal, gaussian_window, hermite_window, \
     shifted_window
 from .special import MAX_HERMITE_ORDER
@@ -204,7 +203,7 @@ def cmd_spectrogram(args):
             numeric = None
             if args.mode in ("numeric", "both"):
                 s = build_signal(g, args.x, p)
-                numeric = stft_grid(s, g, args.u, args.eta).values
+                numeric = stft_grid(s, g, args.u, args.eta)
         else:  # limit signal at frequency a
             closed = None
             if args.mode in ("closed", "both"):
@@ -213,7 +212,7 @@ def cmd_spectrogram(args):
             numeric = None
             if args.mode in ("numeric", "both"):
                 s = shifted_window(g, args.x, args.a)
-                numeric = stft_grid(s, g, args.u, args.eta).values
+                numeric = stft_grid(s, g, args.u, args.eta)
     except (ValueError, FloatingPointError) as exc:
         args._parser.error(str(exc))
 
@@ -304,13 +303,12 @@ def cmd_evolve(args):
             pt = EvolutionPoint(x=args.x, t=t, x0=args.x0, k0=args.k0)
             return evolve_gaussian_closed(pt, normalized=args.normalized), 0
     else:
-        order = args.order
-        radius = float(hermite_window(order).decay_radius) + DEFAULT_PAD
+        window = hermite_window(args.order)
 
         def sample(t):
             pt = EvolutionPoint(x=args.x, t=t, x0=args.x0, k0=args.k0)
-            val = evolve_hermite(order, pt, normalized=args.normalized)
-            return val, int(oscillation_hazard(t, radius))
+            val = evolve_hermite(args.order, pt, normalized=args.normalized)
+            return val, int(slice_hazard(window, t))
 
     # every slice is computed before a row is written, so a value no route
     # can give is a one-line usage error with no partial CSV
@@ -343,6 +341,7 @@ def build_parser():
 
     sp = sub.add_parser("spectrogram",
                         help="sample the windowed transform on a grid (CSV)")
+    sp.set_defaults(_parser=sp)
     sp.add_argument("--window", choices=("gaussian", "hermite"),
                     default="gaussian")
     sp.add_argument("--order", type=_order, default=0,
@@ -365,6 +364,7 @@ def build_parser():
 
     vf = sub.add_parser("verify",
                         help="run identity-verification suites (JSON report)")
+    vf.set_defaults(_parser=vf)
     vf.add_argument("--suite", choices=verify_mod.SUITES, default="all")
     vf.add_argument("--seed", type=_int_at_least(0), default=42)
     vf.add_argument("--json", default="-", help="report path (- = stdout)")
@@ -372,6 +372,7 @@ def build_parser():
     zf = sub.add_parser("zak-frame",
                         help="Gabor frame check via the lattice transform "
                              "(JSON verdict)")
+    zf.set_defaults(_parser=zf)
     zf.add_argument("--signal", choices=("superosc-gaussian",), default=None)
     zf.add_argument("--window", choices=("gaussian", "hermite"), default=None)
     zf.add_argument("--order", type=_order, default=0)
@@ -386,6 +387,7 @@ def build_parser():
     evp = sub.add_parser("evolve",
                          help="free Schroedinger evolution on an (x, t) grid "
                               "(CSV)")
+    evp.set_defaults(_parser=evp)
     evp.add_argument("--window", choices=("gaussian", "hermite"),
                      default="gaussian")
     evp.add_argument("--order", type=_order, default=0)
@@ -420,14 +422,14 @@ def main(argv=None):
     parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
+    # args._parser is the subcommand's own parser, so a handler's usage
+    # error (exit code 2) prints that subcommand's usage line
     args = parser.parse_args(_merge_axis_values(list(argv)))
-    # give handlers access to the parser for usage errors (exit code 2)
-    args._parser = parser
     if args.command == "spectrogram" and args.eta is None:
         args.eta = args.u
     if args.command == "evolve":
         if args.x is None or args.t is None:
-            parser.error("evolve requires --x and --t grids")
+            args._parser.error("evolve requires --x and --t grids")
     # looked up by name on each call, so a rebound cmd_* is the one run
     return globals()["cmd_" + args.command.replace("-", "_")](args)
 

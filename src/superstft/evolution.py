@@ -22,20 +22,20 @@ For the Hermite window h_m the position-space integral has a closed form
     int e^{-alpha u^2 + i y u} H_m(u) du
         = sqrt(pi / alpha) e^{-y^2 / (4 alpha)} gamma^m H_m(i y / (2 alpha gamma)).
 
-evolve_hermite evaluates it on every slice that is not hazardous, and keeps
-position-space quadrature for hazardous slices and explicit specs, so a
-warned or flagged value is always the quadrature value the warning or flag
-describes.
+evolve_hermite evaluates it on every slice that is not hazardous
+(slice_hazard), and returns evolve_numeric's quadrature on hazardous
+slices, so a warned or flagged value is always the quadrature value the
+warning or flag describes.
 
 The evolution routes are grid-first: the fields of an EvolutionPoint (and
 the y, t of evolve_superosc and evolve_superosc_integral_representation)
 may be arrays that broadcast together, and a scalar call is the 0-d case of
-the same code.  evolve_hermite takes one t per call, since its route (and
-quadrature rule) depends on t; evolve_numeric, the momentum-space oracle,
-takes single points.
+the same code.  evolve_numeric and evolve_hermite take one t per call,
+since the quadrature rule (and evolve_hermite's route) depends on t.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -51,6 +51,7 @@ from .quadrature import (
 from .signals import hermite_window, window_norm_sq
 from .special import TWO_PI, _as_result, _finite, hermite_function
 from .superosc import coefficients, frequencies
+from .transforms import fourier
 
 SQRT_TWO_PI = math.sqrt(TWO_PI)
 
@@ -60,17 +61,14 @@ OSCILLATION_HAZARD = 1e4
 # hard ceiling on nodes per unit after oscillation scaling
 _MAX_NODES_PER_UNIT = 4096
 
-# cells of the phase matrix built at once by _chirp_sum, so its
-# memory stays flat however many points a grid call asks for
-_BLOCK_CELLS = 1 << 16
-
 
 @dataclass(frozen=True)
 class EvolutionPoint:
     """Where to evaluate the evolved atom: position x, time t, initial
     translation x0 and initial modulation k0 of the datum M_{k0} T_{x0} g.
     Each field is a float or an array; together they broadcast to the grid
-    of points that evolve_gaussian_closed or evolve_hermite evaluates."""
+    of points that an evolution route evaluates (one t per call for
+    evolve_numeric and evolve_hermite)."""
 
     x: float
     t: float
@@ -87,31 +85,58 @@ def oscillation_hazard(t, truncation_radius):
     return abs(t) * float(truncation_radius) ** 2 > OSCILLATION_HAZARD
 
 
+def _box_radius(g):
+    """Half-width of the momentum box evolve_numeric integrates g's slices
+    over by default: the window's decay radius plus DEFAULT_PAD (F(g)
+    decays like g for the gaussian and hermite windows)."""
+    return float(g.decay_radius) + DEFAULT_PAD
+
+
+def slice_hazard(g, t):
+    """True when the slice t of g's evolution is hazardous on the default
+    box of evolve_numeric (oscillation_hazard with its radius); the CLI's
+    accuracy_flag and evolve_hermite's route choice."""
+    return oscillation_hazard(t, _box_radius(g))
+
+
+def _single_t(pt):
+    """pt.t as a float; an array t is a ValueError."""
+    if np.ndim(pt.t) != 0:
+        raise ValueError("the route and the quadrature rule depend on t: "
+                         "pass one t per call (x, x0 and k0 may be arrays)")
+    return float(pt.t)
+
+
 def _warn_if_hazard(t, truncation_radius):
     if oscillation_hazard(t, truncation_radius):
+        # point at the first caller outside this module, whether it called
+        # evolve_numeric or evolve_hermite
+        depth = 1
+        while sys._getframe(depth).f_globals.get("__name__") == __name__:
+            depth += 1
         warnings.warn(
             f"highly oscillatory evolution integrand: |t| T^2 = "
             f"{abs(t) * truncation_radius**2:.3g} exceeds {OSCILLATION_HAZARD:.0g}; "
             "result accuracy is not guaranteed",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=depth + 1,
         )
 
 
 def _chirp_sum(s, u, t, v):
-    """sum_j e^{i (s u_j - u_j^2 t)} v_j for every entry of s, building one
-    block of rows of the phase matrix at a time."""
+    """sum_j e^{i (s u_j - u_j^2 t)} v_j for every entry of s, one (1, N)
+    row of the phase matrix at a time: numpy sums a block of rows in a
+    different order than one row, so this keeps a grid entry equal to the
+    one-point call's value to the bit, and memory flat."""
     s = np.asarray(s, dtype=float)
     flat = s.ravel()
     chirp = u * u * t
     out = np.empty(flat.size, dtype=complex)
-    step = max(1, _BLOCK_CELLS // u.size)
-    for lo in range(0, flat.size, step):
-        rows = flat[lo:lo + step]
-        cells = np.zeros((rows.size, u.size), dtype=complex)
-        np.multiply.outer(rows, u, out=cells.imag)
+    for i in range(flat.size):
+        cells = np.zeros((1, u.size), dtype=complex)
+        np.multiply.outer(flat[i:i + 1], u, out=cells.imag)
         cells.imag -= chirp
-        out[lo:lo + step] = np.exp(cells, out=cells) @ v
+        out[i:i + 1] = np.exp(cells, out=cells) @ v
     return out.reshape(s.shape)
 
 
@@ -125,33 +150,36 @@ def _oscillation_spec(radius, t):
 
 
 def evolve_numeric(g, pt, spec=None, normalized=False):
-    """Evolved atom by momentum-space quadrature:
+    """Evolved atom by momentum-space quadrature.  With u = p - k0,
 
-        int e^{-i x0 (p - k0)} F(g)(p - k0) e^{-i p^2 t + i p x} dp.
+        int e^{-i x0 (p - k0)} F(g)(p - k0) e^{-i p^2 t + i p x} dp
+            = e^{i k0 x - i k0^2 t}
+              int F(g)(u) e^{-i u^2 t + i u (x - x0 - 2 k0 t)} du.
 
-    F(g) is closed-form for gaussian/hermite windows (sqrt(2 pi) (-i)^m h_m);
-    custom windows need an explicit spec covering the decay of F(g).
-    This route is the scalar oracle: pt must be a single point.
-    """
+    F(g) is closed-form for gaussian/hermite windows (sqrt(2 pi) (-i)^m h_m,
+    the constant kept outside the integral), whose default rule is
+    composite Simpson on the window's own box |u| <= decay radius +
+    DEFAULT_PAD, its node density scaled with |t|; custom windows need an
+    explicit spec covering the decay of F(g).  pt.t must be a scalar;
+    pt.x, pt.x0 and pt.k0 may be arrays, and the whole grid is one rule and
+    one weighted vector, contracted against e^{i s u - i u^2 t} for every
+    s = x - x0 - 2 k0 t.  A hazardous spec warns once per call."""
+    t = _single_t(pt)
+    closed = g.kind in ("gaussian", "hermite")
     if spec is None:
-        if g.kind not in ("gaussian", "hermite"):
+        if not closed:
             raise ValueError(
-                "custom windows need an explicit momentum-space quadrature spec"
-            )
-        radius = float(g.decay_radius) + abs(pt.k0) + DEFAULT_PAD
-        spec = _oscillation_spec(radius, pt.t)
-    _warn_if_hazard(pt.t, spec.truncation_radius)
-    p, w = nodes_weights(spec)
-    if g.kind in ("gaussian", "hermite"):
-        m = g.order
-        fg = SQRT_TWO_PI * (-1j) ** m * hermite_function(m, p - pt.k0)
+                "custom windows need an explicit momentum-space quadrature spec")
+        spec = _oscillation_spec(_box_radius(g), t)
+    _warn_if_hazard(t, spec.truncation_radius)
+    u, w = nodes_weights(spec)
+    if closed:
+        scale, fg = SQRT_TWO_PI * (-1j) ** g.order, hermite_function(g.order, u)
     else:
-        from .transforms import fourier
-
-        fg = np.asarray(fourier(g, p - pt.k0), dtype=complex)
-    vals = (np.exp(-1j * pt.x0 * (p - pt.k0)) * fg
-            * np.exp(-1j * p * p * pt.t + 1j * p * pt.x))
-    out = complex(w @ vals)
+        scale, fg = 1.0, fourier(g, u)
+    integral = _chirp_sum(pt.x - pt.x0 - 2.0 * pt.k0 * t, u, t, w * fg)
+    out = _as_result(scale * np.exp(1j * pt.k0 * pt.x - 1j * pt.k0**2 * t)
+                     * integral)
     return out / TWO_PI if normalized else out
 
 
@@ -200,7 +228,7 @@ def _hermite_closed_arr(m, x, t, x0, k0):
             * np.exp(1j * k0 * x - 1j * k0**2 * t - s * s / (4.0 * alpha)) * p)
 
 
-def evolve_hermite(m, pt, spec=None, normalized=False):
+def evolve_hermite(m, pt, normalized=False):
     """Evolved Hermite atom (window h_m) after shifting the momentum
     variable by k0:
 
@@ -212,35 +240,20 @@ def evolve_hermite(m, pt, spec=None, normalized=False):
     the result match evolve_numeric at all t.
 
     pt.t must be a scalar; pt.x, pt.x0 and pt.k0 may be arrays.  The route
-    is chosen per slice.  With spec=None on a slice that is not hazardous
-    (oscillation_hazard(t, T) false for T = the decay radius of h_m plus
-    DEFAULT_PAD), the integral is the closed Gaussian-moment form of the
-    module docstring: no rule is built and no warning is raised.  With an
-    explicit spec, or on a hazardous slice, it is position-space
-    quadrature: one rule and one weighted vector w h_m(u) serve the whole
-    grid, which is then one product with the matrix
-    e^{i (x - x0 - 2 k0 t) u - i u^2 t}, and a hazardous slice warns once.
-    Hazardous slices keep quadrature so that the warning, and the CLI's
-    accuracy_flag, describe the route that produced the values."""
+    is chosen per slice.  On a slice that is not hazardous
+    (slice_hazard(h_m, t) false), the integral is the closed
+    Gaussian-moment form of the module docstring: no rule is built and no
+    warning is raised.  A hazardous slice returns
+    evolve_numeric(hermite_window(m), pt), which warns once, so that the
+    warning, and the CLI's accuracy_flag, describe the route that produced
+    the values."""
     if m < 0:
         raise ValueError(f"hermite order must be >= 0, got {m}")
-    if np.ndim(pt.t) != 0:
-        raise ValueError("the route and the quadrature rule depend on t: "
-                         "pass one t per call (x, x0 and k0 may be arrays)")
-    t = float(pt.t)
-    if spec is None:
-        radius = float(hermite_window(m).decay_radius) + DEFAULT_PAD
-        if not oscillation_hazard(t, radius):
-            out = _as_result(_hermite_closed_arr(m, pt.x, t, pt.x0, pt.k0))
-            return out / TWO_PI if normalized else out
-        spec = _oscillation_spec(radius, t)
-    _warn_if_hazard(t, spec.truncation_radius)
-    u, w = nodes_weights(spec)
-    integral = _chirp_sum(pt.x - pt.x0 - 2.0 * pt.k0 * t, u, t,
-                          w * hermite_function(m, u))
-    out = _as_result(SQRT_TWO_PI * (-1j) ** m
-                     * np.exp(1j * pt.k0 * pt.x - 1j * pt.k0**2 * t)
-                     * integral)
+    t = _single_t(pt)
+    hm = hermite_window(m)
+    if slice_hazard(hm, t):
+        return evolve_numeric(hm, pt, normalized=normalized)
+    out = _as_result(_hermite_closed_arr(m, pt.x, t, pt.x0, pt.k0))
     return out / TWO_PI if normalized else out
 
 

@@ -17,8 +17,10 @@ polynomial 2^{(k+m)/2} H_{k,m}((a + ib)/sqrt2, (a - ib)/sqrt2).
 
 Every closed sum over the superoscillation coefficients goes through
 supershift_probe, and the Gabor kernels of the Gaussian and Hermite
-windows share one grid evaluator, _closed_kernel; a scalar call is the
-0-d case of the grid call.  Those sums cancel, since
+windows share one grid evaluator, _closed_kernel, which
+stft_superosc_limit_grid(g, x, omega, u, eta) returns as the kernel
+K_g(x, omega; u, eta); a scalar call is the 0-d case of the grid call.
+Those sums cancel, since
 sum_j |C_j| = max(1, |a|)^n, so no superoscillation STFT with a Hermite
 window forms one.  The same-window grid (stft_superosc_closed_grid), the
 cross-window grid (stft_superosc_cross, signal on h_m, window h_k) and the
@@ -35,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, _guard, make_spec, nodes_weights
+from .quadrature import QuadratureSpec, _guard, nodes_weights
 from .signals import (Signal, Window, build_signal, hermite_window,
                       shifted_window, signal_norm_sq)
 from .special import (
@@ -46,14 +48,15 @@ from .special import (
     _as_result,
     _finite,
     complex_hermite_2d,
-    generalized_laguerre,
     hermite_function,
     hermite_norm_sq,
     hermite_polynomial,
     ipow,
+    laguerre,
 )
 from .superosc import coefficients, f_n, supershift_probe
-from .transforms import ComplexGrid, reconstruct, stft, stft_grid
+from .transforms import (ComplexGrid, _resolve_spec, reconstruct, stft,
+                         stft_grid)
 
 
 @dataclass(frozen=True)
@@ -69,16 +72,6 @@ class TFQuadruple:
     def __post_init__(self):
         for name in ("x", "omega", "u", "eta"):
             _finite(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
-class FockPoint:
-    """A point of the complex phase plane used by the Fock-space forms."""
-
-    z: complex
-
-    def __post_init__(self):
-        _finite("z", self.z)
 
 
 def _hermite_term(k, m, a, b):
@@ -109,12 +102,13 @@ def hermite_pair_integral(k, m, u, x, lam):
 
 def gabor_kernel_numeric(g, q):
     """K_g(x, omega; u, eta) = int e^{it(omega - eta)} g(t - x) conj(g(t - u)) dt
-    by quadrature; ground truth for the closed forms below.  Since
-    V_g(M_omega f)(u, eta) = V_g f(u, eta - omega), it is one stft of the
-    translated window T_x g at eta - omega, on the box
-    make_spec(decay radius, x, u)."""
+    by quadrature; ground truth for the closed kernels of
+    stft_superosc_limit_grid.  Since V_g(M_omega f)(u, eta) =
+    V_g f(u, eta - omega), it is one stft of the translated window T_x g
+    at eta - omega, on the box make_spec(decay radius, x, u); a window
+    without a decay radius is a ValueError."""
     return stft(Signal(g, q.x), g, q.u, q.eta - q.omega,
-                make_spec(g.decay_radius, q.x, q.u))
+                _resolve_spec(None, g, shifts=(q.x, q.u)))
 
 
 def _closed_kernel(order, x, omega, u, eta):
@@ -132,28 +126,9 @@ def _closed_kernel(order, x, omega, u, eta):
         # in place: a second full-size complex array kept alive through the
         # Laguerre recurrence made 121x121 Hermite grids several % slower
         s = ((x - u) ** 2 + (omega - eta) ** 2) / 2.0
-        out *= gabor_kernel_hermite_calibration(order)
-        out *= generalized_laguerre(order, 0, s)
+        out *= (2.0 ** order) * math.factorial(order)
+        out *= laguerre(order, s)
     return out
-
-
-def gabor_kernel_gaussian(q):
-    """Gaussian-window kernel
-    sqrt(pi) e^{(i/2)(u+x)(omega-eta)} e^{-(u-x)^2/4 - (eta-omega)^2/4}."""
-    return complex(_closed_kernel(0, q.x, q.omega, q.u, q.eta))
-
-
-def gabor_kernel_hermite_calibration(n):
-    """Factor 2^n n! carrying the squared-norm growth of the un-normalized
-    Hermite window h_n; fixed by the quadrature oracle."""
-    return (2.0 ** n) * math.factorial(n)
-
-
-def gabor_kernel_hermite(n, q):
-    """Hermite-window kernel K_{h_n}(x, omega; u, eta) =
-    2^n n! * gabor_kernel_gaussian(q) * L_n(((x-u)^2 + (omega-eta)^2)/2),
-    the form the quadrature oracle confirms for un-normalized h_n."""
-    return complex(_closed_kernel(n, q.x, q.omega, q.u, q.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +140,6 @@ def _grid_axes(x, u_axis, eta_axis):
     finite (a ValueError naming the argument otherwise)."""
     _finite("x", x)
     return _finite("u", u_axis), _finite("eta", eta_axis)
-
-
-def _quadrature_grid(f, g, u_axis, eta_axis):
-    """V_g f on the tensor grid u x eta, shape u.shape + eta.shape: one
-    stft_grid over the flattened axes, on the box f's decay radius sets."""
-    values = stft_grid(f, g, u_axis.ravel(), eta_axis.ravel()).values
-    return _as_result(values.reshape(u_axis.shape + eta_axis.shape))
 
 
 def _tensor_axes(u_axis, eta_axis):
@@ -216,10 +184,10 @@ def stft_superosc_fock_form(x, p, u, eta):
     kernel index omega_j/sqrt2 and the evaluation point conj(q)/sqrt2);
     with that scaling the sum is algebraically identical to
     stft_superosc_termwise_grid with the Gaussian window."""
-    q = FockPoint(z=eta - 1j * (u + x))
+    q = _finite("q", eta - 1j * (u + x))
     m_inv = np.exp(-eta ** 2 / 4.0 - (u + x) ** 2 / 4.0 - 0.5j * (u + x) * eta)
     total = supershift_probe(
-        lambda w: normalized_fock_kernel(w / SQRT2, np.conj(q.z) / SQRT2), p)
+        lambda w: normalized_fock_kernel(w / SQRT2, np.conj(q) / SQRT2), p)
     return complex(math.pi * np.exp(u * x) * m_inv * total)
 
 
@@ -572,14 +540,14 @@ def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):
     complex value for 0-d u and eta); by linearity it equals
     sum_j C_j K_g(x, omega_j; u, eta).  A gaussian or hermite window h_m
     takes _hermite_superosc_grid with k = m.  A custom window has no closed
-    kernel: its grid is one stft_grid of build_signal(g, x, p) over the
-    flattened axes, on the box the signal's decay radius sets, so the
+    kernel: its grid is one stft_grid of build_signal(g, x, p), on the box
+    the signal's decay radius sets, so the
     window needs one.  Either way F_n is evaluated as a product, so nothing
     cancels at any n.  A non-finite x, u or eta is a ValueError that names
     it."""
     u_axis, eta_axis = _grid_axes(x, u_axis, eta_axis)
     if g.kind == "custom":
-        return _quadrature_grid(build_signal(g, x, p), g, u_axis, eta_axis)
+        return stft_grid(build_signal(g, x, p), g, u_axis, eta_axis)
     return _hermite_superosc_grid(g.order, g.order, x, p, u_axis, eta_axis)
 
 
@@ -612,12 +580,13 @@ def stft_superosc_limit_grid(g, x, a, u_axis, eta_axis):
     """The large-n limit of stft_superosc_closed_grid: V_g of the limit
     signal e^{i a t} g(t - x), the tone shifted_window(g, x, a), on a tensor
     grid (a single complex value for 0-d u and eta).  For a gaussian or
-    hermite window that is the single kernel value K_g(x, a; u, eta); a
-    custom window takes it by quadrature, one stft_grid over the flattened
-    axes.  A non-finite a, x, u or eta is a ValueError that names it."""
+    hermite window that is the closed Gabor kernel K_g(x, a; u, eta), whose
+    quadrature oracle is gabor_kernel_numeric; a custom window takes it by
+    quadrature, one stft_grid.  A non-finite a, x, u or eta is a ValueError
+    that names it."""
     _finite("a", a)
     u_axis, eta_axis = _grid_axes(x, u_axis, eta_axis)
     if g.kind == "custom":
-        return _quadrature_grid(shifted_window(g, x, a), g, u_axis, eta_axis)
+        return stft_grid(shifted_window(g, x, a), g, u_axis, eta_axis)
     ug, eg = _tensor_axes(u_axis, eta_axis)
     return _as_result(_closed_kernel(g.order, x, a, ug, eg))

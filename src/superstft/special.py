@@ -1,6 +1,6 @@
 """Scalar special functions used everywhere else.
 
-Hermite polynomials/functions, (generalized) Laguerre polynomials, the
+Hermite polynomials/functions, Laguerre polynomials, the
 2D-complex Hermite polynomials H_{k,l}(z, w), a truncated Jacobi theta
 series, and the Gaussian integral.  Evaluation uses recurrences where the
 explicit sums would lose precision.
@@ -86,30 +86,19 @@ def hermite_norm_sq(n):
     return (2.0 ** n) * math.factorial(n) * SQRT_PI
 
 
-def generalized_laguerre(n, alpha, x):
-    """Generalized Laguerre polynomial L_n^alpha(x) by recurrence.
-
-    alpha is a nonnegative integer here (all we need); the classical
-    L_n = L_n^0 is the alpha = 0 case.
-    """
+def laguerre(n, x):
+    """Laguerre polynomial L_n(x) by the recurrence
+    (k + 1) L_{k+1} = (2k + 1 - x) L_k - k L_{k-1}."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
     x, scalar = _descalarize(x)
     l_prev = np.ones_like(x)
     if n == 0:
         return float(l_prev) if scalar else l_prev
-    l_cur = 1.0 + alpha - x
+    l_cur = 1.0 - x
     for k in range(1, n):
-        l_cur, l_prev = (((2 * k + 1 + alpha - x) * l_cur
-                          - (k + alpha) * l_prev) / (k + 1.0), l_cur)
+        l_cur, l_prev = ((2 * k + 1 - x) * l_cur - k * l_prev) / (k + 1.0), l_cur
     return float(l_cur) if scalar else l_cur
-
-
-def laguerre(n, x):
-    """Laguerre polynomial L_n(x) = L_n^0(x)."""
-    return generalized_laguerre(n, 0, x)
 
 
 @lru_cache(maxsize=None)
@@ -156,19 +145,22 @@ def complex_hermite_generating_sum(z, w, u, v, K):
                           for k in range(K + 1) for l in range(K + 1)))
 
 
-def theta(z, tau, k_pad=0):
+def theta(z, tau):
     """Jacobi theta series  sum_k exp(i pi k^2 tau + 2 pi i k z).
 
-    Requires Im(tau) > 0.  Truncated at |k| <= K with
-    K = ceil(sqrt(14 ln10 / (pi Im tau))) + 2 + k_pad, which puts the
-    Gaussian tail below 1e-14 for z with |Im z| of order one (the only
-    regime used here); k_pad widens the window for truncation tests.
+    Requires Im(tau) > 0.  The terms of one z peak at k = -Im z / Im tau
+    and fall below 1e-14 of the peak beyond r = sqrt(14 ln10 / (pi Im tau))
+    of it, so the sum is truncated at |k| <= K with
+    K = max(ceil(r) + 2, ceil(r + max|Im z| / Im tau)), which covers every
+    peak of the z given.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError(f"theta requires Im(tau) > 0, got {tau}")
     z, scalar = _descalarize(z, dtype=complex)
-    K = int(math.ceil(math.sqrt(14.0 * math.log(10.0) / (math.pi * tau.imag)))) + 2 + k_pad
+    r = math.sqrt(14.0 * math.log(10.0) / (math.pi * tau.imag))
+    peak = float(np.max(np.abs(z.imag), initial=0.0)) / tau.imag
+    K = max(math.ceil(r) + 2, math.ceil(r + peak))
     k = np.arange(-K, K + 1)
     terms = np.exp(1j * math.pi * k ** 2 * tau
                    + 2j * math.pi * np.multiply.outer(z, k))

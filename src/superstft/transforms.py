@@ -21,7 +21,7 @@ import numpy as np
 from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
                          nodes_weights)
 from .signals import Window, window_norm_sq
-from .special import SQRT2, TWO_PI, _finite
+from .special import SQRT2, TWO_PI, _as_result, _finite
 
 
 def _decay_radius_of(f):
@@ -42,16 +42,16 @@ def _resolve_spec(spec, *funcs, shifts=()):
     return make_spec(max(known), *shifts)
 
 
+def _unit(t):
+    return np.ones(np.shape(t))
+
+
 def fourier(f, lam, spec=None):
     """F(f)(lam) = int e^{-i t lam} f(t) dt; lam may be scalar or array.
-    The weighted integrand goes through the quadrature guard, so a
-    non-finite sample raises FloatingPointError."""
-    lam_arr = _finite("lam", lam)
-    spec = _resolve_spec(spec, f)
-    t, w = nodes_weights(spec)
-    ft = _guard(np.asarray(f(t), dtype=complex) * w)
-    out = ft @ np.exp(-1j * np.multiply.outer(t, lam_arr))
-    return complex(out) if lam_arr.ndim == 0 else out
+    It is stft_grid of f against the unit window at u = 0, so a non-finite
+    sample raises FloatingPointError and a non-finite lam is a ValueError
+    that names it."""
+    return stft_grid(f, _unit, 0.0, _finite("lam", lam), spec)
 
 
 def inverse_fourier(fhat, t, spec=None):
@@ -74,11 +74,9 @@ def inner_product(f, g, spec=None):
 def stft(f, g, x, omega, spec=None):
     """Short-time Fourier transform
     V_g f(x, omega) = int e^{-i t omega} conj(g(t - x)) f(t) dt,
-    the one-point case of stft_grid (same quadrature, same value to the
-    bit).  A non-finite x or omega is a ValueError that names it."""
-    _finite("x", x)
-    _finite("omega", omega)
-    return complex(stft_grid(f, g, [x], [omega], spec).values[0, 0])
+    the 0-d case of stft_grid.  A non-finite x or omega is a ValueError
+    that names it."""
+    return stft_grid(f, g, _finite("x", x), _finite("omega", omega), spec)
 
 
 def convolve(f, g, lam, spec=None):
@@ -114,7 +112,8 @@ def bargmann(f, z, spec=None):
 
 @dataclass(frozen=True)
 class ComplexGrid:
-    """Complex values sampled on a rectangular (u, eta) grid.
+    """Complex values sampled on a rectangular (u, eta) grid, the validated
+    input of reconstruct.
 
     u and eta are 1D strictly increasing axes; values has shape
     (len(u), len(eta))."""
@@ -142,31 +141,35 @@ class ComplexGrid:
 
 
 def stft_grid(f, g, u_axis, eta_axis, spec=None):
-    """V_g f on a tensor grid, evaluated as one matrix product:
-    row i collects w_t f(t) conj(g(t - u_i)), column j applies e^{-i t eta_j}.
+    """V_g f on the tensor grid u x eta, an array of shape
+    u.shape + eta.shape (a complex for 0-d axes), evaluated over the
+    raveled axes as one matrix product: row i collects
+    w_t f(t) conj(g(t - u_i)), column j applies e^{-i t eta_j}.
 
-    The axes must be finite (ValueError naming the axis otherwise).  The
-    weighted integrand goes through the quadrature guard before the
-    product: a non-finite sample raises FloatingPointError, and components
-    that underflowed to subnormal numbers in the windows' Gaussian tails
-    are set to zero, which keeps the values bit-identical while sparing
-    the matrix product the slow subnormal arithmetic."""
+    The axes must be finite (ValueError naming the axis otherwise); their
+    order does not matter.  The weighted integrand goes through the
+    quadrature guard before the product: a non-finite sample raises
+    FloatingPointError, and components that underflowed to subnormal
+    numbers in the windows' Gaussian tails are set to zero, which keeps
+    the values bit-identical while sparing the matrix product the slow
+    subnormal arithmetic."""
     u_axis = _finite("u_axis", u_axis)
     eta_axis = _finite("eta_axis", eta_axis)
-    shift = float(np.max(np.abs(u_axis))) if u_axis.size else 0.0
+    u, eta = u_axis.ravel(), eta_axis.ravel()
+    shift = float(np.max(np.abs(u))) if u.size else 0.0
     spec = _resolve_spec(spec, f, g, shifts=(shift,))
     t, w = nodes_weights(spec)
     a = _guard(w * np.asarray(f(t), dtype=complex)
-               * np.conj(np.asarray(g(t[None, :] - u_axis[:, None]), dtype=complex)))
-    e = np.exp(-1j * np.multiply.outer(t, eta_axis))
-    return ComplexGrid(u=u_axis, eta=eta_axis, values=a @ e)
+               * np.conj(np.asarray(g(t[None, :] - u[:, None]), dtype=complex)))
+    e = np.exp(-1j * np.multiply.outer(t, eta))
+    return _as_result((a @ e).reshape(u_axis.shape + eta_axis.shape))
 
 
-def spectrogram(grid, g=None):
-    """Spectrogram |V_g f|^2 of a sampled STFT grid, divided by ||g||^2
+def spectrogram(values, g=None):
+    """Spectrogram |V_g f|^2 of sampled STFT values, divided by ||g||^2
     when the window is supplied (equivalent to unit-normalizing the
     window up front)."""
-    out = np.abs(grid.values) ** 2
+    out = np.abs(values) ** 2
     if g is not None:
         out = out / window_norm_sq(g)
     return out
@@ -203,9 +206,9 @@ def moyal_double_integral(f1, g1, f2=None, g2=None):
                 f"moyal_double_integral: {name} carries no decay_radius")
     radius = max(float(h.decay_radius) for h in factors.values())
     x, w = nodes_weights(QuadratureSpec(radius, 16))
-    v1 = stft_grid(f1, g1, x, x, make_spec(f1.decay_radius)).values
+    v1 = stft_grid(f1, g1, x, x, make_spec(f1.decay_radius))
     v2 = (v1 if (f2 is f1 and g2 is g1)
-          else stft_grid(f2, g2, x, x, make_spec(f2.decay_radius)).values)
+          else stft_grid(f2, g2, x, x, make_spec(f2.decay_radius)))
     integrand = v1 * np.conj(v2)
     mags = np.abs(integrand)
     edge, peak = _boundary_max(mags), mags.max()

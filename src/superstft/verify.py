@@ -21,7 +21,7 @@ from . import signals as sg
 from . import special as sp
 from . import transforms as tr
 from . import zak as zk
-from .quadrature import DEFAULT_PAD, make_spec
+from .quadrature import make_spec
 from .special import SQRT2, TWO_PI
 from .superosc import SuperoscParams
 
@@ -85,7 +85,7 @@ def _run_superosc_stft(rng):
                     numeric = tr.stft_grid(
                         s, g, grid, grid,
                         spec=make_spec(s.decay_radius, float(np.max(np.abs(grid)))),
-                    ).values
+                    )
                     worst = max(worst,
                                 float(np.max(np.abs(closed - numeric))) / scale)
     return worst, {"windows": ["gaussian", "hermite-1"], "a": [1.5, 2.0],
@@ -108,7 +108,7 @@ def _run_superosc_stft_stable(rng):
     s = sg.build_signal(sg.hermite_window(m), x, p)
     stable = kn.stft_superosc_cross(k, m, x, p, grid, grid)
     numeric = tr.stft_grid(s, sg.hermite_window(k), grid, grid,
-                           spec=make_spec(s.decay_radius, 2.0)).values
+                           spec=make_spec(s.decay_radius, 2.0))
     worst = float(np.max(np.abs(stable - numeric)))
     return worst / max(1.0, float(np.max(np.abs(numeric)))), {
         "k": k, "m": m, "a": a, "n": n, "x": x, "grid": "5x5 on [-2,2]^2",
@@ -144,7 +144,7 @@ def _run_reconstruction(rng):
     g = sg.gaussian_window()
     h0 = sg.hermite_window(0)
     axis = np.arange(-11.0, 11.0 + 0.25 / 2, 0.25)
-    grid = tr.stft_grid(h0, g, axis, axis)
+    grid = tr.ComplexGrid(axis, axis, tr.stft_grid(h0, g, axis, axis))
     points = [-1.2, -0.4, 0.0, 0.3, 1.1]
     rec = tr.reconstruct(grid, g, np.array(points))
     worst = float(np.max(np.abs(rec - h0(np.array(points)))))
@@ -205,7 +205,7 @@ def _run_kernel_gaussian(rng):
     for _ in range(20):
         x, omega, u, eta = rng.uniform(-2.0, 2.0, 4)
         q = kn.TFQuadruple(x=x, omega=omega, u=u, eta=eta)
-        worst = max(worst, float(abs(kn.gabor_kernel_gaussian(q)
+        worst = max(worst, float(abs(kn.stft_superosc_limit_grid(g, x, omega, u, eta)
                                      - kn.gabor_kernel_numeric(g, q))))
     return worst, {"quadruples": 20, "range": "[-2,2]^4"}
 
@@ -219,7 +219,7 @@ def _run_kernel_hermite(rng):
         for _ in range(5):
             x, omega, u, eta = rng.uniform(-1.5, 1.5, 4)
             q = kn.TFQuadruple(x=x, omega=omega, u=u, eta=eta)
-            worst = max(worst, float(abs(kn.gabor_kernel_hermite(n, q)
+            worst = max(worst, float(abs(kn.stft_superosc_limit_grid(g, x, omega, u, eta)
                                          - kn.gabor_kernel_numeric(g, q))))
     return worst, {"orders": [1, 2, 3, 4], "points_per_order": 5,
                    "calibration": "2^n n! times the base product"}
@@ -514,14 +514,10 @@ def _run_evolution_routes(rng):
                                      - ev.evolve_gaussian_closed(pt))))
     pt = ev.EvolutionPoint(x=0.0, t=0.3, x0=0.1, k0=1.0)
     h2 = sg.hermite_window(2)
-    numeric = ev.evolve_numeric(h2, pt)
-    worst = max(worst, float(abs(numeric - ev.evolve_hermite(2, pt))))
-    # an explicit spec keeps evolve_hermite on position-space quadrature
-    spec = ev._oscillation_spec(h2.decay_radius + DEFAULT_PAD, pt.t)
-    worst = max(worst, float(abs(numeric - ev.evolve_hermite(2, pt, spec=spec))))
+    worst = max(worst, float(abs(ev.evolve_numeric(h2, pt)
+                                 - ev.evolve_hermite(2, pt))))
     return worst, {"points": 6, "routes": ["numeric", "gaussian-closed",
-                                           "hermite-closed",
-                                           "hermite-quadrature"]}
+                                           "hermite-closed"]}
 
 
 @_case("evolution-initial-datum", "evolution",

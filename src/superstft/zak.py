@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import build_signal, gaussian_window, shifted_window
-from .special import TWO_PI, _finite, theta
+from .special import TWO_PI, _as_result, _finite, theta
 from .superosc import supershift_probe
 
 # default |Z| threshold separating "bounded below" from "numerically zero"
@@ -55,8 +55,8 @@ def _truncation_order(f, u_max):
 def zak(f, u, eta):
     """Z(f)(u, eta) = sum_{|k| <= K} f(u - k) e^{i k eta}, K chosen from
     the evaluator's decay radius so dropped terms are below 1e-16; the
-    one-point case of zak_grid (same sum, same value to the bit)."""
-    return complex(zak_grid(f, [u], [eta])[0, 0])
+    0-d case of zak_grid."""
+    return zak_grid(f, u, eta)
 
 
 def _lattice(f, u_axis, eta_axis):
@@ -71,10 +71,13 @@ def _lattice(f, u_axis, eta_axis):
 
 
 def zak_grid(f, u_axis, eta_axis):
-    """Z(f) sampled on a tensor grid, shape (len(u_axis), len(eta_axis)).
-    A non-finite point is a ValueError that names its axis."""
-    a, e = _lattice(f, _finite("u_axis", u_axis), _finite("eta_axis", eta_axis))
-    return a @ e
+    """Z(f) sampled on the tensor grid u x eta, an array of shape
+    u.shape + eta.shape (a complex for 0-d axes), from the lattice sum
+    over the raveled axes.  A non-finite point is a ValueError that names
+    its axis."""
+    u_axis, eta_axis = _finite("u_axis", u_axis), _finite("eta_axis", eta_axis)
+    a, e = _lattice(f, u_axis.ravel(), eta_axis.ravel())
+    return _as_result((a @ e).reshape(u_axis.shape + eta_axis.shape))
 
 
 def zak_gaussian(u, eta):

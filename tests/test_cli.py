@@ -210,6 +210,37 @@ def test_zak_frame_non_finite_bounds_are_a_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_handler_usage_error_names_its_subcommand(capsys):
+    """A usage error raised by a handler prints its subcommand's usage
+    line, as argparse's own errors do."""
+    with pytest.raises(SystemExit):
+        main(["zak-frame", "--signal", "superosc-gaussian", "--a", "1e6",
+              "--n", "64", "--resolution", "16"])
+    assert capsys.readouterr().err.startswith("usage: superstft zak-frame")
+    with pytest.raises(SystemExit):
+        main(["evolve", "--x", "0:1:3"])
+    assert capsys.readouterr().err.startswith("usage: superstft evolve")
+
+
+@pytest.mark.parametrize("signal", ["superosc", "limit"])
+@pytest.mark.parametrize("u", ["1:-1:3", "0.5:0.5:2"])
+def test_numeric_modes_accept_any_finite_axis(signal, u, tmp_path):
+    """--mode numeric and both take decreasing or repeated axes, as closed
+    mode does, and agree with it."""
+    base = ["spectrogram", "--signal", signal, "--n", "4", "--u", u,
+            "--eta", "0"]
+    rows = {}
+    for mode in ("closed", "numeric", "both"):
+        out = tmp_path / f"{mode}.csv"
+        assert main([*base, "--mode", mode, "--out", str(out)]) == 0
+        rows[mode] = list(csv.DictReader(open(out)))
+    assert [r["u"] for r in rows["numeric"]] == [r["u"] for r in rows["closed"]]
+    assert len(rows["closed"]) == int(u.split(":")[2])
+    for closed, numeric in zip(rows["closed"], rows["numeric"]):
+        assert abs(float(closed["abs"]) - float(numeric["abs"])) <= 1e-10
+    assert max(float(r["abs_err"]) for r in rows["both"]) <= 1e-10
+
+
 def test_zak_frame_requires_subject():
     with pytest.raises(SystemExit) as exc:
         main(["zak-frame", "--resolution", "32"])
@@ -413,7 +444,7 @@ def test_spectrogram_csv_bytes_match_per_cell_writer(tmp_path, window):
     p = SuperoscParams(a=2.0, n=8)
     u, eta = np.linspace(-4, 4, 33), np.linspace(-3, 3, 25)
     closed = stft_superosc_closed_grid(g, 0.5, p, u, eta)
-    numeric = stft_grid(build_signal(g, 0.5, p), g, u, eta).values
+    numeric = stft_grid(build_signal(g, 0.5, p), g, u, eta)
     pairs = [(ui, ei) for ui in u for ei in eta]
     err = [abs(c - q) for c, q in zip(closed.ravel(), numeric.ravel())]
     expected = "u,eta,re,im,abs,abs_err\n" + _reference_rows(

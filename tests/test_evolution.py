@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from superstft.evolution import (OSCILLATION_HAZARD, EvolutionPoint,
-                                 _oscillation_spec,
                                  evolve_gaussian_closed, evolve_hermite,
                                  evolve_numeric, evolve_superosc,
                                  evolve_superosc_integral_representation,
                                  evolve_superosc_signal, oscillation_hazard,
-                                 pde_residual)
+                                 pde_residual, slice_hazard)
 from superstft.quadrature import DEFAULT_PAD, QuadratureSpec
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window)
@@ -242,15 +241,10 @@ def test_hazard_warns_once_per_grid_call():
 # closed Gaussian-moment route of evolve_hermite
 # ---------------------------------------------------------------------------
 
-def _hermite_radius(m):
-    return hermite_window(m).decay_radius + DEFAULT_PAD
-
-
 def _quadrature_hermite(m, pt):
-    """evolve_hermite forced onto position-space quadrature by an explicit
-    copy of the spec it builds itself."""
-    return evolve_hermite(m, pt, spec=_oscillation_spec(_hermite_radius(m),
-                                                        float(pt.t)))
+    """evolve_hermite's integral by quadrature: evolve_numeric of h_m, on
+    the box whose hazard picks evolve_hermite's route."""
+    return evolve_numeric(hermite_window(m), pt)
 
 
 def test_hermite_closed_matches_numeric_oracle():
@@ -259,7 +253,7 @@ def test_hermite_closed_matches_numeric_oracle():
     for m in (1, 2, 3, 5, 8):
         hm = hermite_window(m)
         for t in (-0.7, 0.0, 0.5, 1.0, 10.0):
-            assert not oscillation_hazard(t, _hermite_radius(m))
+            assert not slice_hazard(hm, t)
             closed = evolve_hermite(m, EvolutionPoint(xs, t, x0, k0))
             ref = np.array([evolve_numeric(hm, EvolutionPoint(x, t, x0, k0))
                             for x in xs])
@@ -319,12 +313,15 @@ def test_hermite_closed_builds_no_rule_and_warns_not(monkeypatch):
 
 
 def test_hermite_hazard_slice_keeps_quadrature():
+    """A hazardous slice is evolve_numeric of h_m, to the bit."""
     pt = EvolutionPoint(np.linspace(0.0, 1.0, 5), 2000.0, 0.2, 0.3)
-    assert oscillation_hazard(pt.t, _hermite_radius(1))
+    assert slice_hazard(hermite_window(1), pt.t)
+    assert oscillation_hazard(pt.t, hermite_window(1).decay_radius + DEFAULT_PAD)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = evolve_hermite(1, pt)
     assert [w.category for w in caught] == [RuntimeWarning]
+    assert caught[0].filename == __file__  # the caller's line, not ours
     with pytest.warns(RuntimeWarning):
         ref = _quadrature_hermite(1, pt)
     assert np.array_equal(got, ref)
@@ -345,3 +342,21 @@ def test_hermite_closed_far_tails_are_zero():
         for m in (0, 3, 64):
             vals = evolve_hermite(m, EvolutionPoint(xs, 0.3, 0.1, -0.5))
             assert np.array_equal(vals, np.zeros(3))
+
+
+def test_numeric_grid_matches_point_calls():
+    """evolve_numeric takes arrays of x, x0 and k0 at one t; each point is
+    its one-point call's value to the bit."""
+    xs = np.linspace(-4.0, 4.0, 41)
+    for g, t, x0, k0 in [(gaussian_window(), 0.4, 0.1, 1.0),
+                         (hermite_window(3), -0.7, 0.2, -0.9),
+                         (hermite_window(2), 0.0, -0.3, np.linspace(-1, 1, 41))]:
+        pt = EvolutionPoint(xs, t, x0, k0)
+        grid = evolve_numeric(g, pt)
+        ref = [evolve_numeric(g, EvolutionPoint(x, t, x0, k))
+               for x, k in zip(xs, np.broadcast_to(k0, xs.shape))]
+        assert grid.shape == xs.shape
+        assert np.array_equal(grid, ref)
+    with pytest.raises(ValueError, match="one t per call"):
+        evolve_numeric(gaussian_window(),
+                       EvolutionPoint(0.0, np.array([0.1, 0.2]), 0.0, 0.0))

@@ -9,9 +9,6 @@ from oracles import (hermite_convolution_mirror, i_km_mirror, phi_na_norm,
 from superstft import kernels, superosc, verify
 from superstft.approx import stft_approx_hermite_closed
 from superstft.kernels import (TFQuadruple, fock_kernel,
-                               gabor_kernel_gaussian,
-                               gabor_kernel_hermite,
-                               gabor_kernel_hermite_calibration,
                                gabor_kernel_numeric, generating_product_check,
                                generating_sum_check, hermite_autoconvolution,
                                hermite_convolution_closed,
@@ -51,35 +48,43 @@ def test_pair_integral_vs_quadrature():
 
 
 def test_gabor_kernel_gaussian_closed():
-    """Closed Gaussian kernel against quadrature; the order-0 Hermite kernel
-    and its quadrature are the same numbers."""
+    """The closed Gaussian kernel K_g(x, omega; u, eta), the 0-d
+    stft_superosc_limit_grid, against quadrature; the order-0 Hermite
+    kernel and its quadrature are the same numbers."""
     g, h0 = gaussian_window(), hermite_window(0)
     for _ in range(10):
         x, omega, u, eta = rng.uniform(-2.0, 2.0, 4)
         q = TFQuadruple(x=x, omega=omega, u=u, eta=eta)
-        closed = gabor_kernel_gaussian(q)
+        closed = stft_superosc_limit_grid(g, x, omega, u, eta)
         numeric = gabor_kernel_numeric(g, q)
         assert abs(closed - numeric) < 1e-12
-        assert gabor_kernel_hermite(0, q) == closed
+        assert stft_superosc_limit_grid(h0, x, omega, u, eta) == closed
         assert gabor_kernel_numeric(h0, q) == numeric
 
 
 def test_gabor_kernel_hermite_calibrated():
     """The Laguerre-form Hermite kernel needs the 2^n n! calibration."""
+    g0 = gaussian_window()
     for n in (1, 2, 3):
-        assert gabor_kernel_hermite_calibration(n) == 2.0**n * math.factorial(n)
         g = hermite_window(n)
         for _ in range(4):
             x, omega, u, eta = rng.uniform(-1.5, 1.5, 4)
             q = TFQuadruple(x=x, omega=omega, u=u, eta=eta)
-            closed = gabor_kernel_hermite(n, q)
+            closed = stft_superosc_limit_grid(g, x, omega, u, eta)
             numeric = gabor_kernel_numeric(g, q)
             assert abs(closed - numeric) < 1e-10
             # and the Laguerre product alone is off by exactly that factor
             r2 = ((x - u) ** 2 + (omega - eta) ** 2) / 2.0
-            base = gabor_kernel_gaussian(q) * laguerre(n, r2)
-            assert abs(base * gabor_kernel_hermite_calibration(n)
-                       - closed) < 1e-13
+            base = stft_superosc_limit_grid(g0, x, omega, u, eta) * laguerre(n, r2)
+            assert abs(base * 2.0**n * math.factorial(n) - closed) < 1e-13
+
+
+def test_gabor_kernel_numeric_needs_decay_radius():
+    """A custom window without a decay radius cannot size the quadrature
+    box: a ValueError that names decay_radius, as stft_grid raises."""
+    w = custom_window(lambda t: np.exp(-np.asarray(t) ** 2))
+    with pytest.raises(ValueError, match="decay_radius"):
+        gabor_kernel_numeric(w, TFQuadruple(x=0.1, omega=0.2, u=0.3, eta=0.4))
 
 
 def test_stft_superosc_closed_vs_numeric():
@@ -104,7 +109,7 @@ def test_stft_superosc_closed_vs_numeric():
                     s = build_signal(g, x, p)
                     closed = stft_superosc_closed_grid(g, x, p, grid, grid)
                     numeric = stft_grid(s, g, grid, grid, spec=make_spec(
-                        s.decay_radius, 2.0)).values
+                        s.decay_radius, 2.0))
                     err = np.max(np.abs(closed - numeric))
                     assert err < 1e-10 * (1 + a) ** n, (g.kind, a, n, x, err)
 
@@ -118,7 +123,7 @@ def test_stft_superosc_limit_is_single_kernel():
         closed = stft_superosc_limit_grid(g, x, a, u, eta)
         assert abs(closed - stft(s, g, u, eta)) < 1e-12
         q = TFQuadruple(x=x, omega=a, u=u, eta=eta)
-        assert abs(closed - gabor_kernel_gaussian(q)) < 1e-14
+        assert abs(closed - gabor_kernel_numeric(g, q)) < 1e-12
 
 
 def test_cross_reduces_to_gaussian():

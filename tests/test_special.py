@@ -151,8 +151,8 @@ def test_theta_periodicity():
     z = 0.37 - 0.21j
     assert abs(theta(z + 1.0, tau) - theta(z, tau)) < 1e-12
     # quasi-period tau: theta(z + tau) = e^{-i pi tau - 2 i pi z} theta(z)
-    lhs = theta(z + tau, tau, k_pad=4)
-    rhs = np.exp(-1j * math.pi * tau - 2j * math.pi * z) * theta(z, tau, k_pad=4)
+    lhs = theta(z + tau, tau)
+    rhs = np.exp(-1j * math.pi * tau - 2j * math.pi * z) * theta(z, tau)
     assert abs(lhs - rhs) < 1e-11
 
 

@@ -120,7 +120,7 @@ def test_stft_grid_matches_pointwise():
     for i in (0, 2, 4):
         for j in (0, 3):
             direct = stft(s, g, u[i], eta[j])
-            assert abs(grid.values[i, j] - direct) < 1e-12
+            assert abs(grid[i, j] - direct) < 1e-12
 
 
 @pytest.mark.parametrize("f", [build_signal(gaussian_window(), 0.3,
@@ -131,7 +131,7 @@ def test_scalar_calls_are_one_point_grids(f):
     the bit."""
     g = hermite_window(2)
     for (x, omega) in [(0.4, -0.6), (-1.3, 2.1)]:
-        assert stft(f, g, x, omega) == stft_grid(f, g, [x], [omega]).values[0, 0]
+        assert stft(f, g, x, omega) == stft_grid(f, g, [x], [omega])[0, 0]
         assert zak(f, x, omega) == zak_grid(f, [x], [omega])[0, 0]
 
 
@@ -168,7 +168,7 @@ def test_reconstruct_recovers_signal():
     g = gaussian_window()
     h0 = hermite_window(0)
     axis = np.linspace(-11.0, 11.0, 89)
-    grid = stft_grid(h0, g, axis, axis)
+    grid = ComplexGrid(axis, axis, stft_grid(h0, g, axis, axis))
     pts = np.array([-1.0, 0.0, 0.7])
     rec = reconstruct(grid, g, pts)
     np.testing.assert_allclose(rec, h0(pts), atol=1e-6)
@@ -177,7 +177,7 @@ def test_reconstruct_recovers_signal():
 def test_reconstruct_rejects_undersized_grid():
     g = gaussian_window()
     axis = np.linspace(-2.0, 2.0, 17)  # transform clearly not decayed yet
-    grid = stft_grid(g, g, axis, axis)
+    grid = ComplexGrid(axis, axis, stft_grid(g, g, axis, axis))
     with pytest.raises(ValueError):
         reconstruct(grid, g, np.array([0.0]))
 
@@ -202,6 +202,27 @@ def _has_subnormals(a):
 
 
 # a +-12 outer grid, wide enough that the windows' tails underflow
+@pytest.mark.parametrize("f", [build_signal(gaussian_window(), 0.3,
+                                            SuperoscParams(a=2.0, n=8)),
+                               hermite_window(3)])
+def test_grids_follow_the_tensor_convention(f):
+    """stft_grid and zak_grid return shape u.shape + eta.shape, the call on
+    the raveled axes reshaped, for axes in any order; 0-d axes give a
+    complex, the one-point call's value."""
+    g = hermite_window(2)
+    u = np.array([[0.4, -1.3, 0.4], [2.0, 0.0, -0.5]])
+    eta = np.array([2.1, -0.6, -0.6, 1.0])
+    for grid in (lambda a, b: stft_grid(f, g, a, b),
+                 lambda a, b: zak_grid(f, a, b)):
+        full = grid(u, eta)
+        assert full.shape == (2, 3, 4)
+        assert np.array_equal(full, grid(u.ravel(), eta).reshape(2, 3, 4))
+        point = grid(0.4, -0.6)
+        assert type(point) is complex and point == grid([0.4], [-0.6])[0, 0]
+        row = grid(0.4, eta)
+        assert row.shape == (4,) and np.array_equal(row, grid([0.4], eta)[0])
+
+
 WIDE_OUTER = QuadratureSpec(truncation_radius=12.0, nodes_per_unit=16)
 
 
@@ -212,7 +233,7 @@ def test_stft_grid_bit_identical_to_unguarded_product():
     xu, _ = nodes_weights(WIDE_OUTER)
     a, ref = _unguarded_stft_grid(h1, h1, xu, xu)
     assert _has_subnormals(a)  # the guard has something to zero here
-    assert np.array_equal(stft_grid(h1, h1, xu, xu).values, ref)
+    assert np.array_equal(stft_grid(h1, h1, xu, xu), ref)
 
 
 def test_moyal_double_integral_bit_identical_to_unguarded():

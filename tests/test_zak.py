@@ -31,6 +31,16 @@ def test_zak_gaussian_closed_form():
         assert abs(direct - closed) < 1e-12
 
 
+def test_zak_gaussian_far_from_the_origin():
+    """The theta truncation follows the peak of its terms at k = u, so the
+    closed form tracks the lattice sum far from u = 0 (at u = 12 a window
+    centred at k = 0 was off by 0.72 relative, at u = 20 by 1.0)."""
+    g = gaussian_window()
+    for u in (0.3, 5.0, 8.0, 12.0, 20.0):
+        direct = zak(g, u, 0.3)
+        assert abs(zak_gaussian(u, 0.3) - direct) <= 1e-12 * abs(direct)
+
+
 def test_zak_quasi_periodicity():
     g = gaussian_window()
     for (u, eta) in [(0.25, 0.7), (0.8, 3.0)]:
