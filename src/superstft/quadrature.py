@@ -6,9 +6,15 @@ fixed composite Simpson rule.  For integrands that vanish (with all
 derivatives) at the truncation boundary the rule converges far faster than
 its textbook order, so the default density of 64 nodes per unit length is
 effectively exact for the Gaussian-enveloped integrands that appear here.
+It is sized for any such integrand and used wherever nothing more is known.
 
-The environment variable ``SUPERSTFT_QUAD_NODES`` overrides the default node
-density (integer >= 16).
+An integrand whose spectrum is known to vanish (below 1e-16) beyond a band
+|omega| <= B needs fewer nodes: ``band_spec`` keeps make_spec's box and
+sets the density to max(16, ceil(B / pi)).  The phase-space oracles of
+``transforms.moyal_double_integral`` and of ``verify`` use it.
+
+The environment variable ``SUPERSTFT_QUAD_NODES`` overrides the node
+density (integer >= 16) of both, the default and the band density.
 """
 
 import math
@@ -67,6 +73,23 @@ def make_spec(decay_radius, *shifts):
     biggest = max((abs(s) for s in shifts), default=0.0)
     return QuadratureSpec(float(decay_radius) + biggest + DEFAULT_PAD,
                           default_nodes_per_unit())
+
+
+def band_spec(band, decay_radius, *shifts):
+    """make_spec(decay_radius, *shifts)'s box at max(16, ceil(band / pi))
+    nodes per unit, for an integrand whose spectrum is negligible (below
+    1e-16) beyond |omega| = band.
+
+    Composite Simpson is (4 T_h - T_2h) / 3, and the coarse trapezoid T_2h
+    at step 2/N aliases only spectral content at |omega| >= pi N, so at
+    this density both trapezoids are exact to that level.  When
+    SUPERSTFT_QUAD_NODES is set, its density wins, as in make_spec.
+    """
+    spec = make_spec(decay_radius, *shifts)
+    if os.environ.get("SUPERSTFT_QUAD_NODES") is not None:
+        return spec
+    return QuadratureSpec(spec.truncation_radius,
+                          max(16, math.ceil(float(band) / math.pi)))
 
 
 def nodes_weights(spec):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (QuadratureSpec, _guard, integrate, make_spec,
-                         nodes_weights)
+from .quadrature import (QuadratureSpec, _guard, band_spec, integrate,
+                         make_spec, nodes_weights)
 from .signals import Window, window_norm_sq
 from .special import SQRT2, TWO_PI, _as_result, _finite
 
@@ -180,19 +180,31 @@ def _boundary_max(mags):
     return max(mags[0].max(), mags[-1].max(), mags[:, 0].max(), mags[:, -1].max())
 
 
+def _band(h):
+    """Spectral radius of a factor: its decay radius, which bounds the
+    Fourier transform of a Hermite-type function too, plus 1 for the
+    frequencies |omega_j| <= 1 of F_n in a superoscillating signal."""
+    tones = 0.0 if getattr(h, "superosc", None) is None else 1.0
+    return float(h.decay_radius) + tones
+
+
 def moyal_double_integral(f1, g1, f2=None, g2=None):
     """int int V_{g1} f1 (u, eta) conj(V_{g2} f2 (u, eta)) du deta by
     tensor quadrature of two stft_grid calls.  The outer rule takes
     |u|, |eta| <= R at 16 Simpson nodes per unit, R the largest decay
     radius of f1, g1, f2 and g2; the time radius also sizes the eta box,
     which holds for the Hermite-type functions this serves, whose Fourier
-    transforms decay like the functions.  Each stft_grid integrates t over
-    make_spec(f.decay_radius): f(t) conj(g(t - u)) is negligible wherever
-    f is, so the shift by |u| does not widen the box.  A factor without a
-    decay_radius is a ValueError that names it, and so is an integrand
-    above 1e-12 of its peak on the box's edge (a function whose transform
-    outlasts its time radius, such as a narrow custom window): a larger
-    decay_radius widens the box.
+    transforms decay like the functions.  Each stft_grid integrates t on
+    make_spec(f.decay_radius)'s box: f(t) conj(g(t - u)) is negligible
+    wherever f is, so the shift by |u| does not widen it.  Its density is
+    band_spec's for the band B_f + B_g + R, B a factor's decay radius
+    (plus 1 for an F_n signal) and R the largest |eta|: the integrand
+    f(t) conj(g(t - u)) e^{-i t eta} has no spectrum beyond it, which
+    gives 16 nodes per unit for every Hermite window up to order 24.  A
+    factor without a decay_radius is a ValueError that names it, and so
+    is an integrand above 1e-12 of its peak on the box's edge (a function
+    whose transform outlasts its time radius, such as a narrow custom
+    window): a larger decay_radius widens the box.
     Defaults f2 = f1, g2 = g1 give the energy
     int int |V_g f|^2 = 2 pi ||f||^2 ||g||^2."""
     if f2 is None:
@@ -206,9 +218,12 @@ def moyal_double_integral(f1, g1, f2=None, g2=None):
                 f"moyal_double_integral: {name} carries no decay_radius")
     radius = max(float(h.decay_radius) for h in factors.values())
     x, w = nodes_weights(QuadratureSpec(radius, 16))
-    v1 = stft_grid(f1, g1, x, x, make_spec(f1.decay_radius))
-    v2 = (v1 if (f2 is f1 and g2 is g1)
-          else stft_grid(f2, g2, x, x, make_spec(f2.decay_radius)))
+
+    def inner(f, g):
+        return band_spec(_band(f) + _band(g) + radius, f.decay_radius)
+
+    v1 = stft_grid(f1, g1, x, x, inner(f1, g1))
+    v2 = v1 if (f2 is f1 and g2 is g1) else stft_grid(f2, g2, x, x, inner(f2, g2))
     integrand = v1 * np.conj(v2)
     mags = np.abs(integrand)
     edge, peak = _boundary_max(mags), mags.max()

@@ -6,10 +6,11 @@ tolerance.
 The registry groups cases into suites (stft, kernels, hermite, zak,
 evolution, approx); ``run_suite`` executes one or all of them and returns
 JSON-ready records.  All random draws come from a caller-seeded
-generator, so reports are reproducible.
+generator, so reports are reproducible, all but each case's wall time.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import signals as sg
 from . import special as sp
 from . import transforms as tr
 from . import zak as zk
-from .quadrature import make_spec
+from .quadrature import band_spec, make_spec
 from .special import SQRT2, TWO_PI
 from .superosc import SuperoscParams
 
@@ -36,10 +37,19 @@ class CaseResult:
     params: dict
     max_error: float
     tolerance: float
+    elapsed_s: float
 
     @property
     def passed(self):
         return self.max_error <= self.tolerance
+
+    @property
+    def margin(self):
+        """Digits to spare, log10(tolerance / max_error); None when either
+        is 0 (no error, or an exact check) or the error is not a number."""
+        if self.max_error > 0 and self.tolerance > 0:
+            return math.log10(self.tolerance / self.max_error)
+        return None
 
     def to_record(self):
         return {
@@ -49,6 +59,8 @@ class CaseResult:
             "max_error": self.max_error,
             "tolerance": self.tolerance,
             "pass": self.passed,
+            "elapsed_s": self.elapsed_s,
+            "margin": self.margin,
         }
 
 
@@ -82,9 +94,11 @@ def _run_superosc_stft(rng):
                 for x in (0.0, 0.5):
                     s = sg.build_signal(g, x, p)
                     closed = kn.stft_superosc_termwise_grid(g, x, p, grid, grid)
+                    # band: both decay radii, |eta| <= 2 and F_n's |omega_j| <= 1
                     numeric = tr.stft_grid(
                         s, g, grid, grid,
-                        spec=make_spec(s.decay_radius, float(np.max(np.abs(grid)))),
+                        spec=band_spec(s.decay_radius + g.decay_radius + 3.0,
+                                       s.decay_radius, 2.0),
                     )
                     worst = max(worst,
                                 float(np.max(np.abs(closed - numeric))) / scale)
@@ -144,7 +158,9 @@ def _run_reconstruction(rng):
     g = sg.gaussian_window()
     h0 = sg.hermite_window(0)
     axis = np.arange(-11.0, 11.0 + 0.25 / 2, 0.25)
-    grid = tr.ComplexGrid(axis, axis, tr.stft_grid(h0, g, axis, axis))
+    # band: both decay radii and |eta| <= 11
+    spec = band_spec(h0.decay_radius + g.decay_radius + 11.0, h0.decay_radius, 11.0)
+    grid = tr.ComplexGrid(axis, axis, tr.stft_grid(h0, g, axis, axis, spec))
     points = [-1.2, -0.4, 0.0, 0.3, 1.1]
     rec = tr.reconstruct(grid, g, np.array(points))
     worst = float(np.max(np.abs(rec - h0(np.array(points)))))
@@ -646,17 +662,21 @@ def run_suite(suite="all", seed=42):
         if suite != "all" and case_suite != suite:
             continue
         rng = np.random.default_rng(seed)
+        start = time.perf_counter()
         max_error, params = fn(rng)
+        elapsed = time.perf_counter() - start
         results.append(CaseResult(id=case_id, suite=case_suite, anchor=anchor,
                                   params=params, max_error=float(max_error),
-                                  tolerance=float(tolerance)))
+                                  tolerance=float(tolerance), elapsed_s=elapsed))
     return results
 
 
 def report(results, seed):
-    """JSON-ready report dict for a list of CaseResult."""
+    """JSON-ready report dict for a list of CaseResult.  Schema 2: each
+    case record carries its wall time elapsed_s and its margin in digits,
+    log10(tolerance / max_error) (null when either is 0)."""
     return {
-        "schema": 1,
+        "schema": 2,
         "seed": seed,
         "suites": [r.to_record() for r in results],
     }

@@ -9,6 +9,7 @@ import pytest
 import superstft.cli as cli
 from superstft.cli import (_ROW_BLOCK, _axis, _complex_columns, _labels,
                            _merge_axis_values, _write_grid, main)
+from superstft.verify import CaseResult
 
 
 def _read_csv(path):
@@ -145,12 +146,34 @@ def test_verify_report(tmp_path):
     rc = main(["verify", "--suite", "zak", "--json", str(out)])
     assert rc == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert rep["seed"] == 42
     assert all(case["pass"] for case in rep["suites"])
     keys = set(rep["suites"][0])
     assert keys == {"id", "paper_anchor", "params", "max_error", "tolerance",
-                    "pass"}
+                    "pass", "elapsed_s", "margin"}
+    for case in rep["suites"]:
+        assert case["elapsed_s"] > 0
+        err, tol = case["max_error"], case["tolerance"]
+        if err > 0 and tol > 0:
+            assert case["margin"] == math.log10(tol / err)
+        else:
+            assert case["margin"] is None
+
+
+@pytest.mark.parametrize("max_error, tolerance, margin", [
+    (1e-8, 1e-5, 3.0), (1e-5, 1e-8, -3.0), (0.0, 1e-5, None),
+    (1e-3, 0.0, None), (0.0, 0.0, None), (math.nan, 1e-5, None),
+])
+def test_verify_margin(max_error, tolerance, margin):
+    """margin = log10(tolerance / max_error) in digits, None when either
+    is 0 or the error is not a number."""
+    case = CaseResult(id="c", suite="s", anchor="a", params={},
+                      max_error=max_error, tolerance=tolerance, elapsed_s=0.1)
+    if margin is None:
+        assert case.margin is None
+    else:
+        assert case.margin == pytest.approx(margin, abs=1e-15)
 
 
 def test_verify_hermite_suite_has_compact_case(tmp_path):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from superstft.quadrature import (DEFAULT_PAD, QuadratureSpec, _guard,
-                                  default_nodes_per_unit, integrate,
-                                  make_spec, nodes_weights)
+                                  band_spec, default_nodes_per_unit,
+                                  integrate, make_spec, nodes_weights)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -31,6 +31,32 @@ def test_make_spec_accumulates_shifts():
     spec = make_spec(5.0, 1.0, -3.0, 0.5)
     assert spec.truncation_radius == 5.0 + 3.0 + DEFAULT_PAD
     assert make_spec(5.0).truncation_radius == 5.0 + DEFAULT_PAD
+
+
+def test_band_spec_keeps_the_box_and_sizes_the_density(monkeypatch):
+    """make_spec's box at max(16, ceil(band / pi)) nodes per unit; a set
+    SUPERSTFT_QUAD_NODES wins over the band."""
+    monkeypatch.delenv("SUPERSTFT_QUAD_NODES", raising=False)
+    for band, nodes in ((27.0, 16), (16 * math.pi, 16), (59.0, 19), (300.0, 96)):
+        spec = band_spec(band, 9.0, 2.0, -3.0)
+        assert spec == QuadratureSpec(make_spec(9.0, 2.0, -3.0).truncation_radius,
+                                      nodes)
+    monkeypatch.setenv("SUPERSTFT_QUAD_NODES", "40")
+    assert band_spec(27.0, 9.0, 2.0) == make_spec(9.0, 2.0)
+    assert band_spec(300.0, 9.0).nodes_per_unit == 40
+
+
+def test_band_spec_resolves_the_band():
+    """int e^{-t^2/2 + i w t} dt = sqrt(2 pi) e^{-w^2/2}, 0 in double
+    precision at w = 50.  The spectrum ends near |w| + 9, so the band rule
+    takes 19 nodes per unit and is exact up to the roundoff of the phase
+    w t, |w t| <= 850 (6e-14); at 16 the coarse trapezoid of Simpson's
+    rule aliases the peak at w to w - 16 pi = -0.27."""
+    f = lambda t: np.exp(-t * t / 2.0 + 50j * t)
+    spec = band_spec(9.0 + 50.0, 9.0)
+    assert spec.nodes_per_unit == 19
+    assert abs(integrate(f, spec)) < 1e-12
+    assert abs(integrate(f, QuadratureSpec(spec.truncation_radius, 16))) > 0.1
 
 
 def test_spec_validation():

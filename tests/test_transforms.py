@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from superstft.quadrature import QuadratureSpec, make_spec, nodes_weights
+from superstft.quadrature import (DEFAULT_PAD, QuadratureSpec, make_spec,
+                                  nodes_weights)
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window, shifted_window)
 from superstft.special import hermite_function
@@ -236,20 +237,55 @@ def test_stft_grid_bit_identical_to_unguarded_product():
     assert np.array_equal(stft_grid(h1, h1, xu, xu), ref)
 
 
-def test_moyal_double_integral_bit_identical_to_unguarded():
+def test_moyal_double_integral_bit_identical_to_unguarded(monkeypatch):
     """The Moyal integral is the tensor quadrature of two stft_grid
     products: outer rule |u|, |eta| <= the largest decay radius at 16
-    nodes per unit, inner box make_spec(f.decay_radius).  Its nonzero
+    nodes per unit, inner box make_spec(f.decay_radius) at the band
+    density, which is 16 nodes per unit for these windows.  Its nonzero
     samples stay above e^-552, far from the subnormal range below e^-708,
     so the guard has nothing to zero here; the subnormal case is the test
     above."""
+    monkeypatch.delenv("SUPERSTFT_QUAD_NODES", raising=False)
     h0, h1, phi = hermite_window(0), hermite_window(1), gaussian_window()
     xu, wu = nodes_weights(QuadratureSpec(h1.decay_radius, 16))
-    _, v1 = _unguarded_stft_grid(h0, phi, xu, xu, make_spec(h0.decay_radius))
-    _, v2 = _unguarded_stft_grid(h1, h1, xu, xu, make_spec(h1.decay_radius))
+    _, v1 = _unguarded_stft_grid(h0, phi, xu, xu,
+                                 QuadratureSpec(h0.decay_radius + DEFAULT_PAD, 16))
+    _, v2 = _unguarded_stft_grid(h1, h1, xu, xu,
+                                 QuadratureSpec(h1.decay_radius + DEFAULT_PAD, 16))
     ref = complex(wu @ (v1 * np.conj(v2)) @ wu)
     got = moyal_double_integral(h0, phi, h1, h1)
     assert got.real == ref.real and got.imag == ref.imag
+
+
+_NARROW = custom_window(lambda t: np.exp(-np.asarray(t) ** 2), decay_radius=11.0)
+# h_24 on the smallest integer radius whose (u, eta) box covers V_{h_24} h_24:
+# at its own decay radius 16 the box edge carries 9.4e-8 of the peak, which
+# moyal_double_integral refuses
+_H24 = custom_window(hermite_window(24).func, decay_radius=18.0)
+
+
+@pytest.mark.parametrize("factors", [
+    (hermite_window(0), gaussian_window()),
+    (hermite_window(0), gaussian_window(), hermite_window(1), hermite_window(1)),
+    (hermite_window(4), hermite_window(4)),
+    (hermite_window(8), hermite_window(2)),
+    (_H24, _H24),
+    (_NARROW, _NARROW),
+], ids=["energy", "moyal-full", "h4-h4", "h8-h2", "h24-h24", "narrow"])
+def test_moyal_band_rule_matches_default_density(factors, monkeypatch):
+    """The inner t rule at the band density (18 nodes per unit for h_24 on
+    radius 18, 16 for the others) gives the Moyal integral of the default
+    64 nodes per unit to 1e-14 of 2 pi ||f1|| ||f2|| ||g1|| ||g2||: for
+    verify's two calls, for Hermite pairs up to order 24 and for the
+    narrow e^{-t^2}."""
+    f1, g1, f2, g2 = factors * 2 if len(factors) == 2 else factors
+    norms = [math.sqrt(inner_product(h, h).real) for h in (f1, g1, f2, g2)]
+    scale = TWO_PI * math.prod(norms)
+    monkeypatch.delenv("SUPERSTFT_QUAD_NODES", raising=False)
+    band = moyal_double_integral(*factors)
+    monkeypatch.setenv("SUPERSTFT_QUAD_NODES", "64")
+    default = moyal_double_integral(*factors)
+    assert abs(band - default) <= 1e-14 * scale
 
 
 def test_moyal_double_integral_names_factor_without_decay_radius():
