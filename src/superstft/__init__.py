@@ -13,7 +13,7 @@ from .evolution import (EvolutionPoint, evolve_gaussian_closed,
                         evolve_hermite, evolve_numeric, evolve_superosc,
                         evolve_superosc_integral_representation,
                         evolve_superosc_signal, oscillation_hazard,
-                        pde_residual, slice_hazard)
+                        pde_residual)
 from .kernels import (TFQuadruple, fock_kernel, gabor_kernel_numeric,
                       hermite_autoconvolution,
                       hermite_convolution_closed, hermite_pair_integral,
@@ -62,7 +62,7 @@ __all__ = [
     "moyal_double_integral", "moyal_inner_product", "norm_sq_closed_gaussian",
     "norm_sq_closed_hermite", "normalized_fock_kernel", "oscillation_hazard",
     "pde_residual", "reconstruct", "run_suite", "shifted_window",
-    "signal_norm_sq", "slice_hazard", "spectrogram", "stft", "stft_approx_hermite_closed",
+    "signal_norm_sq", "spectrogram", "stft", "stft_approx_hermite_closed",
     "stft_approx_via_ambiguity", "stft_grid", "stft_integral_representation",
     "stft_superosc_closed_grid", "stft_superosc_cross",
     "stft_superosc_fock_form", "stft_superosc_limit_grid",

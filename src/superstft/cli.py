@@ -27,8 +27,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .evolution import (EvolutionPoint, evolve_gaussian_closed,
-                        evolve_hermite, evolve_superosc, slice_hazard)
+from .evolution import EvolutionPoint, evolve_hermite, evolve_superosc
 from .kernels import stft_superosc_closed_grid, stft_superosc_limit_grid
 from .signals import build_signal, gaussian_window, hermite_window, \
     shifted_window
@@ -297,18 +296,13 @@ def cmd_evolve(args):
         p = SuperoscParams(a=args.a, n=args.n)
 
         def sample(t):
-            return evolve_superosc(p, args.x, t), 0
-    elif args.window == "gaussian":
-        def sample(t):
-            pt = EvolutionPoint(x=args.x, t=t, x0=args.x0, k0=args.k0)
-            return evolve_gaussian_closed(pt, normalized=args.normalized), 0
+            return evolve_superosc(p, args.x, t)
     else:
-        window = hermite_window(args.order)
+        order = 0 if args.window == "gaussian" else args.order
 
         def sample(t):
             pt = EvolutionPoint(x=args.x, t=t, x0=args.x0, k0=args.k0)
-            val = evolve_hermite(args.order, pt, normalized=args.normalized)
-            return val, int(slice_hazard(window, t))
+            return evolve_hermite(order, pt, normalized=args.normalized)
 
     # every slice is computed before a row is written, so a value no route
     # can give is a one-line usage error with no partial CSV
@@ -321,8 +315,9 @@ def cmd_evolve(args):
     labels = _labels(args.x)
     with _output(args.out) as out:
         out.write("x,t,re,im,abs,accuracy_flag\n")
-        for t, (v, flag) in zip(times, slices):  # t-major row order
-            template = "%%s,%.17g,%%.17g,%%.17g,%%.17g,%d\n" % (t, flag)
+        for t, v in zip(times, slices):  # t-major row order
+            # accuracy_flag is 0 until a route has an error bound that sets it
+            template = "%%s,%.17g,%%.17g,%%.17g,%%.17g,0\n" % t
             _write_grid(out, [template], labels, _complex_columns(v))
     return 0
 

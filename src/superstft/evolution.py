@@ -10,32 +10,32 @@ WITHOUT the 1/(2 pi) of the inverse transform, so every evolution path
 returns 2 pi times the datum at t = 0.  Pass normalized=True to divide
 the 2 pi out.
 
-The e^{-i p^2 t} factor oscillates with instantaneous frequency 2|p t|,
-so node density is scaled by (1 + |t| T) up to a cap; past the cap
-(|t| T^2 > 10^4) results are unreliable and a warning is raised —
-oscillation_hazard() exposes the same predicate for callers that need
-a flag instead of a warning.
-
 For the Hermite window h_m the position-space integral has a closed form
 (alpha = 1/2 + i t, gamma^2 = 1 - 1/alpha):
 
     int e^{-alpha u^2 + i y u} H_m(u) du
         = sqrt(pi / alpha) e^{-y^2 / (4 alpha)} gamma^m H_m(i y / (2 alpha gamma)).
 
-evolve_hermite evaluates it on every slice that is not hazardous
-(slice_hazard), and returns evolve_numeric's quadrature on hazardous
-slices, so a warned or flagged value is always the quadrature value the
-warning or flag describes.
+It holds at every t, and evolve_hermite evaluates it on every slice; its
+m = 0 case is the Gaussian window's evolve_gaussian_closed.
+
+evolve_numeric is the momentum-space quadrature oracle, and the route for
+custom windows.  Its e^{-i p^2 t} factor oscillates with instantaneous
+frequency 2|p t|, so node density is scaled by (1 + |t| T) up to a cap;
+past the cap (|t| T^2 > 10^4) its results are unreliable and it raises a
+warning — oscillation_hazard() exposes the same predicate for callers
+that need a flag instead of a warning.
 
 The evolution routes are grid-first: the fields of an EvolutionPoint (and
 the y, t of evolve_superosc and evolve_superosc_integral_representation)
 may be arrays that broadcast together, and a scalar call is the 0-d case of
-the same code.  evolve_numeric and evolve_hermite take one t per call,
-since the quadrature rule (and evolve_hermite's route) depends on t.
+the same code.  evolve_numeric and evolve_hermite take one t per call: the
+quadrature rule depends on t, and with a scalar t every entry of a grid
+equals its one-point call to the bit (an array t would change the last
+bits of the closed forms).
 """
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -48,8 +48,9 @@ from .quadrature import (
     default_nodes_per_unit,
     nodes_weights,
 )
-from .signals import hermite_window, window_norm_sq
-from .special import TWO_PI, _as_result, _finite, hermite_function
+from .signals import window_norm_sq
+from .special import (MAX_HERMITE_ORDER, TWO_PI, _as_result, _finite,
+                      hermite_function)
 from .superosc import coefficients, frequencies
 from .transforms import fourier
 
@@ -85,41 +86,23 @@ def oscillation_hazard(t, truncation_radius):
     return abs(t) * float(truncation_radius) ** 2 > OSCILLATION_HAZARD
 
 
-def _box_radius(g):
-    """Half-width of the momentum box evolve_numeric integrates g's slices
-    over by default: the window's decay radius plus DEFAULT_PAD (F(g)
-    decays like g for the gaussian and hermite windows)."""
-    return float(g.decay_radius) + DEFAULT_PAD
-
-
-def slice_hazard(g, t):
-    """True when the slice t of g's evolution is hazardous on the default
-    box of evolve_numeric (oscillation_hazard with its radius); the CLI's
-    accuracy_flag and evolve_hermite's route choice."""
-    return oscillation_hazard(t, _box_radius(g))
-
-
 def _single_t(pt):
     """pt.t as a float; an array t is a ValueError."""
     if np.ndim(pt.t) != 0:
-        raise ValueError("the route and the quadrature rule depend on t: "
-                         "pass one t per call (x, x0 and k0 may be arrays)")
+        raise ValueError("the evolution routes take one t per call "
+                         "(x, x0 and k0 may be arrays)")
     return float(pt.t)
 
 
 def _warn_if_hazard(t, truncation_radius):
     if oscillation_hazard(t, truncation_radius):
-        # point at the first caller outside this module, whether it called
-        # evolve_numeric or evolve_hermite
-        depth = 1
-        while sys._getframe(depth).f_globals.get("__name__") == __name__:
-            depth += 1
+        # point at the line that called evolve_numeric
         warnings.warn(
             f"highly oscillatory evolution integrand: |t| T^2 = "
             f"{abs(t) * truncation_radius**2:.3g} exceeds {OSCILLATION_HAZARD:.0g}; "
             "result accuracy is not guaranteed",
             RuntimeWarning,
-            stacklevel=depth + 1,
+            stacklevel=3,
         )
 
 
@@ -170,7 +153,9 @@ def evolve_numeric(g, pt, spec=None, normalized=False):
         if not closed:
             raise ValueError(
                 "custom windows need an explicit momentum-space quadrature spec")
-        spec = _oscillation_spec(_box_radius(g), t)
+        # the window's own box: its decay radius plus DEFAULT_PAD (F(g)
+        # decays like g for the gaussian and hermite windows)
+        spec = _oscillation_spec(float(g.decay_radius) + DEFAULT_PAD, t)
     _warn_if_hazard(t, spec.truncation_radius)
     u, w = nodes_weights(spec)
     if closed:
@@ -199,7 +184,13 @@ def evolve_gaussian_closed(pt, normalized=False):
     principal square root (continuous through t = 0).  Solves
     i d/dt phi = -d^2/dx^2 phi exactly and equals 2 pi M_{k0} T_{x0} phi
     at t = 0.  Evaluated on the whole grid that pt spans."""
-    out = _as_result(_gaussian_closed_arr(pt.x, pt.t, pt.x0, pt.k0))
+    # as in _hermite_closed_arr: past |x - x0 - 2 k0 t| = 80 |1/2 + i t| the
+    # modulus is below e^{-800} and underflows to zero; clipping x there
+    # keeps that zero and stops the square from overflowing
+    centre = pt.x0 + 2.0 * pt.k0 * pt.t
+    reach = 80.0 * np.abs(0.5 + 1j * pt.t)
+    x = np.clip(pt.x, centre - reach, centre + reach)
+    out = _as_result(_gaussian_closed_arr(x, pt.t, pt.x0, pt.k0))
     return out / TWO_PI if normalized else out
 
 
@@ -239,20 +230,16 @@ def evolve_hermite(m, pt, normalized=False):
     requirements that the t = 0 value be 2 pi M_{k0} T_{x0} h_m and that
     the result match evolve_numeric at all t.
 
-    pt.t must be a scalar; pt.x, pt.x0 and pt.k0 may be arrays.  The route
-    is chosen per slice.  On a slice that is not hazardous
-    (slice_hazard(h_m, t) false), the integral is the closed
-    Gaussian-moment form of the module docstring: no rule is built and no
-    warning is raised.  A hazardous slice returns
-    evolve_numeric(hermite_window(m), pt), which warns once, so that the
-    warning, and the CLI's accuracy_flag, describe the route that produced
-    the values."""
-    if m < 0:
-        raise ValueError(f"hermite order must be >= 0, got {m}")
+    pt.t must be a scalar; pt.x, pt.x0 and pt.k0 may be arrays.  The
+    integral is the closed Gaussian-moment form of the module docstring at
+    every t: no rule is built and no warning is raised.  h_0 is the Gaussian
+    window, so m = 0 returns evolve_gaussian_closed."""
+    if not 0 <= m <= MAX_HERMITE_ORDER:
+        raise ValueError(
+            f"hermite order must be in 0..{MAX_HERMITE_ORDER}, got {m}")
     t = _single_t(pt)
-    hm = hermite_window(m)
-    if slice_hazard(hm, t):
-        return evolve_numeric(hm, pt, normalized=normalized)
+    if m == 0:
+        return evolve_gaussian_closed(pt, normalized=normalized)
     out = _as_result(_hermite_closed_arr(m, pt.x, t, pt.x0, pt.k0))
     return out / TWO_PI if normalized else out
 
@@ -278,17 +265,13 @@ def evolve_superosc(p, y, t):
 def evolve_superosc_signal(g, x, p, y, t):
     """U_t S(y) for the signal S = F_n(.) g(. - x), by evolving each atom
     M_{omega_j} T_x g and summing (datum scale: equals S(y) at t = 0).
-    All n + 1 atoms are one grid call over k0 = omega_j, on evolve_hermite's
-    own route for a Hermite window."""
-    pt = EvolutionPoint(y, t, x, frequencies(p))
-    if g.kind == "gaussian":
-        atoms = evolve_gaussian_closed(pt)
-    elif g.kind == "hermite":
-        atoms = evolve_hermite(g.order, pt)
-    else:
+    All n + 1 atoms are one evolve_hermite grid call over k0 = omega_j
+    (order 0 for the Gaussian window)."""
+    if g.kind not in ("gaussian", "hermite"):
         raise ValueError(
             "mode-wise evolution needs a gaussian or hermite window"
         )
+    atoms = evolve_hermite(g.order, EvolutionPoint(y, t, x, frequencies(p)))
     return complex(coefficients(p) @ atoms / TWO_PI)
 
 

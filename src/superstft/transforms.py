@@ -192,14 +192,17 @@ def moyal_double_integral(f1, g1, f2=None, g2=None):
     """int int V_{g1} f1 (u, eta) conj(V_{g2} f2 (u, eta)) du deta by
     tensor quadrature of two stft_grid calls.  The outer rule takes
     |u|, |eta| <= R at 16 Simpson nodes per unit, R the largest decay
-    radius of f1, g1, f2 and g2; the time radius also sizes the eta box,
-    which holds for the Hermite-type functions this serves, whose Fourier
-    transforms decay like the functions.  Each stft_grid integrates t on
-    make_spec(f.decay_radius)'s box: f(t) conj(g(t - u)) is negligible
-    wherever f is, so the shift by |u| does not widen it.  Its density is
-    band_spec's for the band B_f + B_g + R, B a factor's decay radius
-    (plus 1 for an F_n signal) and R the largest |eta|: the integrand
-    f(t) conj(g(t - u)) e^{-i t eta} has no spectrum beyond it, which
+    radius of f1, g1, f2 and g2.  That box does not always cover the
+    transforms: V_{h_k} h_k reaches out to about the sum of the two radii,
+    so the edge check below refuses the equal-order Hermite pairs
+    k = 6, 8, 9, 11, 12 and 14 to 24 (edge/peak 6.6e-12 to 2.8e-10 up to
+    k = 12); a pair with a Gaussian factor stays inside it.  Each
+    stft_grid integrates t on make_spec(f.decay_radius)'s box:
+    f(t) conj(g(t - u)) is negligible wherever f is, so the shift by |u|
+    does not widen it.  Its density is band_spec's for the band
+    B_f + B_g + R, B a factor's decay radius (plus 1 for an F_n signal)
+    and R the largest |eta|: the integrand f(t) conj(g(t - u)) e^{-i t eta}
+    has no spectrum beyond it, which
     gives 16 nodes per unit for every Hermite window up to order 24.  A
     factor without a decay_radius is a ValueError that names it, and so
     is an integrand above 1e-12 of its peak on the box's edge (a function

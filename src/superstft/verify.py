@@ -526,8 +526,6 @@ def _run_evolution_routes(rng):
         pt = ev.EvolutionPoint(x=x, t=t, x0=x0, k0=k0)
         worst = max(worst, float(abs(ev.evolve_numeric(g, pt)
                                      - ev.evolve_gaussian_closed(pt))))
-        worst = max(worst, float(abs(ev.evolve_hermite(0, pt)
-                                     - ev.evolve_gaussian_closed(pt))))
     pt = ev.EvolutionPoint(x=0.0, t=0.3, x0=0.1, k0=1.0)
     h2 = sg.hermite_window(2)
     worst = max(worst, float(abs(ev.evolve_numeric(h2, pt)

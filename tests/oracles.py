@@ -6,11 +6,13 @@ conjugation for real parameters) or by a constant; the tests pin the
 exact relation between the two.  The explicit sums and the quadrature
 avatar are independent oracles for the library's recurrences, product
 form and closed norms.  The full-grid frame check is the reference for
-the library's blocked scan.
+the library's blocked scan.  The mpmath evolution uses mpmath's own H_m in
+place of the library's recurrence.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 from superstft.kernels import _envelope, _hermite_term
@@ -145,3 +147,21 @@ def frame_check_full(f, resolution, tolerance):
     return FrameVerdict(lower_bound=lower, upper_bound=upper,
                         grid_resolution=resolution, verdict=verdict,
                         min_location=loc, tolerance=float(tolerance))
+
+
+def evolve_hermite_mp(m, x, t, x0, k0):
+    """evolve_hermite(m, EvolutionPoint(x, t, x0, k0)) at one point, in
+    40-digit mpmath: with alpha = 1/2 + i t, s = x - x0 - 2 k0 t and
+    gamma^2 = 1 - 1/alpha, the integral is sqrt(pi / alpha) e^{-s^2 / (4 alpha)}
+    gamma^m H_m(i s / (2 alpha gamma)), with mpmath's H_m (the branch of
+    gamma cancels, since H_m has the parity of m)."""
+    with mpmath.workdps(40):
+        x, t, x0, k0 = (mpmath.mpf(float(v)) for v in (x, t, x0, k0))
+        alpha = mpmath.mpc(0.5, t)
+        s = x - x0 - 2 * k0 * t
+        gamma = mpmath.sqrt(1 - 1 / alpha)
+        integral = (mpmath.sqrt(mpmath.pi / alpha)
+                    * mpmath.exp(-s * s / (4 * alpha)) * gamma ** m
+                    * mpmath.hermite(m, 1j * s / (2 * alpha * gamma)))
+        return complex(mpmath.sqrt(2 * mpmath.pi) * mpmath.mpc(0, -1) ** m
+                       * mpmath.expj(k0 * x - k0 * k0 * t) * integral)

@@ -290,14 +290,32 @@ def test_evolve_datum_row(tmp_path):
     assert worst < 1e-9
 
 
-def test_evolve_hermite_hazard_flag(tmp_path):
+def test_evolve_hermite_hazard_slice_is_closed(tmp_path):
+    """A slice past evolve_numeric's node cap (|t| T^2 > 10^4) is the closed
+    form too: no warning, flag 0, and mpmath's values."""
+    from oracles import evolve_hermite_mp
+    from superstft.special import hermite_norm_sq
     out = tmp_path / "haz.csv"
-    with pytest.warns(RuntimeWarning):
-        rc = main(["evolve", "--window", "hermite", "--order", "1",
-                   "--t", "2000", "--x", "0:1:3", "--out", str(out)])
-    assert rc == 0
-    rows = _read_csv(str(out))
-    assert all(r[5] == "1" for r in rows[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--window", "hermite", "--order", "1",
+                     "--t", "0:2000:2", "--x", "0:1:4", "--out", str(out)]) == 0
+    rows = _read_csv(str(out))[1:]
+    assert len(rows) == 8 and all(r[5] == "0" for r in rows)
+    far = [r for r in rows if float(r[1]) == 2000.0]
+    err = max(abs(complex(float(r[2]), float(r[3]))
+                  - evolve_hermite_mp(1, float(r[0]), 2000.0, 0.0, 0.0))
+              for r in far)
+    assert len(far) == 4
+    assert err <= 1e-12 * math.sqrt(2.0 * math.pi * hermite_norm_sq(1))
+
+
+def test_evolve_hermite_order_zero_is_gaussian(capsys):
+    grid = ["--x0", "0.5", "--k0", "1.5", "--x", "-3:3:31", "--t", "-1:1:5"]
+    assert main(["evolve", "--window", "gaussian", *grid]) == 0
+    gaussian = capsys.readouterr().out
+    assert main(["evolve", "--window", "hermite", "--order", "0", *grid]) == 0
+    assert capsys.readouterr().out == gaussian
 
 
 def test_evolve_superosc_mode(tmp_path):
@@ -416,22 +434,6 @@ def test_spectrogram_axis_shapes_match_per_cell_writer(tmp_path, u, eta):
         assert text.splitlines()[1].startswith("-0,-1,")
 
 
-def test_evolve_hazard_slice_bytes_match_per_cell_writer(tmp_path):
-    from superstft.evolution import EvolutionPoint, evolve_hermite
-    out = tmp_path / "haz.csv"
-    with pytest.warns(RuntimeWarning):
-        assert main(["evolve", "--window", "hermite", "--order", "1",
-                     "--t", "0:2000:2", "--x", "0:1:4", "--out", str(out)]) == 0
-    xs = np.linspace(0, 1, 4)
-    expected = "x,t,re,im,abs,accuracy_flag\n"
-    with pytest.warns(RuntimeWarning):
-        for t, flag in ((0.0, "0"), (2000.0, "1")):
-            v = evolve_hermite(1, EvolutionPoint(xs, t, 0.0, 0.0))
-            expected += _reference_rows([(x, t) for x in xs], v,
-                                        [flag] * xs.size)
-    assert _lines(out.read_text()) == _lines(expected)
-
-
 def test_parser_is_built_once_and_handlers_resolved_per_call(monkeypatch,
                                                             capsys):
     """main builds its parser on the first call only, and runs the cmd_*
@@ -515,15 +517,3 @@ def test_evolve_without_hazard_emits_no_warning(argv, capsys):
         assert main(argv) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 27 and all(r.endswith(",0") for r in rows)
-
-
-def test_evolve_hazard_slice_warns_once_and_flags_its_rows(tmp_path):
-    out = tmp_path / "haz.csv"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["evolve", "--window", "hermite", "--order", "1",
-                   "--t", "0:2000:2", "--x", "0:1:4", "--out", str(out)])
-    assert rc == 0
-    assert [w.category for w in caught] == [RuntimeWarning]
-    flags = [r[5] for r in _read_csv(str(out))[1:]]
-    assert flags == ["0"] * 4 + ["1"] * 4

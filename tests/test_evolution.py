@@ -4,15 +4,18 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import evolve_hermite_mp
+from superstft.cli import main
 from superstft.evolution import (OSCILLATION_HAZARD, EvolutionPoint,
                                  evolve_gaussian_closed, evolve_hermite,
                                  evolve_numeric, evolve_superosc,
                                  evolve_superosc_integral_representation,
                                  evolve_superosc_signal, oscillation_hazard,
-                                 pde_residual, slice_hazard)
-from superstft.quadrature import DEFAULT_PAD, QuadratureSpec
+                                 pde_residual)
+from superstft.quadrature import QuadratureSpec
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window)
+from superstft.special import hermite_norm_sq
 from superstft.superosc import SuperoscParams
 
 rng = np.random.default_rng(31)
@@ -41,7 +44,7 @@ def test_hermite_zero_is_gaussian():
     for _ in range(4):
         x, t, x0, k0 = rng.uniform(-1.0, 1.0, 4)
         pt = EvolutionPoint(x=x, t=t, x0=x0, k0=k0)
-        assert abs(evolve_hermite(0, pt) - evolve_gaussian_closed(pt)) < 1e-11
+        assert evolve_hermite(0, pt) == evolve_gaussian_closed(pt)
 
 
 def test_hermite_matches_numeric():
@@ -90,7 +93,7 @@ def test_oscillation_hazard_predicate():
 def test_hazard_warning_emitted():
     pt = EvolutionPoint(x=0.0, t=2000.0, x0=0.0, k0=0.0)
     with pytest.warns(RuntimeWarning):
-        evolve_hermite(1, pt)
+        evolve_numeric(hermite_window(1), pt)
 
 
 def test_custom_window_needs_spec():
@@ -233,8 +236,9 @@ def test_hazard_warns_once_per_grid_call():
     pt = EvolutionPoint(x=np.linspace(0.0, 1.0, 5), t=2000.0, x0=0.0, k0=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        evolve_hermite(1, pt)
+        evolve_numeric(hermite_window(1), pt)
     assert [w.category for w in caught] == [RuntimeWarning]
+    assert caught[0].filename == __file__  # the caller's line, not ours
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +246,8 @@ def test_hazard_warns_once_per_grid_call():
 # ---------------------------------------------------------------------------
 
 def _quadrature_hermite(m, pt):
-    """evolve_hermite's integral by quadrature: evolve_numeric of h_m, on
-    the box whose hazard picks evolve_hermite's route."""
+    """evolve_hermite's integral by quadrature: evolve_numeric of h_m on
+    its default box."""
     return evolve_numeric(hermite_window(m), pt)
 
 
@@ -253,7 +257,6 @@ def test_hermite_closed_matches_numeric_oracle():
     for m in (1, 2, 3, 5, 8):
         hm = hermite_window(m)
         for t in (-0.7, 0.0, 0.5, 1.0, 10.0):
-            assert not slice_hazard(hm, t)
             closed = evolve_hermite(m, EvolutionPoint(xs, t, x0, k0))
             ref = np.array([evolve_numeric(hm, EvolutionPoint(x, t, x0, k0))
                             for x in xs])
@@ -312,19 +315,20 @@ def test_hermite_closed_builds_no_rule_and_warns_not(monkeypatch):
         evolve_hermite(2, EvolutionPoint(0.3, -1.0, 0.0, 0.0), normalized=True)
 
 
-def test_hermite_hazard_slice_keeps_quadrature():
-    """A hazardous slice is evolve_numeric of h_m, to the bit."""
-    pt = EvolutionPoint(np.linspace(0.0, 1.0, 5), 2000.0, 0.2, 0.3)
-    assert slice_hazard(hermite_window(1), pt.t)
-    assert oscillation_hazard(pt.t, hermite_window(1).decay_radius + DEFAULT_PAD)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = evolve_hermite(1, pt)
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert caught[0].filename == __file__  # the caller's line, not ours
-    with pytest.warns(RuntimeWarning):
-        ref = _quadrature_hermite(1, pt)
-    assert np.array_equal(got, ref)
+@pytest.mark.parametrize("m", [1, 8, 32, 64])
+def test_hermite_closed_on_hazardous_slices_matches_mpmath(m):
+    """Where evolve_numeric's rule runs out of nodes (|t| T^2 > 10^4) the
+    closed form still holds, with no warning."""
+    draws = np.random.default_rng(m)
+    scale = math.sqrt(TWO_PI * hermite_norm_sq(m))
+    for t in (2e3, -5e3, 1e5):
+        xs = draws.uniform(-20.0, 20.0, 4)
+        x0, k0 = draws.uniform(-3.0, 3.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evolve_hermite(m, EvolutionPoint(xs, t, x0, k0))
+        ref = [evolve_hermite_mp(m, x, t, x0, k0) for x in xs]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
 def test_hermite_order_above_maximum_rejected():
@@ -333,15 +337,24 @@ def test_hermite_order_above_maximum_rejected():
             evolve_hermite(65, EvolutionPoint(0.0, t, 0.0, 0.0))
 
 
-def test_hermite_closed_far_tails_are_zero():
-    """Far outside the packet the closed route returns exact zeros, with
-    no overflow of the Hermite recurrence and no floating-point warning."""
+def test_hermite_closed_far_tails_are_zero(capsys):
+    """Far outside the packet the closed routes return exact zeros, with
+    no overflow of the Hermite recurrence or of the Gaussian's square and
+    no floating-point warning."""
     xs = np.array([1e5, -1e200, 1.7e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for m in (0, 3, 64):
             vals = evolve_hermite(m, EvolutionPoint(xs, 0.3, 0.1, -0.5))
             assert np.array_equal(vals, np.zeros(3))
+        t = np.array([[0.0], [0.3]])
+        vals = evolve_gaussian_closed(EvolutionPoint(xs, t, 0.1, -0.5))
+        assert np.array_equal(vals, np.zeros((2, 3)))
+        assert main(["evolve", "--window", "gaussian", "--x", "-1e200:1e200:3",
+                     "--t", "0:0.3:2"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 6
+    assert all((float(r[4]) == 0.0) == (float(r[0]) != 0.0) for r in rows)
 
 
 def test_numeric_grid_matches_point_calls():

@@ -7,7 +7,7 @@ from superstft.quadrature import (DEFAULT_PAD, QuadratureSpec, make_spec,
                                   nodes_weights)
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window, shifted_window)
-from superstft.special import hermite_function
+from superstft.special import hermite_function, hermite_norm_sq
 from superstft.superosc import SuperoscParams
 from superstft.transforms import (ComplexGrid, ambiguity, bargmann, convolve,
                                   fourier, inner_product, inverse_fourier,
@@ -286,6 +286,16 @@ def test_moyal_band_rule_matches_default_density(factors, monkeypatch):
     monkeypatch.setenv("SUPERSTFT_QUAD_NODES", "64")
     default = moyal_double_integral(*factors)
     assert abs(band - default) <= 1e-14 * scale
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "the (u, eta) box takes the largest single decay radius (11 for h_6), "
+    "but V_{h_6} h_6 reaches out to about the sum of the two radii: the "
+    "edge check refuses it at edge/peak 6.6e-12"))
+def test_moyal_double_integral_equal_order_hermite_energy():
+    h6 = hermite_window(6)
+    energy = TWO_PI * hermite_norm_sq(6) ** 2
+    assert abs(moyal_double_integral(h6, h6) - energy) <= 1e-12 * energy
 
 
 def test_moyal_double_integral_names_factor_without_decay_radius():
