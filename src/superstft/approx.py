@@ -15,9 +15,9 @@ plus the n -> oo Gaussian limit.
 
 import numpy as np
 
-from .kernels import _tensor_axes, stft_superosc_cross
+from .kernels import _tensor_axes, hermite_pair_integral, stft_superosc_cross
 from .signals import _supershift_radius, custom_window
-from .special import SQRT_PI, _as_result, _finite, ipow
+from .special import _as_result, _finite, ipow
 from .superosc import f_n, supershift_probe
 from .transforms import ambiguity, fourier
 
@@ -83,10 +83,7 @@ def app2_closed(u, eta, a):
 
         V_phi(e^{i a .} phi)(u, eta)
             = sqrt(pi) e^{-(u^2 + eta^2 + a^2)/4} e^{-(u - i eta) a / 2}
-                       e^{-i u eta / 2}."""
-    return complex(
-        SQRT_PI
-        * np.exp(-0.25 * (u * u + eta * eta + a * a))
-        * np.exp(-0.5 * (u - 1j * eta) * a)
-        * np.exp(-0.5j * u * eta)
-    )
+                       e^{-i u eta / 2},
+
+    the Gaussian pair integral hermite_pair_integral(0, 0, u, -a, -eta)."""
+    return hermite_pair_integral(0, 0, u, -a, -eta)

@@ -311,6 +311,8 @@ def cmd_evolve(args):
         slices = [sample(t) for t in times]  # one grid call per slice
     except (ValueError, FloatingPointError) as exc:
         args._parser.error(str(exc))
+    except OverflowError:  # k0**2 of a Python float
+        args._parser.error(f"--k0 {args.k0:g} overflows the phase k0^2 t")
 
     labels = _labels(args.x)
     with _output(args.out) as out:

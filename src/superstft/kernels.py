@@ -5,30 +5,28 @@ Everything here ultimately specializes one master integral,
     hermite_pair_integral(k, m, u, x, lam)
         = int e^{i t lam} h_k(t - u) h_m(t - x) dt
         = sqrt(pi) i^{k+m} 2^{(k+m)/2}
-          e^{-lam^2/4 + i lam (u+x)/2 - (u-x)^2/4} H_{k,m}(z, w),
-    z = (lam - i(u - x))/sqrt2,   w = (lam + i(u - x))/sqrt2,
+          e^{-lam^2/4 + i lam (u+x)/2 - (u-x)^2/4} H_{k,m}(z, conj z),
+    z = (lam - i(u - x))/sqrt2,
 
-with H_{k,m} the 2D-complex Hermite polynomials.  Gabor kernels, the
-closed-form STFTs of superoscillating signals, Hermite convolutions and
-the compact I_{k,m} forms all come out of it by choosing arguments.
+with H_{k,m} the 2D-complex Hermite polynomials, evaluated in their
+Laguerre form, which does not cancel.  Gabor kernels, the closed-form STFTs
+of superoscillating signals, Hermite convolutions, the closed norms and
+approx.app2_closed are all calls of it; only the compact I_{k,m} forms,
+which take complex arguments, keep the explicit sum of complex_hermite_2d.
 
-Each of those is a phase times _envelope times _hermite_term, the
-polynomial 2^{(k+m)/2} H_{k,m}((a + ib)/sqrt2, (a - ib)/sqrt2).
-
-Every closed sum over the superoscillation coefficients goes through
-supershift_probe, and the Gabor kernels of the Gaussian and Hermite
-windows share one grid evaluator, _closed_kernel, which
-stft_superosc_limit_grid(g, x, omega, u, eta) returns as the kernel
-K_g(x, omega; u, eta); a scalar call is the 0-d case of the grid call.
-Those sums cancel, since
+The Gabor kernel K_g(x, omega; u, eta) of the window h_n (n = 0 the
+Gaussian) is hermite_pair_integral(n, n, u, x, omega - eta), which
+stft_superosc_limit_grid(g, x, omega, u, eta) returns; a scalar call is
+the 0-d case of the grid call.  Every closed sum over the superoscillation
+coefficients goes through supershift_probe.  Those sums cancel, since
 sum_j |C_j| = max(1, |a|)^n, so no superoscillation STFT with a Hermite
 window forms one.  The same-window grid (stft_superosc_closed_grid), the
 cross-window grid (stft_superosc_cross, signal on h_m, window h_k) and the
 approximating-sequence grid (approx.stft_approx_hermite_closed) are all
 calls of one core, _hermite_superosc_grid, which integrates the product
 form of F_n against the window pair by Gauss-Hermite quadrature.  The
-coefficient sums stay only as that core's fallback: the closed twin
-stft_superosc_termwise_grid for k = m, the pair-integral sum for k != m.
+coefficient sum of pair integrals stays only as that core's fallback and
+as its closed twin, stft_superosc_termwise_grid.
 """
 
 import math
@@ -41,7 +39,7 @@ from .quadrature import QuadratureSpec, _guard, nodes_weights
 from .signals import (Signal, Window, build_signal, hermite_window,
                       shifted_window, signal_norm_sq)
 from .special import (
-    MAX_COMPLEX_HERMITE_ORDER,
+    MAX_HERMITE_ORDER,
     SQRT2,
     SQRT_PI,
     TWO_PI,
@@ -74,26 +72,41 @@ class TFQuadruple:
             _finite(name, getattr(self, name))
 
 
-def _hermite_term(k, m, a, b):
-    """2^{(k+m)/2} H_{k,m}((a + ib)/sqrt2, (a - ib)/sqrt2), the polynomial
-    part of every pair-integral form (a, b may be complex or arrays)."""
-    return (2.0 ** ((k + m) / 2.0)
-            * complex_hermite_2d(k, m, (a + 1j * b) / SQRT2,
-                                 (a - 1j * b) / SQRT2))
-
-
-def _envelope(lam, s, d):
-    """sqrt(pi) e^{-lam^2/4 + i lam s/2 - d^2/4}, the Gaussian part of the
-    pair integrals (s the sum, d the difference of the two shifts)."""
-    return SQRT_PI * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * s - d * d / 4.0)
+# |lam| or |u - x| beyond which e^{-lam^2/4} or e^{-(u-x)^2/4} is exactly 0
+# in double precision; clipping there keeps the pair integral's Laguerre
+# factor and the product form's H_m(s_k +- d/2) finite
+_D_MAX = 60.0
 
 
 def hermite_pair_integral(k, m, u, x, lam):
     """int e^{i t lam} h_k(t - u) h_m(t - x) dt in closed form (see module
-    docstring), for real u, x and lam that broadcast together."""
-    lam = np.asarray(lam, dtype=float)
-    return _as_result(ipow(k + m) * _envelope(lam, u + x, u - x)
-                      * _hermite_term(k, m, lam, x - u))
+    docstring) for real u, x and lam that broadcast together and orders
+    0..MAX_HERMITE_ORDER (a ValueError otherwise).  The polynomial is
+    evaluated in the Laguerre form
+
+        i^{k+m} 2^{(k+m)/2} H_{k,m}(z, conj z)
+            = 2^{(k+m)/2} j! zeta^d L_j^{(d)}(|z|^2),
+
+    j = min(k, m), d = |k - m|, zeta = i z for k <= m, i conj(z) for k > m,
+    so no term cancels.  lam and u - x are clipped at _D_MAX, where the
+    Gaussian factor is already exactly 0: far arguments give 0, not 0 times
+    an overflowed polynomial."""
+    if not 0 <= min(k, m) <= max(k, m) <= MAX_HERMITE_ORDER:
+        raise ValueError(f"orders ({k}, {m}) outside 0..{MAX_HERMITE_ORDER}")
+    # maximum/minimum: np.clip's call overhead is twice theirs on small grids
+    lam = np.minimum(np.maximum(lam, -_D_MAX), _D_MAX)
+    ux = np.minimum(np.maximum(u - x, -_D_MAX), _D_MAX)
+    out = SQRT_PI * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * (u + x)
+                           - ux * ux / 4.0)
+    if k or m:
+        # in place: a second full-size complex array kept alive through the
+        # Laguerre recurrence made 121x121 Hermite grids several % slower
+        j, d = min(k, m), abs(k - m)
+        out *= 2.0 ** ((k + m) / 2.0) * math.factorial(j)
+        out *= laguerre(j, (lam * lam + ux * ux) / 2.0, d)
+        if d:  # i z = (i lam + ux)/sqrt2
+            out *= ((1j * lam + (ux if k < m else -ux)) / SQRT2) ** d
+    return _as_result(out)
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +122,6 @@ def gabor_kernel_numeric(g, q):
     without a decay radius is a ValueError."""
     return stft(Signal(g, q.x), g, q.u, q.eta - q.omega,
                 _resolve_spec(None, g, shifts=(q.x, q.u)))
-
-
-def _closed_kernel(order, x, omega, u, eta):
-    """K_{h_order}(x, omega; u, eta) on whatever grid x, omega, u, eta
-    broadcast to: the Gaussian kernel for order 0,
-
-        sqrt(pi) e^{(i/2)(u+x)(omega-eta)} e^{-(u-x)^2/4 - (eta-omega)^2/4},
-
-    and 2^n n! times it times L_n(((x-u)^2 + (omega-eta)^2)/2) for the
-    Hermite window of order n >= 1."""
-    out = SQRT_PI * np.exp(0.5j * (u + x) * (omega - eta)
-                           - (u - x) ** 2 / 4.0
-                           - (eta - omega) ** 2 / 4.0)
-    if order:
-        # in place: a second full-size complex array kept alive through the
-        # Laguerre recurrence made 121x121 Hermite grids several % slower
-        s = ((x - u) ** 2 + (omega - eta) ** 2) / 2.0
-        out *= (2.0 ** order) * math.factorial(order)
-        out *= laguerre(order, s)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +212,13 @@ def _norm_double_sum(m, x, p):
         sqrt(pi) (-2)^m  sum_{j,k} C_j C_k e^{-d^2 + 2 i d x}
                                    H_{m,m}(sqrt2 d, sqrt2 d),
 
-    whose imaginary part cancels pairwise; a sum that comes out non-real
+    whose summand is hermite_pair_integral(m, m, x, x, 2d) and whose
+    imaginary part cancels pairwise; a sum that comes out non-real
     (cancellation at large n) raises FloatingPointError."""
     c = coefficients(p)
     idx = np.arange(p.n + 1)
     d = (idx[None, :] - idx[:, None]) / p.n  # d[j, k] = (k - j)/n
-    h = complex_hermite_2d(m, m, SQRT2 * d, SQRT2 * d)
-    total = SQRT_PI * (-2.0) ** m * np.einsum(
-        "j,k,jk->", c, c, np.exp(-(d**2) + 2j * d * x) * h
-    )
+    total = c @ hermite_pair_integral(m, m, x, x, 2.0 * d) @ c
     if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
         raise FloatingPointError(f"norm sum came out non-real: {total}")
     return float(total.real)
@@ -266,17 +257,17 @@ def hermite_convolution_closed(k, m, x, u, lam):
         sqrt(pi) i^{k-m} 2^{(k+m)/2} e^{-lam^2/4 + i lam (x+u)/2 - (x-u)^2/4}
             H_{k,m}((x - u + i lam)/sqrt2, (x - u - i lam)/sqrt2).
 
-    This is the variant the convolution quadrature confirms.  x, u and
-    lam broadcast together; a scalar call returns a complex."""
-    return _as_result(ipow(k - m) * _envelope(lam, x + u, x - u)
-                      * _hermite_term(k, m, x - u, lam))
+    This is the variant the convolution quadrature confirms.  It is
+    (-1)^m e^{i u lam} hermite_pair_integral(k, m, 0, lam, x - u).  x, u
+    and lam broadcast together; a scalar call returns a complex."""
+    return _as_result((-1.0) ** m * np.exp(1j * u * lam)
+                      * hermite_pair_integral(k, m, 0.0, lam, x - u))
 
 
 def hermite_autoconvolution(k, m, lam):
     """(h_k * h_m)(lam) = sqrt(pi) 2^{(k+m)/2} e^{-lam^2/4}
     H_{k,m}(lam/sqrt2, lam/sqrt2) — the unmodulated x = u = 0 case."""
-    lam = np.asarray(lam, dtype=float)
-    return _as_result(_envelope(lam, 0.0, 0.0) * _hermite_term(k, m, lam, 0.0))
+    return hermite_convolution_closed(k, m, 0.0, 0.0, lam)
 
 
 def i_km_series(k, m, x, u, lam):
@@ -304,8 +295,9 @@ def i_km_closed(k, m, x, u, lam):
     """Compact closed form of the same polynomial:
     (-1)^m 2^{(k+m)/2} H_{k,m}((u - x - i lam)/sqrt2, (u - x + i lam)/sqrt2);
     identical to i_km_series for all (complex) arguments."""
-    return complex((-1.0) ** m * _hermite_term(k, m, complex(u) - complex(x),
-                                                -complex(lam)))
+    a, b = complex(u) - complex(x), -complex(lam)
+    return complex((-1.0) ** m * 2.0 ** ((k + m) / 2.0) * complex_hermite_2d(
+        k, m, (a + 1j * b) / SQRT2, (a - 1j * b) / SQRT2))
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +395,6 @@ _GH_CHECK_NODES = 40
 # the route's absolute tolerance, in units of max(1, ||S|| ||g||)
 _ROUTE_TOL = 1e-12
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-# |u - x| beyond which e^{-(u-x)^2/4} is exactly 0 in double precision;
-# clipping there keeps H_m(s_k +- d/2) finite
-_D_MAX = 60.0
 
 
 @lru_cache(maxsize=None)
@@ -485,11 +474,10 @@ def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
     it there: the extreme-eta columns must agree with a rule of N + 40
     nodes, and the roundoff bound (n + N) u sum_i |A[u, i]| (u the unit
     roundoff) must be within the tolerance.  When no rule up to
-    _GH_MAX_NODES passes, the coefficient sum is used if its Higham bound
-    (n + 1) u max(1, |a|)^n ||h_k|| ||h_m|| is within the tolerance: the
-    closed Gabor kernels of stft_superosc_termwise_grid for k = m, the
-    pair integrals sum_j C_j hermite_pair_integral(k, m, u, x, omega_j -
-    eta) otherwise, for orders up to MAX_COMPLEX_HERMITE_ORDER.  Failing
+    _GH_MAX_NODES passes, the coefficient sum of pair integrals
+    sum_j C_j hermite_pair_integral(k, m, u, x, omega_j - eta) is used if
+    its Higham bound (n + 1) u max(1, |a|)^n ||h_k|| ||h_m|| is within the
+    tolerance; for k = m that is stft_superosc_termwise_grid.  Failing
     that, this raises ValueError naming the eta range; negative orders are
     a ValueError too."""
     if k < 0 or m < 0:
@@ -517,13 +505,7 @@ def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
     log_bound = (math.log((p.n + 1) * _UNIT_ROUNDOFF
                           * math.sqrt(k_norm_sq * hermite_norm_sq(m)))
                  + p.n * math.log(max(1.0, abs(p.a))))
-    termwise = f"roundoff bound 10^{log_bound / math.log(10.0):.1f}"
-    if k != m and max(k, m) > MAX_COMPLEX_HERMITE_ORDER:
-        termwise = f"pair integrals stop at order {MAX_COMPLEX_HERMITE_ORDER}"
-    elif log_bound <= math.log(tol):
-        if k == m:
-            return stft_superosc_termwise_grid(hermite_window(m), x, p,
-                                               u_axis, eta_axis)
+    if log_bound <= math.log(tol):
         ug, eg = _tensor_axes(u_axis, eta_axis)
         return supershift_probe(
             lambda w: hermite_pair_integral(k, m, ug, x, w - eg), p)
@@ -531,7 +513,7 @@ def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
         f"superoscillation STFT (n = {p.n}, a = {p.a}, windows h_{k} and "
         f"h_{m}) not resolved to {tol:.3g} for eta in "
         f"[{eta.min():.6g}, {eta.max():.6g}]: Gauss-Hermite: {why}; "
-        f"termwise sum: {termwise}")
+        f"termwise sum: roundoff bound 10^{log_bound / math.log(10.0):.1f}")
 
 
 def stft_superosc_closed_grid(g, x, p, u_axis, eta_axis):
@@ -573,7 +555,8 @@ def stft_superosc_termwise_grid(g, x, p, u_axis, eta_axis):
     if g.kind not in ("gaussian", "hermite"):
         raise ValueError("the termwise sum needs a gaussian or hermite window")
     ug, eg = _tensor_axes(*_grid_axes(x, u_axis, eta_axis))
-    return supershift_probe(lambda w: _closed_kernel(g.order, x, w, ug, eg), p)
+    return supershift_probe(
+        lambda w: hermite_pair_integral(g.order, g.order, ug, x, w - eg), p)
 
 
 def stft_superosc_limit_grid(g, x, a, u_axis, eta_axis):
@@ -589,4 +572,4 @@ def stft_superosc_limit_grid(g, x, a, u_axis, eta_axis):
     if g.kind == "custom":
         return stft_grid(shifted_window(g, x, a), g, u_axis, eta_axis)
     ug, eg = _tensor_axes(u_axis, eta_axis)
-    return _as_result(_closed_kernel(g.order, x, a, ug, eg))
+    return hermite_pair_integral(g.order, g.order, ug, x, a - eg)

@@ -1,9 +1,11 @@
 """Scalar special functions used everywhere else.
 
-Hermite polynomials/functions, Laguerre polynomials, the
+Hermite polynomials/functions, generalized Laguerre polynomials, the
 2D-complex Hermite polynomials H_{k,l}(z, w), a truncated Jacobi theta
 series, and the Gaussian integral.  Evaluation uses recurrences where the
-explicit sums would lose precision.
+explicit sums would lose precision.  H_{k,l} keeps its sum (orders up to
+32) for complex arguments; at conjugate arguments, where the sum cancels,
+kernels.hermite_pair_integral evaluates it as (-1)^j j! z^d L_j^{(d)}(|z|^2).
 """
 
 import math
@@ -86,18 +88,19 @@ def hermite_norm_sq(n):
     return (2.0 ** n) * math.factorial(n) * SQRT_PI
 
 
-def laguerre(n, x):
-    """Laguerre polynomial L_n(x) by the recurrence
-    (k + 1) L_{k+1} = (2k + 1 - x) L_k - k L_{k-1}."""
+def laguerre(n, x, alpha=0):
+    """Generalized Laguerre polynomial L_n^{(alpha)}(x) by the recurrence
+    (k + 1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     x, scalar = _descalarize(x)
     l_prev = np.ones_like(x)
     if n == 0:
         return float(l_prev) if scalar else l_prev
-    l_cur = 1.0 - x
+    l_cur = 1.0 + alpha - x
     for k in range(1, n):
-        l_cur, l_prev = ((2 * k + 1 - x) * l_cur - k * l_prev) / (k + 1.0), l_cur
+        l_cur, l_prev = (((2 * k + 1 + alpha - x) * l_cur
+                          - (k + alpha) * l_prev) / (k + 1.0), l_cur)
     return float(l_cur) if scalar else l_cur
 
 

@@ -316,6 +316,28 @@ def _run_pair_integral(rng):
     return worst, {"points": 10, "k_max": 4, "m_max": 4}
 
 
+@_case("pair-integral-high-order", "hermite",
+       "master integral at orders up to 32 against quadrature, in units of "
+       "||h_k|| ||h_m||", 1e-12)
+def _run_pair_integral_high_order(rng):
+    worst = 0.0
+    for _ in range(8):
+        k, m = (int(order) for order in rng.integers(0, 33, 2))
+        u, x = rng.uniform(-2.0, 2.0, 2)
+        lam = rng.uniform(-8.0, 8.0)
+        radii = [sg.hermite_window(order).decay_radius for order in (k, m)]
+        # band: both decay radii and |lam| <= 8
+        quad = tr.fourier(
+            lambda t: sp.hermite_function(k, t - u) * sp.hermite_function(m, t - x),
+            -lam, spec=band_spec(sum(radii) + 8.0, max(radii), u, x))
+        scale = math.sqrt(sp.hermite_norm_sq(k) * sp.hermite_norm_sq(m))
+        worst = max(worst, float(abs(quad - kn.hermite_pair_integral(
+            k, m, u, x, lam))) / scale)
+    return worst, {"points": 8, "k_max": 32, "m_max": 32,
+                   "u_x_range": [-2.0, 2.0], "lam_range": [-8.0, 8.0],
+                   "relative_to": "||h_k|| ||h_m||"}
+
+
 @_case("hermite-convolution", "hermite",
        "closed convolution of modulated Hermite functions", 1e-8)
 def _run_convolution(rng):

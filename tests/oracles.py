@@ -3,7 +3,9 @@
 The variant closed expressions circulate next to a library closed form and
 differ from it by exchanging the two polynomial slots of H_{k,m} (a
 conjugation for real parameters) or by a constant; the tests pin the
-exact relation between the two.  The explicit sums and the quadrature
+exact relation between the two; their polynomial is the explicit sum of
+complex_hermite_2d, not the library's Laguerre form, so the relations
+also compare two evaluations.  The explicit sums and the quadrature
 avatar are independent oracles for the library's recurrences, product
 form and closed norms.  The full-grid frame check is the reference for
 the library's blocked scan.  The mpmath evolution uses mpmath's own H_m in
@@ -15,11 +17,25 @@ import math
 import mpmath
 import numpy as np
 
-from superstft.kernels import _envelope, _hermite_term
 from superstft.quadrature import QuadratureSpec, integrate
-from superstft.special import SQRT_PI, TWO_PI, _descalarize, ipow
+from superstft.special import (SQRT2, SQRT_PI, TWO_PI, _descalarize,
+                               complex_hermite_2d, ipow)
 from superstft.superosc import coefficients, supershift_probe
 from superstft.zak import FrameVerdict, zak_grid
+
+
+def _hermite_term(k, m, a, b):
+    """2^{(k+m)/2} H_{k,m}((a + ib)/sqrt2, (a - ib)/sqrt2) by the explicit
+    sum (a, b may be complex or arrays)."""
+    return (2.0 ** ((k + m) / 2.0)
+            * complex_hermite_2d(k, m, (a + 1j * b) / SQRT2,
+                                 (a - 1j * b) / SQRT2))
+
+
+def _envelope(lam, s, d):
+    """sqrt(pi) e^{-lam^2/4 + i lam s/2 - d^2/4}, the Gaussian part of the
+    pair integrals (s the sum, d the difference of the two shifts)."""
+    return SQRT_PI * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * s - d * d / 4.0)
 
 
 def _pair_integral_mirror(k, m, u, x, lam):
@@ -27,6 +43,23 @@ def _pair_integral_mirror(k, m, u, x, lam):
     # alpha = (u - x + i lam)/sqrt2: the exchanged-slot expression
     return ((-1.0) ** m * _envelope(lam, x + u, x - u)
             * _hermite_term(k, m, u - x, lam))
+
+
+def hermite_pair_integral_mp(k, m, u, x, lam, dps=300):
+    """int e^{i t lam} h_k(t - u) h_m(t - x) dt as the explicit sum of
+    H_{k,m}(z, conj z) in mpmath at dps digits, on the double inputs as
+    given; the sum's cancellation costs none of the digits compared."""
+    with mpmath.workdps(dps):
+        u, x, lam = mpmath.mpf(u), mpmath.mpf(x), mpmath.mpf(lam)
+        z = (lam - 1j * (u - x)) / mpmath.sqrt(2)
+        poly = mpmath.fsum(
+            (-1) ** j * mpmath.factorial(j) * mpmath.binomial(k, j)
+            * mpmath.binomial(m, j) * z ** (m - j) * mpmath.conj(z) ** (k - j)
+            for j in range(min(k, m) + 1))
+        return complex(mpmath.sqrt(mpmath.pi) * mpmath.mpc(0, 1) ** (k + m)
+                       * mpmath.sqrt(2) ** (k + m) * poly
+                       * mpmath.exp(-lam ** 2 / 4 + 1j * lam * (u + x) / 2
+                                    - (u - x) ** 2 / 4))
 
 
 def stft_superosc_cross_mirror(k, m, x, p, u, eta):

@@ -28,7 +28,7 @@ CRITERIA = {
     "A3": ("gabor-kernel-gaussian",),
     "A4": ("gabor-kernel-hermite",),
     "A5": ("hermite-convolution",),
-    "A6": ("i_km_compact", "pair-integral"),
+    "A6": ("i_km_compact", "pair-integral", "pair-integral-high-order"),
     "A7": ("norm-gaussian", "norm-hermite", "hermite-diagonal-value"),
     "A8": ("supershift-limit", "supershift-convergence"),
     "A9": ("reconstruction", "fourier-eigenfunction"),
@@ -93,7 +93,7 @@ def test_A5_hermite_convolution():
 
 def test_A6_pair_integral_polynomial():
     """Series and compact forms of the pair-integral polynomial; the master
-    integral against quadrature."""
+    integral against quadrature, at low orders and up to order 32."""
     _check("A6")
 
 

@@ -141,6 +141,33 @@ def test_coefficient_overflow_is_a_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--window", "gaussian", "--k0", "1e200"],
+    ["--window", "hermite", "--order", "3", "--k0", "1e160"],
+])
+def test_evolve_phase_overflow_is_a_usage_error(argv, capsys):
+    """k0^2 beyond double range: exit 2 with one line, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", *argv, "--x", "0:1:2", "--t", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "overflows the phase k0^2 t" in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("order, u", [(64, "1e5"), (3, "1e155")])
+def test_spectrogram_limit_far_shift_prints_zeros(order, u, capsys):
+    """Far from the window the limit kernel is exactly 0, with no overflow
+    warning and no NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrogram", "--signal", "limit", "--window",
+                     "hermite", "--order", str(order), "--u", u,
+                     "--eta", "0"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert [float(v) for v in row[2:]] == [0.0, 0.0, 0.0]
+
+
 def test_verify_report(tmp_path):
     out = tmp_path / "report.json"
     rc = main(["verify", "--suite", "zak", "--json", str(out)])

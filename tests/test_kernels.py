@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -654,11 +655,49 @@ def test_unresolved_closed_grid_raises(n, a, eta, why):
                                   np.linspace(-1.0, 1.0, 3), np.array(eta))
 
 
-def test_cross_orders_above_pair_integrals_raise_route_error():
-    """No rule resolves |eta| = 50 and the pair integrals stop at order 32:
-    the route's ValueError names the eta range."""
-    with pytest.raises(ValueError, match=r"eta in \[-50, 50\].*order 32"):
-        stft_superosc_cross(40, 33, 0.0, SuperoscParams(2, 8), 0.0, [-50, 50])
+def test_cross_orders_above_32_fall_back_to_pair_integrals():
+    """No rule resolves |eta| = 50, so (k, m) = (40, 33) takes the sum of
+    pair integrals, whose Laguerre form has no order-32 cap: within the
+    route's tolerance 1e-12 ||S|| ||h_k|| of stft_grid.  Where Higham's bound
+    of that sum fails too (n = 64), the route's ValueError names the eta
+    range and the bound."""
+    p = SuperoscParams(2, 8)
+    u, eta = np.array([0.0, 1.5]), np.array([-50.0, -3.0, 0.0, 2.0, 50.0])
+    v = stft_superosc_cross(40, 33, 0.0, p, u, eta)
+    signal = build_signal(hermite_window(33), 0.0, p)
+    scale = math.sqrt(signal_norm_sq(signal)
+                      * window_norm_sq(hermite_window(40)))
+    assert np.max(np.abs(v)) > 0.2 * scale
+    quad = stft_grid(signal, hermite_window(40), u, eta)
+    assert np.max(np.abs(v - quad)) <= kernels._ROUTE_TOL * scale
+    with pytest.raises(ValueError,
+                       match=r"eta in \[-50, 50\].*roundoff bound 10\^8"):
+        stft_superosc_cross(3, 5, 0.0, SuperoscParams(2, 64), 0.0, [-50, 50])
+
+
+@pytest.mark.parametrize("order", [1, 32, 64])
+@pytest.mark.parametrize("far", [1e3, 1e5, 1e155])
+def test_pair_integral_far_arguments_are_zero(order, far):
+    """Beyond |lam|, |u - x| = 60 the Gaussian factor is exactly 0; the
+    kernel clips there, so far shifts and frequencies give 0 with no
+    overflow of the Laguerre factor (warnings are errors)."""
+    g = hermite_window(order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, lam in ((far, 0.5), (-far, 0.5), (0.3, far), (far, -far)):
+            for k, m in ((order, order), (order, 0), (1, order)):
+                assert hermite_pair_integral(k, m, u, 0.0, lam) == 0.0
+        grid = stft_superosc_limit_grid(g, 0.0, 2.0, [far, -far, 0.5],
+                                        [0.0, far])
+        assert np.all(grid[:2] == 0.0) and np.all(grid[2, 1:] == 0.0)
+        assert grid[2, 0] != 0.0
+
+
+def test_pair_integral_order_check():
+    """Orders outside 0..64 are a ValueError from the kernel itself."""
+    for k, m in ((65, 0), (0, 65), (-1, 2)):
+        with pytest.raises(ValueError, match=r"outside 0\.\.64"):
+            hermite_pair_integral(k, m, 0.0, 0.0, 0.0)
 
 
 def test_gauss_hermite_rules_resolve_their_bands():

@@ -80,6 +80,21 @@ def test_laguerre_vs_scipy():
                                    rtol=1e-11, atol=1e-11)
 
 
+def test_generalized_laguerre_vs_scipy():
+    """L_n^{(alpha)} by the recurrence against scipy, relative to the
+    largest |L| on the draw; alpha = 0 is the default call to the bit, and
+    a scalar x gives a float."""
+    x = np.concatenate([rng.uniform(0.0, 6.0, 20), rng.uniform(0.0, 60.0, 20)])
+    for n in (0, 1, 2, 5, 16, 32, 64):
+        for alpha in (0, 1, 3.5, 17, 64):
+            ref = eval_genlaguerre(n, alpha, x)
+            np.testing.assert_allclose(laguerre(n, x, alpha), ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+        assert laguerre(n, x, 0).tobytes() == laguerre(n, x).tobytes()
+    assert type(laguerre(3, 0.5, 2)) is float
+    assert laguerre(1, 0.5, 2) == 2.5
+
+
 def test_complex_hermite_monomial_edges():
     """H_{k,0}(z,w) = w^k and H_{0,l}(z,w) = z^l (index k rides on w)."""
     z, w = 0.4 + 0.9j, -1.1 + 0.2j
