@@ -112,7 +112,162 @@ def _int_at_least(lo):
 
 
 # at most this many rows are formatted and written at a time
-_ROW_BLOCK = 4096
+_ROW_BLOCK = 2048
+
+# The NUL-padded slot of one %.17g field: sign, the "0." and up to three
+# zeros of 0.000ddd, 17 digits with a place for the point, and "e+308".  The
+# widest field, "-2.2250738585072014e-308", is 24 bytes.
+_SLOT = 29
+_DEKKER = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10(q):
+    """10**q as hi + lo: hi the nearest double, lo the nearest double to
+    the rest (int / int rounds correctly)."""
+    num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
+@functools.lru_cache(maxsize=None)
+def _text_tables():
+    """Byte tables of the encoder, as little-endian words: the four digits
+    of each chunk 0..9999, the same with trailing zeros as NUL, the prefixes
+    (sign, then "", "0.", "0.0", "0.00" or "0.000") and the exponent
+    suffixes "e-300" .. "e+300", which cover every X _decimal decides, with
+    no suffix last."""
+    chunk = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    digits = (chunk + 48).astype(np.uint8)
+    stripped = digits * (np.cumsum(chunk[:, ::-1], axis=1)[:, ::-1] > 0)
+    prefix = np.zeros((10, 8), np.uint8)
+    prefix[5:, 0] = ord("-")
+    for zeros, text in enumerate([b"0.", b"0.0", b"0.00", b"0.000"], 1):
+        prefix[[zeros, 5 + zeros], 1:1 + len(text)] = list(text)
+    suffix = np.zeros((602, 8), np.uint8)
+    for e in range(-300, 301):
+        text = b"e%+03d" % e
+        suffix[e + 300, :len(text)] = list(text)
+    return (digits.view("<u4").ravel(), stripped.view("<u4").ravel(),
+            prefix.view("<u8").ravel(), suffix.view("<u8").ravel())
+
+
+def _decimal(v):
+    """|v| rounded to 17 significant digits, as the integer D in
+    [10**16, 10**17) and the exponent X of its leading digit, with a mask of
+    the values whose rounding is decided here; D = X = 0 for zeros.
+
+    |v| 10**(16 - X) is formed as a double-double product, good to about
+    1e-14; the rounding is decided where its integer part has 17 digits and
+    its fraction is more than 1e-6 from 1/2.  It is not for NaN, the
+    infinities and |v| outside [1e-280, 1e280], where the Dekker split could
+    overflow."""
+    mag = np.abs(v)
+    decided = (mag >= 1e-280) & (mag <= 1e280)  # False on NaN and inf
+    mag = np.where(decided, mag, 1.0)
+    x = np.floor(np.log10(mag)).astype(np.int64)
+    # 10**(16 - X) as hi + lo, for the exponents this block uses
+    q = 16 - x
+    q0 = int(q.min())
+    q -= q0
+    hi, lo = np.zeros((2, q.max() + 1))
+    for k in np.flatnonzero(np.bincount(q)).tolist():
+        hi[k], lo[k] = _pow10(q0 + k)
+    hi, lo = hi[q], lo[q]
+    # Dekker's exact product mag * hi = p + e, plus mag * lo
+    p = mag * hi
+    c = _DEKKER * mag
+    mag_hi = c - (c - mag)
+    mag_lo = mag - mag_hi
+    c = _DEKKER * hi
+    hi_hi = c - (c - hi)
+    hi_lo = hi - hi_hi
+    e = (((mag_hi * hi_hi - p) + mag_hi * hi_lo + mag_lo * hi_hi)
+         + mag_lo * hi_lo + mag * lo)
+    floor_e = np.floor(e)
+    frac = e - floor_e
+    digits = p.astype(np.int64) + floor_e.astype(np.int64)  # p >= 2**53
+    decided &= ((digits >= 10 ** 16) & (digits < 10 ** 17)
+                & (np.abs(frac - 0.5) > 1e-6))
+    digits += frac > 0.5
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    x += carry
+    zero = v == 0
+    digits[zero] = 0
+    x[zero] = 0
+    return digits, x, decided | zero
+
+
+def _chunks(x):
+    """floor(x / 10**4) and the last four digits of x, for integers x
+    below 2**53 held as doubles."""
+    high = np.floor(x / 1e4)
+    return high, (x - high * 1e4).astype(np.intp)
+
+
+def _ascii_digits(digits):
+    """The 17 digits of each integer in [0, 10**17) as ASCII, of shape
+    digits.shape + (17,), with the trailing zeros NUL, the leading digit
+    excepted: the leading digit, then four chunks of four digits, each
+    stripped unless a later one is not zero."""
+    full4, strip4 = _text_tables()[:2]
+    top = digits // 10 ** 8
+    top4, c2 = _chunks(top.astype(np.float64))
+    d0, c1 = _chunks(top4)
+    c3, c4 = _chunks((digits - top * 10 ** 8).astype(np.float64))
+    words = np.empty((digits.size, 5), "<u4")
+    words[:, 0] = (d0.astype(np.uint32) + 48) << 24
+    words[:, 4] = strip4[c4]
+    later = c4 != 0
+    for col, chunk in ((3, c3.astype(np.intp)), (2, c2), (1, c1)):
+        words[:, col] = np.where(later, full4[chunk], strip4[chunk])
+        later |= chunk != 0
+    return words.view(np.uint8)[:, 3:]
+
+
+def _encode(values):
+    """The %.17g text of each value, as NUL-padded byte slots of shape
+    values.shape + (_SLOT,): Python's '%.17g' % v once the NULs are dropped.
+
+    The digits of _decimal are laid out in numpy; a value whose rounding is
+    not decided there takes '%.17g' % v, one at a time."""
+    prefix8, suffix8 = _text_tables()[2:]
+    shape = np.shape(values)
+    v = np.ravel(values).astype(np.float64, copy=False)
+    n = v.size
+    digits, x, decided = _decimal(v)
+    text = _ascii_digits(digits)
+    # %g: fixed notation for -4 <= X < 17, else scientific
+    fixed = (x >= -4) & (x < 17)
+    out = np.zeros((n, _SLOT), np.uint8)
+    prefix = np.where(fixed & (x < 0), -x, 0) + 5 * np.signbit(v)
+    out[:, :6] = prefix8[prefix].view(np.uint8).reshape(n, 8)[:, :6]
+    # digit 0, a place for the point, digits 1..16: the layout of scientific
+    # notation, of fixed X = 0, and of 0.000ddd, whose point is its prefix's
+    out[:, 6] = text[:, 0]
+    out[:, 7] = ((~fixed | (x == 0)) & (text[:, 1] != 0)) * ord(".")
+    out[:, 8:24] = text[:, 1:]
+    # fixed X >= 1: every integer digit, then the point if a digit follows
+    whole = np.flatnonzero(fixed & (x > 0))
+    if whole.size:
+        at = x[whole, None]
+        shown = np.zeros((whole.size, 18), np.uint8)
+        shown[:, :17] = text[whole] | (np.arange(17) <= at) * np.uint8(48)
+        cols = np.arange(18)
+        body = np.where(cols <= at, shown, np.roll(shown, 1, axis=1))
+        body[cols == at + 1] = (shown[np.arange(whole.size), at[:, 0] + 1]
+                                != 0) * ord(".")
+        out[whole, 6:24] = body
+    suffix = np.where(fixed, -1, x + 300)
+    out[:, 24:] = suffix8[suffix].view(np.uint8).reshape(n, 8)[:, :5]
+    slow = np.flatnonzero(~decided)
+    if slow.size:
+        fields = b"".join([("%.17g" % f).encode().ljust(_SLOT, b"\0")
+                           for f in v[slow].tolist()])
+        out[slow] = np.frombuffer(fields, np.uint8).reshape(-1, _SLOT)
+    return out.reshape(shape + (_SLOT,))
 
 
 def _modulus(values):
@@ -128,32 +283,36 @@ def _complex_columns(values):
     return [values.real, values.imag, _modulus(values)]
 
 
-def _labels(axis):
-    """The %.17g text of each value of a grid axis."""
-    return ["%.17g" % v for v in axis.tolist()]
+def _write_grid(out, axes, columns, keys=(0, 1), tail=""):
+    """Write a grid as CSV rows, slice-major over axes = (outer, inner):
+    row i * len(inner) + j holds axes[k][(i, j)[k]] for each k in keys, then
+    c[i * len(inner) + j] for each of the columns, then tail, every number
+    as %.17g.
 
-
-def _write_grid(out, templates, labels, columns):
-    """Write a grid as CSV rows, slice-major: row j of slice i is
-    ``templates[i] % (labels[j], c[i * len(labels) + j] for c in columns)``.
-
-    Each template holds its slice's fixed fields (the outer axis value, a
-    flag) as literal text and labels are the inner axis already formatted,
-    so only the value columns are converted here.  One % formats a block of
-    at most _ROW_BLOCK rows: whole slices while they fit, else part of one."""
-    size, width = len(labels), len(columns) + 1
-    step = max(1, _ROW_BLOCK // size)
-    for i in range(0, len(templates), step):
-        group = templates[i:i + step]
-        for lo in range(0, size, _ROW_BLOCK):
-            rows = labels[lo:lo + _ROW_BLOCK]
-            count = len(rows) * len(group)
-            fields = [None] * (width * count)
-            fields[0::width] = rows * len(group)
-            start = i * size + lo
-            for k, col in enumerate(columns, 1):
-                fields[k::width] = col[start:start + count].tolist()
-            out.write("".join([t * len(rows) for t in group]) % tuple(fields))
+    The axis text is encoded once.  A block of at most _ROW_BLOCK rows is one
+    byte matrix, a NUL-padded slot per field between the separators, and
+    goes out in one write once the NULs are dropped."""
+    labels = [text[:, text.any(axis=0)]  # no column of NULs only
+              for text in np.split(_encode(np.concatenate(axes)),
+                                   [len(axes[0])])]
+    inner = len(axes[1])
+    values = np.stack(columns, axis=1)
+    widths = [labels[k].shape[1] for k in keys] + [_SLOT] * len(columns)
+    starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()
+    end = (tail + "\n").encode()
+    row = np.zeros(starts[-1] - 1 + len(end), np.uint8)
+    row[np.array(starts[1:-1]) - 1] = ord(",")
+    row[starts[-1] - 1:] = list(end)
+    for first in range(0, len(values), _ROW_BLOCK):
+        block = values[first:first + _ROW_BLOCK]
+        index = divmod(np.arange(first, first + len(block)), inner)
+        text = np.empty((len(block), row.size), np.uint8)
+        text[:] = row
+        fields = [labels[k][index[k]] for k in keys]
+        fields += list(np.moveaxis(_encode(block), 1, 0))
+        for start, width, field in zip(starts, widths, fields):
+            text[:, start:start + width] = field
+        out.write(text.tobytes().translate(None, b"\0").decode())
 
 
 def _json_default(obj):
@@ -221,12 +380,9 @@ def cmd_spectrogram(args):
     if args.mode == "both":
         header += ",abs_err"
         columns.append(_modulus(np.ravel(closed - numeric)))
-    # one slice per u, its eta rows in order
-    tail = ",%s," + ",".join(["%.17g"] * len(columns)) + "\n"
     with _output(args.out) as out:
         out.write(header + "\n")
-        _write_grid(out, [u + tail for u in _labels(args.u)],
-                    _labels(args.eta), columns)
+        _write_grid(out, (args.u, args.eta), columns)  # one slice per u
     return 0
 
 
@@ -314,13 +470,12 @@ def cmd_evolve(args):
     except OverflowError:  # k0**2 of a Python float
         args._parser.error(f"--k0 {args.k0:g} overflows the phase k0^2 t")
 
-    labels = _labels(args.x)
     with _output(args.out) as out:
         out.write("x,t,re,im,abs,accuracy_flag\n")
-        for t, v in zip(times, slices):  # t-major row order
-            # accuracy_flag is 0 until a route has an error bound that sets it
-            template = "%%s,%.17g,%%.17g,%%.17g,%%.17g,0\n" % t
-            _write_grid(out, [template], labels, _complex_columns(v))
+        # one slice per t, its x rows in order; accuracy_flag is 0 until a
+        # route has an error bound that sets it
+        _write_grid(out, (args.t, args.x), _complex_columns(np.stack(slices)),
+                    keys=(1, 0), tail=",0")
     return 0
 
 

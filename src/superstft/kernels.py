@@ -90,14 +90,25 @@ def hermite_pair_integral(k, m, u, x, lam):
     j = min(k, m), d = |k - m|, zeta = i z for k <= m, i conj(z) for k > m,
     so no term cancels.  lam and u - x are clipped at _D_MAX, where the
     Gaussian factor is already exactly 0: far arguments give 0, not 0 times
-    an overflowed polynomial."""
+    an overflowed polynomial.  The phase lam (u + x) / 2 can still overflow:
+    the value is 0 where the Gaussian factor is, and a ValueError where it
+    is not."""
     if not 0 <= min(k, m) <= max(k, m) <= MAX_HERMITE_ORDER:
         raise ValueError(f"orders ({k}, {m}) outside 0..{MAX_HERMITE_ORDER}")
-    # maximum/minimum: np.clip's call overhead is twice theirs on small grids
-    lam = np.minimum(np.maximum(lam, -_D_MAX), _D_MAX)
-    ux = np.minimum(np.maximum(u - x, -_D_MAX), _D_MAX)
-    out = SQRT_PI * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * (u + x)
-                           - ux * ux / 4.0)
+    # maximum/minimum: np.clip's call overhead is twice theirs on small grids;
+    # u - x, u + x and the phase may overflow, which the check below handles
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.minimum(np.maximum(lam, -_D_MAX), _D_MAX)
+        ux = np.minimum(np.maximum(u - x, -_D_MAX), _D_MAX)
+        out = SQRT_PI * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * (u + x)
+                               - ux * ux / 4.0)
+    lost = ~np.isfinite(out)
+    if lost.any():
+        gauss = np.exp(-lam ** 2 / 4.0 - ux * ux / 4.0)
+        if np.any(np.broadcast_to(gauss, out.shape)[lost] != 0):
+            raise ValueError("the phase lam (u + x) / 2 of the pair integral "
+                             "is not finite where its modulus is not 0")
+        out = np.where(lost, 0j, out)
     if k or m:
         # in place: a second full-size complex array kept alive through the
         # Laguerre recurrence made 121x121 Hermite grids several % slower

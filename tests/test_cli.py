@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import superstft.cli as cli
-from superstft.cli import (_ROW_BLOCK, _axis, _complex_columns, _labels,
+from superstft.cli import (_ROW_BLOCK, _axis, _complex_columns, _encode,
                            _merge_axis_values, _write_grid, main)
 from superstft.verify import CaseResult
 
@@ -166,6 +166,24 @@ def test_spectrogram_limit_far_shift_prints_zeros(order, u, capsys):
                      "--eta", "0"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert [float(v) for v in row[2:]] == [0.0, 0.0, 0.0]
+
+
+def test_spectrogram_limit_far_phase(capsys):
+    """Where the phase lam (u + x) / 2 overflows the value is 0 if the
+    Gaussian factor is, with no warning, and a usage error if it is not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrogram", "--signal", "limit", "--window",
+                     "gaussian", "--u", "1e307", "--eta", "1e307"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[2:] == ["0", "0", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrogram", "--signal", "limit", "--window", "gaussian",
+              "--x", "1e308", "--u", "1e308", "--eta", "0.5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "phase lam (u + x) / 2" in captured.err.splitlines()[-1]
 
 
 def test_verify_report(tmp_path):
@@ -415,24 +433,84 @@ def test_csv_writer_matches_per_cell_format():
     z = (rng.normal(size=6000) + 1j * rng.normal(size=6000)) \
         * 10.0 ** rng.integers(-5, 5, size=6000)
     # cells where np.abs and Python abs disagree in the last bit, if this
-    # numpy has any, come first
+    # numpy has any, come first; zeros, NaN and values below 1e-280, which
+    # the encoder lays out or hands to '%.17g' itself, come last
     disagree = np.abs(z) != np.array([abs(v) for v in z.tolist()])
     z = np.concatenate([z[disagree], z[~disagree]])
+    z[-6:] = [0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.nan, 1.0),
+              complex(1e-300, -5e-324), complex(-3e-290, 2.5)]
     assert z.size > _ROW_BLOCK
-    tail = ",%s,%.17g,%.17g,%.17g,%.17g\n"
     # (slices, rows per slice): many slices per write block, a slice
     # spanning write blocks, and one-row slices
     for shape in ((3, 2000), (1, 6000), (6000, 1)):
         outer, inner = rng.normal(size=shape[0]), np.arange(shape[1]) * 0.1
-        writes = []
-        out = type("Out", (), {"write": staticmethod(writes.append)})
-        _write_grid(out, [u + tail for u in _labels(outer)], _labels(inner),
-                    [*_complex_columns(z), -z.real])
         pairs = [(a, b) for a in outer for b in inner]
-        assert _lines("".join(writes)) == _lines(
-            _reference_rows(pairs, z, -z.real)), shape
-        # memory stays flat: no write holds more than one block of rows
-        assert max(w.count("\n") for w in writes) <= _ROW_BLOCK, shape
+        # spectrogram's layout, then evolve's: inner axis first and a tail
+        for keys, tail, expected in (
+                ((0, 1), "", _reference_rows(pairs, z, -z.real)),
+                ((1, 0), ",0", _reference_rows([(b, a) for a, b in pairs], z,
+                                               ["0"] * z.size))):
+            columns = _complex_columns(z) + [-z.real] * (tail == "")
+            writes = []
+            out = type("Out", (), {"write": staticmethod(writes.append)})
+            _write_grid(out, (outer, inner), columns, keys, tail)
+            assert _lines("".join(writes)) == _lines(expected), shape
+            # memory stays flat: no write holds more than one block of rows
+            assert max(w.count("\n") for w in writes) <= _ROW_BLOCK, shape
+
+
+def _encoded(values):
+    """The encoder's fields as text, the NUL padding dropped."""
+    return [row.tobytes().translate(None, b"\0").decode()
+            for row in _encode(np.asarray(values, dtype=np.float64))]
+
+
+def _edge_values():
+    tiny = 2.2250738585072014e-308  # the smallest normal double
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    limits = np.array([1e-280, 1e280, tiny])
+    switches = np.array([1e-4, 1e-5, 1e16, 1e17, 9.999999999999999e16,
+                         9.99995e-5, 9.9999999999999999e-5, 99999999999999999.0])
+    # dyadics m 2^k, among them exact ties at the 18th digit, such as
+    # 2^-25 = 2.98023223876953125e-08, which round half to even
+    dyadics = np.ldexp(np.array([1.0, 3.0, 5.0, 7.0, 2.0 ** 53 - 1])[:, None],
+                       np.arange(-90, 90)).ravel()
+    # within 1e-17 of a tie: |v| 10^(16 - X) is that close to a half-integer
+    near_ties = np.array([
+        1.3588129002659584e-245, 1.7020633919039689e-224,
+        2.9615332712773808e-140, 1.2659892744523979e-126,
+        4.421976605688792e-91, 5.404523395241026e-70, 1.3052657482677088e+56,
+        3.762354314523134e+70, 4.358836514852694e+140,
+        1.2496483683217588e+154, 2.711176770832212e+161,
+        2.5963366618376985e+231, 2.3045993857310316e+238,
+        1.5113346286523482e+259])
+    near_2_53 = 2.0 ** 53 + np.arange(-8.0, 9.0)
+    values = np.concatenate([
+        [0.0, 5e-324, 1.0, 0.1, np.nan, np.inf], powers, limits, switches,
+        dyadics, near_ties, near_2_53])
+    values = np.concatenate([values, np.nextafter(values, 0),
+                             np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_encoder_matches_percent_format_on_edge_table():
+    """Signed zeros, subnormals, the smallest normal, the [1e-280, 1e280]
+    limits, every 10^k, the fixed/scientific switches, ties and near ties,
+    and integers near 2^53, each with both neighbours and both signs."""
+    values = _edge_values()
+    assert _encoded(values) == ["%.17g" % v for v in values.tolist()]
+    assert _encoded([-0.0, 0.0]) == ["-0", "0"]
+
+
+def test_encoder_matches_percent_format_on_random_bits():
+    """2^18 random bit patterns, NaN payloads and subnormals included, and
+    the same block shaped as a matrix."""
+    bits = np.random.default_rng(19).integers(0, 2 ** 64, size=2 ** 18,
+                                              dtype=np.uint64)
+    values = bits.view(np.float64)
+    expected = ["%.17g" % v for v in values.tolist()]
+    assert _encoded(values) == expected
+    assert _encode(values.reshape(-1, 4)).shape == (2 ** 16, 4, cli._SLOT)
 
 
 def _spectrogram_reference(u, eta):

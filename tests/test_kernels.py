@@ -676,11 +676,12 @@ def test_cross_orders_above_32_fall_back_to_pair_integrals():
 
 
 @pytest.mark.parametrize("order", [1, 32, 64])
-@pytest.mark.parametrize("far", [1e3, 1e5, 1e155])
+@pytest.mark.parametrize("far", [1e3, 1e5, 1e155, 1e307])
 def test_pair_integral_far_arguments_are_zero(order, far):
     """Beyond |lam|, |u - x| = 60 the Gaussian factor is exactly 0; the
     kernel clips there, so far shifts and frequencies give 0 with no
-    overflow of the Laguerre factor (warnings are errors)."""
+    overflow of the Laguerre factor, nor NaN where the phase lam (u + x) / 2
+    overflows (warnings are errors)."""
     g = hermite_window(order)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -691,6 +692,19 @@ def test_pair_integral_far_arguments_are_zero(order, far):
                                         [0.0, far])
         assert np.all(grid[:2] == 0.0) and np.all(grid[2, 1:] == 0.0)
         assert grid[2, 0] != 0.0
+
+
+@pytest.mark.parametrize("u, x, lam", [(1e308, 1e308, 1.5),
+                                       (1e308, 1e308, 0.5),
+                                       (1.7e308, 1.7e308, -20.0)])
+def test_pair_integral_phase_overflow_is_an_error(u, x, lam):
+    """A phase beyond double range where the modulus is not 0 has no value
+    to return: a ValueError, not NaN (warnings are errors)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, m in ((0, 0), (3, 5)):
+            with pytest.raises(ValueError, match=r"phase lam \(u \+ x\) / 2"):
+                hermite_pair_integral(k, m, np.array([0.0, u]), x, lam)
 
 
 def test_pair_integral_order_check():

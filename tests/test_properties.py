@@ -1,8 +1,9 @@
 """Property tests on fixed domains: Hermite orders k, m in [0, 24] and
 |u|, |eta| <= R, R the larger decay radius of the pair, for the band rule;
-orders in [0, 64], |u|, |x| <= 20 and |lam| <= 8 for the pair integral.
-The domains are part of the claim; a failure is a defect to fix, not a
-draw to exclude."""
+orders in [0, 64], |u|, |x| <= 20 and |lam| <= 8 for the pair integral;
+every double, NaN, the infinities and subnormals included, for the CSV
+field encoder.  The domains are part of the claim; a failure is a defect to
+fix, not a draw to exclude."""
 
 import math
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hermite_pair_integral_mp
+from superstft.cli import _encode
 from superstft.kernels import hermite_pair_integral
 from superstft.quadrature import band_spec
 from superstft.signals import hermite_window, window_norm_sq
@@ -54,3 +56,23 @@ def test_pair_integral_matches_mpmath(k, m, u, x, lam):
     err = abs(hermite_pair_integral(k, m, u, x, lam)
               - hermite_pair_integral_mp(k, m, u, x, lam))
     assert err <= 1e-14 * scale
+
+
+def _encoded(values):
+    return [row.tobytes().translate(None, b"\0").decode()
+            for row in _encode(np.array(values, dtype=np.float64))]
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.floats(), min_size=1, max_size=64))
+def test_encoder_matches_percent_format_on_floats(values):
+    """Each field the CSV encoder lays out is Python's '%.17g' % v."""
+    assert _encoded(values) == ["%.17g" % v for v in values]
+
+
+@settings(max_examples=300)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_encoder_matches_percent_format_on_bit_patterns(bits):
+    """The same on raw 64-bit patterns, every exponent equally likely."""
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _encoded(values) == ["%.17g" % v for v in values.tolist()]
