@@ -289,14 +289,18 @@ def _write_grid(out, axes, columns, keys=(0, 1), tail=""):
     c[i * len(inner) + j] for each of the columns, then tail, every number
     as %.17g.
 
-    The axis text is encoded once.  A block of at most _ROW_BLOCK rows is one
-    byte matrix, a NUL-padded slot per field between the separators, and
-    goes out in one write once the NULs are dropped."""
-    labels = [text[:, text.any(axis=0)]  # no column of NULs only
-              for text in np.split(_encode(np.concatenate(axes)),
-                                   [len(axes[0])])]
-    inner = len(axes[1])
+    The axis text is encoded once, in the same _encode call as the first
+    block.  A block of at most _ROW_BLOCK rows is one byte matrix, a
+    NUL-padded slot per field between the separators, and goes out in one
+    write once the NULs are dropped."""
     values = np.stack(columns, axis=1)
+    head = np.concatenate(axes)
+    first_block = values[:_ROW_BLOCK]
+    encoded = _encode(np.concatenate([head, first_block.ravel()]))
+    labels = [text[:, text.any(axis=0)]  # no column of NULs only
+              for text in np.split(encoded[:head.size], [len(axes[0])])]
+    encoded = encoded[head.size:].reshape(first_block.shape + (_SLOT,))
+    inner = len(axes[1])
     widths = [labels[k].shape[1] for k in keys] + [_SLOT] * len(columns)
     starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()
     end = (tail + "\n").encode()
@@ -308,8 +312,10 @@ def _write_grid(out, axes, columns, keys=(0, 1), tail=""):
         index = divmod(np.arange(first, first + len(block)), inner)
         text = np.empty((len(block), row.size), np.uint8)
         text[:] = row
+        if first:
+            encoded = _encode(block)
         fields = [labels[k][index[k]] for k in keys]
-        fields += list(np.moveaxis(_encode(block), 1, 0))
+        fields += list(np.moveaxis(encoded, 1, 0))
         for start, width, field in zip(starts, widths, fields):
             text[:, start:start + width] = field
         out.write(text.tobytes().translate(None, b"\0").decode())

@@ -17,16 +17,20 @@ which take complex arguments, keep the explicit sum of complex_hermite_2d.
 The Gabor kernel K_g(x, omega; u, eta) of the window h_n (n = 0 the
 Gaussian) is hermite_pair_integral(n, n, u, x, omega - eta), which
 stft_superosc_limit_grid(g, x, omega, u, eta) returns; a scalar call is
-the 0-d case of the grid call.  Every closed sum over the superoscillation
-coefficients goes through supershift_probe.  Those sums cancel, since
-sum_j |C_j| = max(1, |a|)^n, so no superoscillation STFT with a Hermite
-window forms one.  The same-window grid (stft_superosc_closed_grid), the
-cross-window grid (stft_superosc_cross, signal on h_m, window h_k) and the
+the 0-d case of the grid call.  Closed sums over the superoscillation
+coefficients cancel, since sum_j |C_j| = max(1, |a|)^n, so no
+superoscillation STFT with a Hermite window forms one by default.  The
+same-window grid (stft_superosc_closed_grid), the cross-window grid
+(stft_superosc_cross, signal on h_m, window h_k) and the
 approximating-sequence grid (approx.stft_approx_hermite_closed) are all
 calls of one core, _hermite_superosc_grid, which integrates the product
 form of F_n against the window pair by Gauss-Hermite quadrature.  The
 coefficient sum of pair integrals stays only as that core's fallback and
-as its closed twin, stft_superosc_termwise_grid.
+as its closed twin, stft_superosc_termwise_grid; both are calls of
+_termwise_grid, which contracts C_j directly and applies the part of the
+phase that no term owns once, after the sum.  The generating checks build
+their order tables in one pass (_convolution_table), each entry the
+per-order call's to the bit.
 """
 
 import math
@@ -45,6 +49,11 @@ from .special import (
     TWO_PI,
     _as_result,
     _finite,
+    _flat_points,
+    _laguerre_steps,
+    _order_sum,
+    _phase_outer,
+    _powers,
     complex_hermite_2d,
     hermite_function,
     hermite_norm_sq,
@@ -52,7 +61,7 @@ from .special import (
     ipow,
     laguerre,
 )
-from .superosc import coefficients, f_n, supershift_probe
+from .superosc import coefficients, f_n, frequencies, supershift_probe
 from .transforms import (ComplexGrid, _resolve_spec, reconstruct, stft,
                          stft_grid)
 
@@ -78,6 +87,45 @@ class TFQuadruple:
 _D_MAX = 60.0
 
 
+def _pair_scale(k, m):
+    """2^{(k+m)/2} j!, j = min(k, m): the pair integral's constant."""
+    return 2.0 ** ((k + m) / 2.0) * math.factorial(min(k, m))
+
+
+def _clear_lost_phase(out, lost, log_gauss):
+    """out with its cells of non-finite phase (the mask lost) set to 0 where
+    the Gaussian factor e^{log_gauss()} is 0; a ValueError where it is not,
+    since a phase beyond double range has no value to give."""
+    if not lost.any():
+        return out
+    gauss = np.exp(log_gauss())
+    if np.any(np.broadcast_to(gauss, out.shape)[lost] != 0):
+        raise ValueError("the phase lam (u + x) / 2 of the pair integral "
+                         "is not finite where its modulus is not 0")
+    return np.where(lost, 0j, out)
+
+
+def _pair_gaussian(u, x, lam):
+    """lam and u - x clipped at _D_MAX, and the pair integral's
+    k = m = 0 value sqrt(pi) e^{-lam^2/4 + i lam (u+x)/2 - (u-x)^2/4}."""
+    # maximum/minimum: np.clip's call overhead is twice theirs on small grids;
+    # u - x, u + x and the phase may overflow, which _clear_lost_phase handles
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.minimum(np.maximum(lam, -_D_MAX), _D_MAX)
+        ux = np.minimum(np.maximum(u - x, -_D_MAX), _D_MAX)
+        out = SQRT_PI * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * (u + x)
+                               - ux * ux / 4.0)
+    out = _clear_lost_phase(out, ~np.isfinite(out),
+                            lambda: -lam ** 2 / 4.0 - ux * ux / 4.0)
+    return lam, ux, out
+
+
+def _zeta_power(k, m, lam, ux):
+    """zeta^d of the Laguerre form, d = |k - m|: i z = (i lam + ux)/sqrt2
+    for k < m, its conjugate's (i lam - ux)/sqrt2 for k > m."""
+    return ((1j * lam + (ux if k < m else -ux)) / SQRT2) ** abs(k - m)
+
+
 def hermite_pair_integral(k, m, u, x, lam):
     """int e^{i t lam} h_k(t - u) h_m(t - x) dt in closed form (see module
     docstring) for real u, x and lam that broadcast together and orders
@@ -95,29 +143,40 @@ def hermite_pair_integral(k, m, u, x, lam):
     is not."""
     if not 0 <= min(k, m) <= max(k, m) <= MAX_HERMITE_ORDER:
         raise ValueError(f"orders ({k}, {m}) outside 0..{MAX_HERMITE_ORDER}")
-    # maximum/minimum: np.clip's call overhead is twice theirs on small grids;
-    # u - x, u + x and the phase may overflow, which the check below handles
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.minimum(np.maximum(lam, -_D_MAX), _D_MAX)
-        ux = np.minimum(np.maximum(u - x, -_D_MAX), _D_MAX)
-        out = SQRT_PI * np.exp(-lam ** 2 / 4.0 + 0.5j * lam * (u + x)
-                               - ux * ux / 4.0)
-    lost = ~np.isfinite(out)
-    if lost.any():
-        gauss = np.exp(-lam ** 2 / 4.0 - ux * ux / 4.0)
-        if np.any(np.broadcast_to(gauss, out.shape)[lost] != 0):
-            raise ValueError("the phase lam (u + x) / 2 of the pair integral "
-                             "is not finite where its modulus is not 0")
-        out = np.where(lost, 0j, out)
+    lam, ux, out = _pair_gaussian(u, x, lam)
     if k or m:
         # in place: a second full-size complex array kept alive through the
         # Laguerre recurrence made 121x121 Hermite grids several % slower
-        j, d = min(k, m), abs(k - m)
-        out *= 2.0 ** ((k + m) / 2.0) * math.factorial(j)
-        out *= laguerre(j, (lam * lam + ux * ux) / 2.0, d)
-        if d:  # i z = (i lam + ux)/sqrt2
-            out *= ((1j * lam + (ux if k < m else -ux)) / SQRT2) ** d
+        out *= _pair_scale(k, m)
+        out *= laguerre(min(k, m), (lam * lam + ux * ux) / 2.0, abs(k - m))
+        if k != m:
+            out *= _zeta_power(k, m, lam, ux)
     return _as_result(out)
+
+
+def _pair_integral_table(K, u, x, lam):
+    """hermite_pair_integral(k, m, u, x, lam) for every k, m <= K, one array
+    of shape (K + 1, K + 1) + the points' shape.  One Laguerre recurrence
+    per d = |k - m| collects every degree j, and the products run in the
+    per-order call's order, so for array arguments each entry is that
+    call's to the bit."""
+    lam, ux, gauss = _pair_gaussian(u, x, lam)
+    arg = (lam * lam + ux * ux) / 2.0
+    table = np.empty((K + 1, K + 1) + gauss.shape, dtype=complex)
+    tail = (1,) * gauss.ndim
+    for d in range(K + 1):
+        j = np.arange(K + 1 - d)
+        degrees = _laguerre_steps(arg, d)
+        diag = gauss * np.reshape([_pair_scale(i, i + d) for i in j],
+                                  j.shape + tail)
+        diag *= np.stack([next(degrees) for _ in j])
+        if not d:
+            diag[0] = gauss  # k = m = 0 is the Gaussian factor alone
+            table[j, j] = diag
+            continue
+        table[j, j + d] = diag * _zeta_power(0, d, lam, ux)
+        table[j + d, j] = diag * _zeta_power(d, 0, lam, ux)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +374,27 @@ def i_km_closed(k, m, x, u, lam):
 # Generating-sum checks
 # ---------------------------------------------------------------------------
 
-def _generating_terms(u, v, K):
-    """(k, m, u^k v^m / (2^{(k+m)/2} k! m!)) for k, m <= K, the terms both
-    generating identities sum (weights of the points' shape)."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    for k in range(K + 1):
-        for m in range(K + 1):
-            yield k, m, (u ** k * v ** m
-                         / (2.0 ** ((k + m) / 2.0)
-                            * math.factorial(k) * math.factorial(m)))
+def _convolution_table(K, x, lam):
+    """hermite_convolution_closed(k, m, x, x, lam) for every k, m <= K, one
+    array of shape (K + 1, K + 1) + the points' shape: the prefactors
+    (-1)^m e^{i x lam} times _pair_integral_table, so for array arguments
+    each entry is the per-order call's to the bit."""
+    signs = np.array([(-1.0) ** m for m in range(K + 1)])
+    phase = np.exp(1j * x * lam)
+    pre = signs.reshape(signs.shape + (1,) * np.ndim(phase)) * phase
+    return pre * _pair_integral_table(K, 0.0, lam, x - x)
+
+
+def _generating_weights(u, v, K):
+    """u^k v^m / (2^{(k+m)/2} k! m!) for k, m <= K and points u, v of one
+    shape, the weights both generating identities sum, of shape
+    (K + 1, K + 1) + that shape."""
+    orders = range(K + 1)
+    norm = np.array([[2.0 ** ((k + m) / 2.0) * math.factorial(k)
+                      * math.factorial(m) for m in orders] for k in orders])
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    return (_powers(u, K)[:, None] * _powers(v, K)[None, :]
+            / norm.reshape(norm.shape + (1,) * u.ndim))
 
 
 def generating_sum_check(x, u, v, lam, K):
@@ -335,12 +405,14 @@ def generating_sum_check(x, u, v, lam, K):
 
     The truncated LHS converges to the RHS for |u|, |v| <= 1.  x, u, v and
     lam broadcast together: each side is an array of the points' shape, or
-    a complex for a scalar call."""
-    lhs = sum(c * hermite_convolution_closed(k, m, x, x, lam)
-              for k, m, c in _generating_terms(u, v, K))
+    a complex for a scalar call.  The convolutions form one order table
+    (_convolution_table)."""
+    shape, (x, u, v, lam) = _flat_points(x, u, v, lam)
+    lhs = _order_sum(_generating_weights(u, v, K)
+                     * _convolution_table(K, x, lam))
     rhs = SQRT_PI * np.exp(-lam ** 2 / 4.0
                            + lam * (1j * x + (u + v) / SQRT2) - u * v)
-    return _as_result(lhs), _as_result(rhs)
+    return _as_result(lhs.reshape(shape)), _as_result(rhs.reshape(shape))
 
 
 def generating_product_check(x, u, v, lam, K):
@@ -354,13 +426,16 @@ def generating_product_check(x, u, v, lam, K):
     The 2 pi carries the Fourier-pairing normalization of this library's
     transform convention.  x, u, v and lam broadcast together as in
     generating_sum_check; h_k(lam - x) is evaluated once per order."""
-    s = np.asarray(lam, dtype=float) - np.asarray(x, dtype=float)
-    h = [hermite_function(k, s) for k in range(K + 1)]
-    lhs = TWO_PI * sum(c * ipow(-(k + m)) * h[k] * h[m]
-                       for k, m, c in _generating_terms(u, v, K))
+    shape, (x, u, v, lam) = _flat_points(x, u, v, lam)
+    s = lam.astype(float) - x.astype(float)
+    h = np.stack([hermite_function(k, s) for k in range(K + 1)])
+    turns = np.array([[ipow(-(k + m)) for m in range(K + 1)]
+                      for k in range(K + 1)])
+    lhs = TWO_PI * _order_sum(_generating_weights(u, v, K) * turns[:, :, None]
+                              * h[:, None] * h[None, :])
     rhs = TWO_PI * np.exp(-u * v - s * s + (u + v) ** 2 / 2.0
                           - SQRT2 * 1j * s * (u + v))
-    return _as_result(lhs), _as_result(rhs)
+    return _as_result(lhs.reshape(shape)), _as_result(rhs.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +525,63 @@ def _gauss_hermite_grid(k, m, x, p, u, eta, nodes):
     max_u (n + N) u sum_i |A[u, i]|."""
     s, w = _gauss_hermite(nodes)
     a, c = _product_matrix(k, m, x, p, u, s, w)
-    phase = np.exp(-1j * np.multiply.outer(c, eta))
-    v = a @ np.exp(-1j * np.multiply.outer(s, eta))
+    phase = _phase_outer(c, eta)
+    v = a @ _phase_outer(s, eta)
     v *= phase
     ends = [int(np.argmin(eta)), int(np.argmax(eta))]
     s2, w2 = _gauss_hermite(nodes + _GH_CHECK_NODES)
     a2, _ = _product_matrix(k, m, x, p, u, s2, w2)
-    check = a2 @ np.exp(-1j * np.multiply.outer(s2, eta[ends]))
+    check = a2 @ _phase_outer(s2, eta[ends])
     check *= phase[:, ends]
     trunc = float(np.max(np.abs(check - v[:, ends])))
     roundoff = ((p.n + nodes) * _UNIT_ROUNDOFF
                 * float(np.max(np.abs(a).sum(axis=1))))
     return v, trunc, roundoff
+
+
+def _termwise_grid(k, m, x, p, u_axis, eta_axis):
+    """The coefficient sum sum_j C_j hermite_pair_integral(k, m, u, x,
+    omega_j - eta) on the tensor grid of the finite axes u_axis x eta_axis
+    (shape u.shape + eta.shape, a complex for 0-d axes).
+
+    The phase e^{i lam (u + x)/2} of term j splits into e^{i omega_j (u+x)/2},
+    one value per u, and e^{-i eta (u + x)/2}, which is the same for every
+    term and multiplies the sum once.  What each term keeps is the real
+    Gaussian-Laguerre factor e^{-lam^2/4 - (u-x)^2/4} L_i^{(d)}(|z|^2),
+    i = min(k, m), times zeta^d for k != m; for the Gaussian window it is
+    an outer product, so the sum is one (U x J) @ (J x E) matrix product.
+    As in the pair integral, lam and u - x are clipped at _D_MAX, and a cell
+    whose phase is not finite is 0 where the Gaussian factor is 0, a
+    ValueError where it is not."""
+    u, eta = u_axis.ravel(), eta_axis.ravel()
+    w = frequencies(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = (u + x) / 2.0
+        ux = np.minimum(np.maximum(u - x, -_D_MAX), _D_MAX)
+        # row j: sqrt(pi) C_j e^{i omega_j (u + x)/2 - (u - x)^2/4}
+        rows = (SQRT_PI * coefficients(p))[:, None] * np.exp(
+            1j * np.multiply.outer(w, half) - ux * ux / 4.0)
+        phase = _phase_outer(half, eta)
+    lam = np.minimum(np.maximum(np.subtract.outer(w, eta), -_D_MAX), _D_MAX)
+    gauss = np.exp(-lam * lam / 4.0)
+    ux = ux[:, None]
+    if k or m:
+        order = min(k, m)
+        total = np.zeros(phase.shape, dtype=complex)
+        for row, lam_j, gauss_j in zip(rows, lam, gauss):
+            factor = gauss_j * laguerre(order, (lam_j * lam_j + ux * ux) / 2.0,
+                                        abs(k - m))
+            if k != m:
+                factor = factor * _zeta_power(k, m, lam_j, ux)
+            total += row[:, None] * factor
+        total *= _pair_scale(k, m)
+    else:
+        total = rows.T @ gauss
+    total *= phase
+    total = _clear_lost_phase(
+        total, ~np.isfinite(phase),
+        lambda: -np.min(lam * lam, axis=0) / 4.0 - ux * ux / 4.0)
+    return _as_result(total.reshape(u_axis.shape + eta_axis.shape))
 
 
 def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
@@ -486,9 +606,10 @@ def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
     nodes, and the roundoff bound (n + N) u sum_i |A[u, i]| (u the unit
     roundoff) must be within the tolerance.  When no rule up to
     _GH_MAX_NODES passes, the coefficient sum of pair integrals
-    sum_j C_j hermite_pair_integral(k, m, u, x, omega_j - eta) is used if
-    its Higham bound (n + 1) u max(1, |a|)^n ||h_k|| ||h_m|| is within the
-    tolerance; for k = m that is stft_superosc_termwise_grid.  Failing
+    sum_j C_j hermite_pair_integral(k, m, u, x, omega_j - eta), evaluated
+    by _termwise_grid, is used if its Higham bound
+    (n + 1) u max(1, |a|)^n ||h_k|| ||h_m|| is within the tolerance; for
+    k = m it is stft_superosc_termwise_grid to the bit.  Failing
     that, this raises ValueError naming the eta range; negative orders are
     a ValueError too."""
     if k < 0 or m < 0:
@@ -517,9 +638,7 @@ def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
                           * math.sqrt(k_norm_sq * hermite_norm_sq(m)))
                  + p.n * math.log(max(1.0, abs(p.a))))
     if log_bound <= math.log(tol):
-        ug, eg = _tensor_axes(u_axis, eta_axis)
-        return supershift_probe(
-            lambda w: hermite_pair_integral(k, m, ug, x, w - eg), p)
+        return _termwise_grid(k, m, x, p, u_axis, eta_axis)
     raise ValueError(
         f"superoscillation STFT (n = {p.n}, a = {p.a}, windows h_{k} and "
         f"h_{m}) not resolved to {tol:.3g} for eta in "
@@ -562,12 +681,12 @@ def stft_superosc_termwise_grid(g, x, p, u_axis, eta_axis):
     roundoff grows like (n + 1) u max(1, |a|)^n ||g||^2 and it is wrong
     from about n = 32 at a = 2.  The verify cases that pin the closed
     kernel sum and the two integral representations, which invert it, use
-    it."""
+    it.  It is _termwise_grid with k = m the window's order, the same code
+    as _hermite_superosc_grid's fallback."""
     if g.kind not in ("gaussian", "hermite"):
         raise ValueError("the termwise sum needs a gaussian or hermite window")
-    ug, eg = _tensor_axes(*_grid_axes(x, u_axis, eta_axis))
-    return supershift_probe(
-        lambda w: hermite_pair_integral(g.order, g.order, ug, x, w - eg), p)
+    return _termwise_grid(g.order, g.order, x, p,
+                          *_grid_axes(x, u_axis, eta_axis))
 
 
 def stft_superosc_limit_grid(g, x, a, u_axis, eta_axis):

@@ -8,6 +8,7 @@ explicit sums would lose precision.  H_{k,l} keeps its sum (orders up to
 kernels.hermite_pair_integral evaluates it as (-1)^j j! z^d L_j^{(d)}(|z|^2).
 """
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -45,9 +46,35 @@ def _finite(name, values):
     return arr
 
 
+def _flat_points(*values):
+    """The broadcast shape of values, and each value broadcast to it and
+    raveled to 1-D, so that a scalar call does the array arithmetic of each
+    point of an array call."""
+    arrays = np.broadcast_arrays(*(np.asarray(v) for v in values))
+    return arrays[0].shape, [a.ravel() for a in arrays]
+
+
+def _order_sum(terms):
+    """terms of shape (K + 1, K + 1, P) summed over the two order axes, as
+    one contiguous sum per point, whose additions do not depend on P."""
+    flat = terms.reshape(terms.shape[0] * terms.shape[1], -1)
+    return np.ascontiguousarray(flat.T).sum(axis=-1)
+
+
 def _descalarize(t, dtype=float):
     arr = np.asarray(t, dtype=dtype)
     return arr, arr.ndim == 0
+
+
+def _phase_outer(a, b):
+    """e^{-i a b} on the outer product of the real arrays a and b, the
+    values of np.exp(-1j * np.multiply.outer(a, b)) to the bit: the product
+    goes straight into the imaginary part of one complex array, which is
+    exponentiated in place, with no complex product and no second array."""
+    out = np.zeros(np.shape(a) + np.shape(b), dtype=complex)
+    np.multiply.outer(a, b, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return np.exp(out, out=out)
 
 
 def hermite_polynomial(n, t):
@@ -88,20 +115,27 @@ def hermite_norm_sq(n):
     return (2.0 ** n) * math.factorial(n) * SQRT_PI
 
 
-def laguerre(n, x, alpha=0):
-    """Generalized Laguerre polynomial L_n^{(alpha)}(x) by the recurrence
+def _laguerre_steps(x, alpha):
+    """L_0^{(alpha)}(x), L_1^{(alpha)}(x), ... for a float array x, one
+    degree per step of the recurrence
     (k + 1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}."""
+    l_prev = np.ones_like(x)
+    yield l_prev
+    l_cur = 1.0 + alpha - x
+    for k in itertools.count(1):
+        yield l_cur
+        l_cur, l_prev = (((2 * k + 1 + alpha - x) * l_cur
+                          - (k + alpha) * l_prev) / (k + 1.0), l_cur)
+
+
+def laguerre(n, x, alpha=0):
+    """Generalized Laguerre polynomial L_n^{(alpha)}(x), the degree-n step
+    of _laguerre_steps."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     x, scalar = _descalarize(x)
-    l_prev = np.ones_like(x)
-    if n == 0:
-        return float(l_prev) if scalar else l_prev
-    l_cur = 1.0 + alpha - x
-    for k in range(1, n):
-        l_cur, l_prev = (((2 * k + 1 + alpha - x) * l_cur
-                          - (k + alpha) * l_prev) / (k + 1.0), l_cur)
-    return float(l_cur) if scalar else l_cur
+    out = next(itertools.islice(_laguerre_steps(x, alpha), n, None))
+    return float(out) if scalar else out
 
 
 @lru_cache(maxsize=None)
@@ -136,16 +170,61 @@ def complex_hermite_2d(k, l, z, w):
     return complex(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=None)
+def _complex_hermite_coeff_table(K):
+    """Read-only c[j, k, l] = (-1)^j j! C(k,j) C(l,j) for j, k, l <= K, the
+    coefficients of _complex_hermite_coeffs (0 where j > min(k, l))."""
+    c = np.zeros((K + 1,) * 3)
+    for k in range(K + 1):
+        for l in range(K + 1):
+            for j, cj in _complex_hermite_coeffs(k, l):
+                c[j, k, l] = cj
+    c.flags.writeable = False
+    return c
+
+
+def _powers(x, K):
+    """x ** 0, ..., x ** K stacked on a new first axis, each power taken as
+    complex_hermite_2d takes it."""
+    return np.stack([x ** e for e in range(K + 1)])
+
+
+def _complex_hermite_table(K, z, w):
+    """H_{k,l}(z, w) for every k, l <= K, one array of shape
+    (K + 1, K + 1) + the broadcast shape of z and w.  The j-sum of
+    complex_hermite_2d runs over the whole table at once, in the same order
+    and on the same powers, so for array arguments each entry is
+    complex_hermite_2d(k, l, z, w) to the bit (a 0-d call of that function
+    runs on numpy scalars, whose arithmetic can differ in the last bit)."""
+    if not 0 <= K <= MAX_COMPLEX_HERMITE_ORDER:
+        raise ValueError(f"order {K} outside 0..{MAX_COMPLEX_HERMITE_ORDER}")
+    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex),
+                               np.asarray(w, dtype=complex))
+    zp, wp = _powers(z, K), _powers(w, K)
+    coeff = _complex_hermite_coeff_table(K).reshape(
+        (K + 1,) * 3 + (1,) * z.ndim)
+    table = np.zeros((K + 1, K + 1) + z.shape, dtype=complex)
+    for j in range(K + 1):
+        # H_{k,l} += c_j(k, l) z^{l-j} w^{k-j} for k, l >= j
+        top = K + 1 - j
+        table[j:, j:] += coeff[j, j:, j:] * zp[None, :top] * wp[:top, None]
+    return table
+
+
 def complex_hermite_generating_sum(z, w, u, v, K):
     """Truncated double sum  sum_{k,l <= K} H_{k,l}(z,w) u^k v^l / (k! l!).
 
     Converges to exp(u*w + v*z - u*v); the index k pairs with w and l
     pairs with z, matching the pairing inside H_{k,l} itself.  z, w, u and
-    v broadcast together; a scalar call returns a complex.
+    v broadcast together; a scalar call returns a complex.  The orders form
+    one table (_complex_hermite_table), K at most 32.
     """
-    return _as_result(sum(complex_hermite_2d(k, l, z, w) * u ** k * v ** l
-                          / (math.factorial(k) * math.factorial(l))
-                          for k in range(K + 1) for l in range(K + 1)))
+    shape, (z, w, u, v) = _flat_points(z, w, u, v)
+    fact = np.array([float(math.factorial(k)) for k in range(K + 1)])
+    weights = (_powers(u, K)[:, None] * _powers(v, K)[None, :]
+               / np.multiply.outer(fact, fact)[:, :, None])
+    return _as_result(_order_sum(_complex_hermite_table(K, z, w) * weights)
+                      .reshape(shape))
 
 
 def theta(z, tau):

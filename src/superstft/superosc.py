@@ -80,9 +80,12 @@ def supershift_probe(closed_form_at, p):
     """Apply the coefficient pattern to a lambda-indexed family:
     returns sum_j C_j closed_form_at(omega_j).  closed_form_at maps a
     frequency to any numpy-addable value (scalar or array), so this
-    drives both scalar probes and whole-grid kernel sums.  It is the one
-    place the package forms such a sum term by term (j = 0 first); the
-    supershift of psi at x is supershift_probe(lambda w: psi(x + w), p)."""
+    drives both scalar probes and whole-grid sums, term by term (j = 0
+    first); the supershift of psi at x is
+    supershift_probe(lambda w: psi(x + w), p).  Sums that gain from a
+    contraction form C_j themselves instead: kernels._termwise_grid,
+    evolution.evolve_superosc and evolve_superosc_signal, and the closed
+    norms' kernels._norm_double_sum."""
     c = coefficients(p)
     w = frequencies(p)
     total = None

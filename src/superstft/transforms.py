@@ -21,7 +21,7 @@ import numpy as np
 from .quadrature import (QuadratureSpec, _guard, band_spec, integrate,
                          make_spec, nodes_weights)
 from .signals import Window, window_norm_sq
-from .special import SQRT2, TWO_PI, _as_result, _finite
+from .special import SQRT2, TWO_PI, _as_result, _finite, _phase_outer
 
 
 def _decay_radius_of(f):
@@ -161,7 +161,7 @@ def stft_grid(f, g, u_axis, eta_axis, spec=None):
     t, w = nodes_weights(spec)
     a = _guard(w * np.asarray(f(t), dtype=complex)
                * np.conj(np.asarray(g(t[None, :] - u[:, None]), dtype=complex)))
-    e = np.exp(-1j * np.multiply.outer(t, eta))
+    e = _phase_outer(t, eta)
     return _as_result((a @ e).reshape(u_axis.shape + eta_axis.shape))
 
 

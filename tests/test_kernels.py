@@ -7,7 +7,7 @@ import pytest
 
 from oracles import (hermite_convolution_mirror, i_km_mirror, phi_na_norm,
                      stft_superosc_cross_mirror)
-from superstft import kernels, superosc, verify
+from superstft import kernels, special, superosc, transforms, verify
 from superstft.approx import stft_approx_hermite_closed
 from superstft.kernels import (TFQuadruple, fock_kernel,
                                gabor_kernel_numeric, generating_product_check,
@@ -27,9 +27,10 @@ from superstft.quadrature import make_spec
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window, shifted_window, signal_norm_sq,
                                window_norm_sq)
-from superstft.special import hermite_function, laguerre
+from superstft.special import hermite_function, hermite_norm_sq, laguerre
 from superstft.superosc import SuperoscParams, f_n, supershift_probe
-from superstft.transforms import convolve, fourier, stft, stft_grid
+from superstft.transforms import (convolve, fourier, moyal_double_integral,
+                                  stft, stft_grid)
 
 rng = np.random.default_rng(2024)
 
@@ -342,6 +343,38 @@ def test_generating_checks_agree():
     assert abs(lhs - frozen) < 1e-10
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_convolution_table_is_the_per_order_values(seed):
+    """Every entry of the generating-sum order table is
+    hermite_convolution_closed(k, m, x, x, lam)'s to the bit, for k, m <= 20
+    on the generating-sum draw domain (five points, |x| <= 1,
+    |lam| <= 1.5)."""
+    draw = np.random.default_rng(seed)
+    x, lam = draw.uniform(-1.0, 1.0, 5), draw.uniform(-1.5, 1.5, 5)
+    table = kernels._convolution_table(20, x, lam)
+    assert table.shape == (21, 21, 5)
+    for k in range(21):
+        for m in range(21):
+            ref = hermite_convolution_closed(k, m, x, x, lam)
+            assert table[k, m].tobytes() == ref.tobytes(), (k, m)
+
+
+def test_pair_integral_table_is_the_per_order_values():
+    """The same for the pair-integral table on a wider domain, far and
+    clipped arguments included: each entry is hermite_pair_integral's, down
+    to the -0 imaginary part of an underflowed cell whose phase is in the
+    third quadrant (u = 3.5/30, x = 0, lam clipped to 60)."""
+    draw = np.random.default_rng(5)
+    u, x = draw.uniform(-8.0, 8.0, (2, 7))
+    lam = np.append(draw.uniform(-10.0, 10.0, 6), 90.0)
+    u, x, lam = np.append(u, 3.5 / 30), np.append(x, 0.0), np.append(lam, 100.0)
+    table = kernels._pair_integral_table(24, u, x, lam)
+    for k in range(25):
+        for m in range(25):
+            ref = hermite_pair_integral(k, m, u, x, lam)
+            assert table[k, m].tobytes() == ref.tobytes(), (k, m)
+
+
 @pytest.mark.parametrize("check", [generating_sum_check,
                                    generating_product_check])
 def test_generating_checks_on_point_arrays(check):
@@ -486,55 +519,84 @@ def test_grids_name_the_non_finite_argument(g, name):
 # Gauss-Hermite route of the superoscillation STFT
 # ---------------------------------------------------------------------------
 
-def _laguerre_mp(m, z):
-    prev, cur = mpmath.mpf(1), 1 - z
-    if m == 0:
+def _laguerre_mp(n, z, alpha=0):
+    prev, cur = mpmath.mpf(1), 1 + alpha - z
+    if n == 0:
         return prev
-    for k in range(1, m):
-        prev, cur = cur, ((2 * k + 1 - z) * cur - k * prev) / (k + 1)
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + alpha - z) * cur - (k + alpha) * prev) / (k + 1)
     return cur
 
 
-def _termwise_mp(m, x, p, points):
-    """sum_j C_j K_{h_m}(x, omega_j; u, eta) at each (u, eta) in mpmath, with
-    n log10(max(1, |a|)) + 30 digits so the sum's cancellation costs none
-    of the digits compared."""
-    n = p.n
+def _termwise_mp(k, m, x, p, points):
+    """sum_j C_j hermite_pair_integral(k, m, u, x, omega_j - eta) at each
+    (u, eta) in mpmath, in the Laguerre form, with n log10(max(1, |a|)) + 30
+    digits so the sum's cancellation costs none of the digits compared.
+    For k = m it is sum_j C_j K_{h_m}(x, omega_j; u, eta)."""
+    n, j, d = p.n, min(k, m), abs(k - m)
     with mpmath.workdps(int(n * math.log10(max(1.0, abs(p.a)))) + 30):
         a, x = mpmath.mpf(p.a), mpmath.mpf(x)
-        coef = [mpmath.binomial(n, j) * ((1 + a) / 2) ** (n - j)
-                * ((1 - a) / 2) ** j for j in range(n + 1)]
-        calib = mpmath.sqrt(mpmath.pi) * 2 ** m * mpmath.factorial(m)
+        coef = [mpmath.binomial(n, i) * ((1 + a) / 2) ** (n - i)
+                * ((1 - a) / 2) ** i for i in range(n + 1)]
+        calib = mpmath.sqrt(mpmath.pi) * mpmath.sqrt(2) ** (k + m) * mpmath.factorial(j)
         out = []
         for u, eta in points:
             u, eta = mpmath.mpf(u), mpmath.mpf(eta)
             total = mpmath.mpc(0)
-            for j, cj in enumerate(coef):
-                lam = 1 - mpmath.mpf(2 * j) / n - eta
+            for i, ci in enumerate(coef):
+                lam = 1 - mpmath.mpf(2 * i) / n - eta
                 r2 = (u - x) ** 2 + lam ** 2
-                total += (cj * mpmath.expj((u + x) * lam / 2)
-                          * mpmath.exp(-r2 / 4) * _laguerre_mp(m, r2 / 2))
+                zeta = (1j * lam + (u - x if k < m else x - u)) / mpmath.sqrt(2)
+                total += (ci * mpmath.expj((u + x) * lam / 2)
+                          * mpmath.exp(-r2 / 4) * _laguerre_mp(j, r2 / 2, d)
+                          * zeta ** d)
             out.append(complex(calib * total))
     return np.array(out)
 
 
-@pytest.mark.parametrize("m", [0, 3, 8])
-def test_closed_grid_matches_high_precision_sum(m):
+@pytest.mark.parametrize("orders", [0, 3, 8, pytest.param((1, 4), id="1-4"),
+                                    pytest.param((6, 2), id="6-2")])
+def test_closed_grid_matches_high_precision_sum(orders):
     """The default route against the termwise sum in mpmath, within
     1e-12 max(1, max|V|), over n = 32..96, a up to -4 and |u|, |x| <= 20,
-    where the double-precision sum is off by up to 1e29."""
-    draw = np.random.default_rng(600 + m)
-    g = hermite_window(m)
+    where the double-precision sum is off by up to 1e29; window h_k, signal
+    on h_m (an int order is k = m).  For k != m the scale is the route's
+    own, max(1, ||S|| ||h_k||), which bounds |V|."""
+    k, m = orders if isinstance(orders, tuple) else (orders, orders)
+    draw = np.random.default_rng(600 + 10 * k + m if k != m else 600 + m)
     for n in (32, 64, 96):
         for a in (1.5, 2.0, 3.0, -4.0):
             p = SuperoscParams(a=a, n=n)
             x = draw.uniform(-20.0, 20.0)
             u = np.clip(x + draw.uniform(-4.0, 4.0, 2), -20.0, 20.0)
             eta = draw.uniform(-6.0, 6.0, 2)
-            v = stft_superosc_closed_grid(g, x, p, u, eta)
-            ref = _termwise_mp(m, x, p, [(ui, ei) for ui in u for ei in eta])
+            v = stft_superosc_cross(k, m, x, p, u, eta)
+            ref = _termwise_mp(k, m, x, p, [(ui, ei) for ui in u for ei in eta])
             err = np.max(np.abs(v.ravel() - ref))
-            assert err <= 1e-12 * max(1.0, np.max(np.abs(ref))), (n, a, x, err)
+            scale = np.max(np.abs(ref)) if k == m else math.sqrt(
+                signal_norm_sq(build_signal(hermite_window(m), x, p))
+                * hermite_norm_sq(k))
+            assert err <= 1e-12 * max(1.0, scale), (n, a, x, err)
+
+
+@pytest.mark.parametrize("k, m", [(0, 0), (2, 2), (1, 4), (6, 2), (0, 5)])
+def test_termwise_grid_matches_high_precision_sum(k, m):
+    """The termwise core against the same sum in mpmath at small n, within
+    8 (n + 1) u max(1, |a|)^n ||h_k|| ||h_m||, the Higham bound the
+    fallback accepts with a factor 8 to spare, on |u|, |x| <= 20 and
+    |eta| <= 30."""
+    draw = np.random.default_rng(700 + 10 * k + m)
+    norms = math.sqrt(hermite_norm_sq(k) * hermite_norm_sq(m))
+    for n, a in ((1, 3.0), (4, 2.0), (8, -2.0), (12, 0.5)):
+        p = SuperoscParams(a=a, n=n)
+        x = draw.uniform(-20.0, 20.0)
+        u = np.clip(x + draw.uniform(-4.0, 4.0, 3), -20.0, 20.0)
+        eta = draw.uniform(-30.0, 30.0, 3)
+        v = kernels._termwise_grid(k, m, x, p, u, eta)
+        ref = _termwise_mp(k, m, x, p, [(ui, ei) for ui in u for ei in eta])
+        bound = (8 * (n + 1) * np.finfo(float).eps / 2
+                 * max(1.0, abs(a)) ** n * norms)
+        assert np.max(np.abs(v.ravel() - ref)) <= bound, (n, a)
 
 
 def test_closed_headline_cell():
@@ -542,7 +604,7 @@ def test_closed_headline_cell():
     termwise sum gives about 812 here."""
     p = SuperoscParams(a=2.0, n=64)
     v = stft_superosc_closed_grid(gaussian_window(), 0.5, p, 0.3, 1.7)
-    truth = _termwise_mp(0, 0.5, p, [(0.3, 1.7)])[0]
+    truth = _termwise_mp(0, 0, 0.5, p, [(0.3, 1.7)])[0]
     assert abs(truth - (1.7291548539502524 + 0.21297391851867206j)) < 1e-15
     assert abs(v - truth) < 1e-10
     assert abs(stft_superosc_termwise_grid(gaussian_window(), 0.5, p, 0.3, 1.7)
@@ -630,12 +692,14 @@ def test_verify_stable_case_passes_its_draws():
 
 def test_wide_eta_axis_falls_back_to_termwise_sum():
     """No rule under the cap resolves |eta| = 50; at n = 8 the termwise sum's
-    roundoff bound is within tolerance, so it is used."""
+    roundoff bound is within tolerance, so it is used: the fallback is the
+    termwise core, the twin's."""
     g, p = gaussian_window(), SuperoscParams(a=2.0, n=8)
     u, eta = np.linspace(-3.0, 3.0, 61), np.linspace(-50.0, 50.0, 101)
     v = stft_superosc_closed_grid(g, 0.0, p, u, eta)
     twin = stft_superosc_termwise_grid(g, 0.0, p, u, eta)
-    assert np.max(np.abs(v - twin)) <= 1e-12
+    # one code path: the fallback is the twin to the bit
+    assert v.tobytes() == twin.tobytes()
 
 
 @pytest.mark.parametrize("n, a, eta, why", [
@@ -692,6 +756,49 @@ def test_pair_integral_far_arguments_are_zero(order, far):
                                         [0.0, far])
         assert np.all(grid[:2] == 0.0) and np.all(grid[2, 1:] == 0.0)
         assert grid[2, 0] != 0.0
+
+
+def test_phase_matrices_are_the_complex_exponential(monkeypatch):
+    """Every phase matrix stft_grid builds for the moyal-full case (545 x 321
+    and 577 x 321) and _gauss_hermite_grid builds for a bench grid (h_3,
+    n = 64, 121 x 121 on [-6, 6]^2) is np.exp(-1j * outer)'s to the bit, so
+    those grids keep their bytes."""
+    seen = []
+
+    def spy(a, b):
+        out = special._phase_outer(a, b)
+        seen.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(transforms, "_phase_outer", spy)
+    monkeypatch.setattr(kernels, "_phase_outer", spy)
+    moyal_double_integral(hermite_window(0), gaussian_window(),
+                          hermite_window(1), hermite_window(1))
+    axis = np.linspace(-6.0, 6.0, 121)
+    stft_superosc_closed_grid(hermite_window(3), 0.5, SuperoscParams(2.0, 64),
+                              axis, axis)
+    assert [out.shape for *_, out in seen] == [(545, 321), (577, 321),
+                                               (121, 121), (70, 121), (110, 2)]
+    for a, b, out in seen:
+        ref = np.exp(-1j * np.multiply.outer(a, b))
+        assert out.tobytes() == ref.tobytes(), out.shape
+
+
+def test_termwise_grid_phase_overflow():
+    """The termwise core keeps the pair integral's rule for a phase beyond
+    double range: 0 where the Gaussian factor is 0, with no warning, and a
+    ValueError where it is not."""
+    p = SuperoscParams(a=2.0, n=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, m in ((0, 0), (2, 2), (1, 3)):
+            grid = kernels._termwise_grid(k, m, 0.0, p,
+                                          np.array([1e308, -1e308, 0.5]),
+                                          np.array([0.0, 5.0]))
+            assert np.all(grid[:2] == 0.0) and np.all(grid[2] != 0.0)
+            with pytest.raises(ValueError, match=r"phase lam \(u \+ x\) / 2"):
+                kernels._termwise_grid(k, m, 1e308, p, np.array([0.0, 1e308]),
+                                       np.array([0.5]))
 
 
 @pytest.mark.parametrize("u, x, lam", [(1e308, 1e308, 1.5),

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import eval_genlaguerre, eval_hermite
 
 from oracles import hermite_polynomial_sum, laguerre_sum
+from superstft import special
 from superstft.quadrature import QuadratureSpec, integrate
 from superstft.special import (MAX_COMPLEX_HERMITE_ORDER, MAX_HERMITE_ORDER,
                                complex_hermite_2d,
@@ -154,6 +155,47 @@ def test_generating_sum_matches_exponential():
     z, w, u, v, scalar = (np.array(col) for col in zip(*points))
     np.testing.assert_allclose(complex_hermite_generating_sum(z, w, u, v, 20),
                                scalar, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_complex_hermite_table_is_the_per_order_values(seed):
+    """Every entry of the order table is complex_hermite_2d's to the bit,
+    for k, l <= 20 on the generating-pairing draw domain (five points with
+    z, w in [-1, 1] + i[-1, 1])."""
+    draw = np.random.default_rng(seed)
+    z, w = draw.uniform(-1, 1, (2, 5)) + 1j * draw.uniform(-1, 1, (2, 5))
+    table = special._complex_hermite_table(20, z, w)
+    assert table.shape == (21, 21, 5)
+    for k in range(21):
+        for l in range(21):
+            assert (table[k, l].tobytes()
+                    == complex_hermite_2d(k, l, z, w).tobytes()), (k, l)
+    with pytest.raises(ValueError, match="outside 0..32"):
+        special._complex_hermite_table(MAX_COMPLEX_HERMITE_ORDER + 1, z, w)
+
+
+def test_laguerre_steps_are_the_per_degree_values():
+    """The step generator's degree n is laguerre(n, ., alpha) to the bit."""
+    x = np.linspace(0.0, 40.0, 17)
+    for alpha in (0, 1, 7):
+        steps = special._laguerre_steps(x, alpha)
+        for n in range(25):
+            assert next(steps).tobytes() == laguerre(n, x, alpha).tobytes()
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((545,), (321,)), ((64,), ()),
+                                              ((), (9,))])
+def test_phase_outer_is_the_complex_exponential(shape_a, shape_b):
+    """e^{-i a b} by the in-place helper is np.exp(-1j * a b) to the bit,
+    zeros and signed zeros included."""
+    draw = np.random.default_rng(11)
+    a = draw.uniform(-30.0, 30.0, shape_a)
+    b = draw.uniform(-30.0, 30.0, shape_b)
+    if np.ndim(b):
+        b[0] = 0.0
+    ref = np.exp(-1j * np.multiply.outer(a, b))
+    out = special._phase_outer(a, b)
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
 def test_theta_frozen_value():
