@@ -288,7 +288,9 @@ def evolve_superosc_integral_representation(g, x, p, y, t):
     kernel falls below 1e-12.  y and t broadcast together: the V_g S grid
     is built once per call, and each point contracts it against its own
     grid of evolved atoms, so a point's value is the one-point call's to
-    the bit.  A non-finite y or t is a ValueError that names it."""
+    the bit.  A non-finite y or t is a ValueError that names it.  phi is
+    2 pi c^{-1/2} e^{-(y-u-2t eta)^2/(2c)} e^{i eta (y-t eta)}, c = 1 + 2it:
+    the eta phase rides on the weights; the 2-D factor has modulus <= 1."""
     if g.kind != "gaussian":
         raise ValueError(
             "the integral-representation cross-check is implemented for "
@@ -300,9 +302,14 @@ def evolve_superosc_integral_representation(g, x, p, y, t):
     v = stft_superosc_termwise_grid(g, x, p, xu, xu)
     scale = TWO_PI**2 * window_norm_sq(g)
     out = np.empty(y.shape, dtype=complex)
+    z, e = np.empty(v.shape), np.empty(v.shape, dtype=complex)
     for i in np.ndindex(y.shape):
-        atoms = _gaussian_closed_arr(y[i], t[i], xu[:, None], xu)
-        out[i] = complex(w @ (v * atoms) @ w) / scale
+        c = 1.0 + 2j * t[i]
+        np.subtract.outer(y[i] - xu, 2.0 * t[i] * xu, out=z)
+        np.multiply(np.multiply(z, z, out=z), -0.5 / c, out=e)
+        np.multiply(np.exp(e, out=e), v, out=e)
+        wb = w * np.exp(1j * xu * (y[i] - t[i] * xu))
+        out[i] = complex(w @ e @ wb) * TWO_PI / np.sqrt(c) / scale
     return _as_result(out)
 
 

@@ -66,15 +66,29 @@ def _descalarize(t, dtype=float):
     return arr, arr.ndim == 0
 
 
+def _mirror_start(a):
+    """len(a) // 2 when the 1-D axis a is its own exact mirror, a == -a[::-1]."""
+    a = np.asarray(a)
+    return len(a) // 2 if a.ndim == 1 and np.array_equal(a, -a[::-1]) else 0
+
+
 def _phase_outer(a, b):
     """e^{-i a b} on the outer product of the real arrays a and b, the
     values of np.exp(-1j * np.multiply.outer(a, b)) to the bit: the product
     goes straight into the imaginary part of one complex array, which is
-    exponentiated in place, with no complex product and no second array."""
+    exponentiated in place, with no complex product and no second array.
+    When a is an exact mirror (_mirror_start) only the rows from the middle
+    on are exponentiated: the row of -a_i is the conjugate of the row of
+    a_i, as it is in exp (cos even, sin odd)."""
     out = np.zeros(np.shape(a) + np.shape(b), dtype=complex)
-    np.multiply.outer(a, b, out=out.imag)
-    np.negative(out.imag, out=out.imag)
-    return np.exp(out, out=out)
+    m = _mirror_start(a)
+    rows = out[m:] if m else out
+    np.multiply.outer(a[m:] if m else a, b, out=rows.imag)
+    np.negative(rows.imag, out=rows.imag)
+    np.exp(rows, out=rows)
+    if m:
+        np.conjugate(out[len(a) - m:], out=out[m - 1::-1])
+    return out
 
 
 def hermite_polynomial(n, t):

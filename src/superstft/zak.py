@@ -115,14 +115,19 @@ def zak_superosc_termwise(g, x, p, u, eta):
     """The closed twin of zak_superosc: the frequency-shift rule applied
     termwise,
 
-        Z(S)(u, eta) = sum_j C_j e^{i omega_j u} Z(g)(u - x, eta - omega_j).
+        Z(S)(u, eta) = sum_j C_j e^{i omega_j u} Z(g)(u - x, eta - omega_j),
 
+    on the tensor grid u x eta, shape u.shape + eta.shape (a complex for
+    0-d axes), as zak_grid: one zak_grid call per term on the raveled
+    axes, so a 0-d call does the array arithmetic of a grid's point.
     Exact in exact arithmetic, but sum_j |C_j| = max(1, |a|)^n, so it
     cancels at large n (off by 9.0e2 at n = 64, a = 2, x = 0.5,
     (u, eta) = (0.3, 1.1)); the verify case and the tests that pin the
     expansion call it."""
-    return complex(supershift_probe(
-        lambda w: np.exp(1j * w * u) * zak(g, u - x, eta - w), p))
+    uf, ef = _finite("u", u).ravel(), _finite("eta", eta).ravel()
+    total = supershift_probe(lambda w: np.exp(1j * w * uf)[:, None]
+                             * zak_grid(g, uf - x, ef - w), p)
+    return _as_result(total.reshape(np.shape(u) + np.shape(eta)))
 
 
 def theta_bound_check(p, u, eta):
@@ -131,7 +136,10 @@ def theta_bound_check(p, u, eta):
         (|Z(S)(u, eta)|,  (1+a)^n e^{-u^2/2} theta(-i u / 2 pi, i / 2 pi)),
 
     where the theta value resums sum_k e^{-k^2/2 + k u}.  The first
-    component never exceeds the second (for a > 0)."""
+    component never exceeds the second.  That needs a >= 0, where
+    |F_n| <= max(1, a)^n <= (1 + a)^n; a negative a is a ValueError."""
+    if p.a < 0:
+        raise ValueError(f"theta_bound_check bounds a >= 0 only, got a = {p.a}")
     sig = build_signal(gaussian_window(), 0.0, p)
     value = abs(zak(sig, u, eta))
     th = float(np.real(theta(complex(0.0, -u / TWO_PI), 1j / TWO_PI)))

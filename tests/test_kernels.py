@@ -23,7 +23,7 @@ from superstft.kernels import (TFQuadruple, fock_kernel,
                                stft_superosc_limit_grid,
                                stft_superosc_termwise_grid,
                                weyl_action_on_basis)
-from superstft.quadrature import make_spec
+from superstft.quadrature import QuadratureSpec, make_spec, nodes_weights
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window, shifted_window, signal_norm_sq,
                                window_norm_sq)
@@ -782,6 +782,33 @@ def test_phase_matrices_are_the_complex_exponential(monkeypatch):
     for a, b, out in seen:
         ref = np.exp(-1j * np.multiply.outer(a, b))
         assert out.tobytes() == ref.tobytes(), out.shape
+
+
+def test_mirrored_phase_matrices_are_the_complex_exponential():
+    """When its first axis is an exact mirror _phase_outer exponentiates
+    half the rows and conjugates the rest; the matrix is
+    np.exp(-1j * outer)'s to the bit for odd and even lengths, a mirrored
+    second axis too, a 0.0 (or -0.0) centre, 1-element and 0-d axes, and a
+    near-mirror that takes the full path."""
+    near, _ = nodes_weights(QuadratureSpec(11.3, 16))
+    assert near.size == 363 and np.sum(near != -near[::-1]) == 186
+    odd, even = np.arange(-272.0, 273.0) / 16, np.arange(-271.5, 272.0) / 16
+    eta, eta_even = np.arange(-160.0, 161.0) / 16, np.arange(-4.5, 5.0) / 2
+    centre = np.arange(-500.0, 501.0) / 64
+    centre[500] = -0.0
+    cases = [(odd, eta, 1), (even, eta, 1), (odd, eta_even, 1),
+             (even, eta_even, 1), (centre, eta, 1), (eta, near, 1),
+             (odd, np.array([0.7]), 1), (odd, np.array(0.7), 1),
+             (np.array([-0.0, 0.0]), odd, 1), (near, eta, 0),
+             (np.array([-0.3]), odd, 0), (np.array(-0.0), odd, 0),
+             (np.array([0.0]), np.array([0.0]), 0),
+             (np.array(0.0), np.array(1.3), 0)]
+    for a, b, mirrored in cases:
+        assert (special._mirror_start(a) > 0) == mirrored, a.shape
+        out = special._phase_outer(a, b)
+        ref = np.exp(-1j * np.multiply.outer(a, b))
+        assert out.tobytes() == ref.tobytes(), (a.shape, b.shape)
+        assert out.flags.c_contiguous
 
 
 def test_termwise_grid_phase_overflow():

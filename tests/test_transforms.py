@@ -13,7 +13,7 @@ from superstft.transforms import (ComplexGrid, ambiguity, bargmann, convolve,
                                   fourier, inner_product, inverse_fourier,
                                   moyal_double_integral, moyal_inner_product,
                                   reconstruct, spectrogram, stft, stft_grid)
-from superstft.zak import zak, zak_grid
+from superstft.zak import zak, zak_grid, zak_superosc_termwise
 
 rng = np.random.default_rng(99)
 
@@ -207,14 +207,21 @@ def _has_subnormals(a):
                                             SuperoscParams(a=2.0, n=8)),
                                hermite_window(3)])
 def test_grids_follow_the_tensor_convention(f):
-    """stft_grid and zak_grid return shape u.shape + eta.shape, the call on
-    the raveled axes reshaped, for axes in any order; 0-d axes give a
-    complex, the one-point call's value."""
+    """stft_grid, zak_grid and zak_superosc_termwise return shape
+    u.shape + eta.shape, the call on the raveled axes reshaped, for axes in
+    any order; 0-d axes give a complex, the one-point call's value.  The
+    termwise expansion is the lattice sum of its signal within
+    1e-13 sum_j |C_j|."""
     g = hermite_window(2)
     u = np.array([[0.4, -1.3, 0.4], [2.0, 0.0, -0.5]])
     eta = np.array([2.1, -0.6, -0.6, 1.0])
+    p = SuperoscParams(a=2.0, n=8)
+    lattice = zak_grid(build_signal(g, 0.3, p), u, eta)
+    termwise = zak_superosc_termwise(g, 0.3, p, u, eta)
+    assert np.max(np.abs(termwise - lattice)) <= 1e-13 * 2.0 ** p.n
     for grid in (lambda a, b: stft_grid(f, g, a, b),
-                 lambda a, b: zak_grid(f, a, b)):
+                 lambda a, b: zak_grid(f, a, b),
+                 lambda a, b: zak_superosc_termwise(g, 0.3, p, a, b)):
         full = grid(u, eta)
         assert full.shape == (2, 3, 4)
         assert np.array_equal(full, grid(u.ravel(), eta).reshape(2, 3, 4))

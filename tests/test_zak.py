@@ -125,6 +125,16 @@ def test_theta_bound_holds():
     assert abs(bound - FROZEN_BOUND_A2_N3) < 1e-9
 
 
+@pytest.mark.parametrize("a, n", [(-0.5, 4), (-3.0, 3)])
+def test_theta_bound_refuses_negative_a(a, n):
+    """(1 + a)^n bounds |F_n| only for a >= 0: at (u, eta) = (0, 1) it
+    gave 0.157 against a value of 0.885 at a = -0.5, n = 4, and a negative
+    'bound' at a = -3, n = 3.  Such an a is a ValueError naming the domain."""
+    from superstft.zak import theta_bound_check
+    with pytest.raises(ValueError, match="a >= 0"):
+        theta_bound_check(SuperoscParams(a=a, n=n), 0.0, 1.0)
+
+
 def test_frame_check_gaussian_is_frame():
     v = frame_check(gaussian_window(), 128)
     assert v.verdict == "Frame"
