@@ -49,7 +49,7 @@ from .quadrature import (
     nodes_weights,
 )
 from .signals import window_norm_sq
-from .special import (MAX_HERMITE_ORDER, TWO_PI, _as_result, _finite,
+from .special import (TWO_PI, _as_result, _check_orders, _finite,
                       hermite_function)
 from .superosc import coefficients, frequencies
 from .transforms import fourier
@@ -234,9 +234,7 @@ def evolve_hermite(m, pt, normalized=False):
     integral is the closed Gaussian-moment form of the module docstring at
     every t: no rule is built and no warning is raised.  h_0 is the Gaussian
     window, so m = 0 returns evolve_gaussian_closed."""
-    if not 0 <= m <= MAX_HERMITE_ORDER:
-        raise ValueError(
-            f"hermite order must be in 0..{MAX_HERMITE_ORDER}, got {m}")
+    _check_orders(m)
     t = _single_t(pt)
     if m == 0:
         return evolve_gaussian_closed(pt, normalized=normalized)

@@ -11,8 +11,8 @@ Everything here ultimately specializes one master integral,
 with H_{k,m} the 2D-complex Hermite polynomials, evaluated in their
 Laguerre form, which does not cancel.  Gabor kernels, the closed-form STFTs
 of superoscillating signals, Hermite convolutions, the closed norms and
-approx.app2_closed are all calls of it; only the compact I_{k,m} forms,
-which take complex arguments, keep the explicit sum of complex_hermite_2d.
+approx.app2_closed are all calls of it; the compact I_{k,m} forms, which
+take complex arguments, call complex_hermite_2d, the same Laguerre form.
 
 The Gabor kernel K_g(x, omega; u, eta) of the window h_n (n = 0 the
 Gaussian) is hermite_pair_integral(n, n, u, x, omega - eta), which
@@ -29,8 +29,8 @@ coefficient sum of pair integrals stays only as that core's fallback and
 as its closed twin, stft_superosc_termwise_grid; both are calls of
 _termwise_grid, which contracts C_j directly and applies the part of the
 phase that no term owns once, after the sum.  The generating checks build
-their order tables in one pass (_convolution_table), each entry the
-per-order call's to the bit.
+their order tables in one pass (_convolution_table, on
+special._laguerre_table), each entry the per-order call's to the bit.
 """
 
 import math
@@ -43,17 +43,17 @@ from .quadrature import QuadratureSpec, _guard, nodes_weights
 from .signals import (Signal, Window, build_signal, hermite_window,
                       shifted_window, signal_norm_sq)
 from .special import (
-    MAX_HERMITE_ORDER,
     SQRT2,
     SQRT_PI,
     TWO_PI,
     _as_result,
+    _check_orders,
     _finite,
     _flat_points,
-    _laguerre_steps,
+    _generating_weights,
+    _laguerre_table,
     _order_sum,
     _phase_outer,
-    _powers,
     complex_hermite_2d,
     hermite_function,
     hermite_norm_sq,
@@ -141,8 +141,7 @@ def hermite_pair_integral(k, m, u, x, lam):
     an overflowed polynomial.  The phase lam (u + x) / 2 can still overflow:
     the value is 0 where the Gaussian factor is, and a ValueError where it
     is not."""
-    if not 0 <= min(k, m) <= max(k, m) <= MAX_HERMITE_ORDER:
-        raise ValueError(f"orders ({k}, {m}) outside 0..{MAX_HERMITE_ORDER}")
+    _check_orders(k, m)
     lam, ux, out = _pair_gaussian(u, x, lam)
     if k or m:
         # in place: a second full-size complex array kept alive through the
@@ -156,26 +155,14 @@ def hermite_pair_integral(k, m, u, x, lam):
 
 def _pair_integral_table(K, u, x, lam):
     """hermite_pair_integral(k, m, u, x, lam) for every k, m <= K, one array
-    of shape (K + 1, K + 1) + the points' shape.  One Laguerre recurrence
-    per d = |k - m| collects every degree j, and the products run in the
-    per-order call's order, so for array arguments each entry is that
+    of shape (K + 1, K + 1) + the points' shape: special._laguerre_table on
+    the Gaussian factor, so for array arguments each entry is the per-order
     call's to the bit."""
     lam, ux, gauss = _pair_gaussian(u, x, lam)
-    arg = (lam * lam + ux * ux) / 2.0
-    table = np.empty((K + 1, K + 1) + gauss.shape, dtype=complex)
-    tail = (1,) * gauss.ndim
-    for d in range(K + 1):
-        j = np.arange(K + 1 - d)
-        degrees = _laguerre_steps(arg, d)
-        diag = gauss * np.reshape([_pair_scale(i, i + d) for i in j],
-                                  j.shape + tail)
-        diag *= np.stack([next(degrees) for _ in j])
-        if not d:
-            diag[0] = gauss  # k = m = 0 is the Gaussian factor alone
-            table[j, j] = diag
-            continue
-        table[j, j + d] = diag * _zeta_power(0, d, lam, ux)
-        table[j + d, j] = diag * _zeta_power(d, 0, lam, ux)
+    table = _laguerre_table(K, (lam * lam + ux * ux) / 2.0, gauss,
+                            lambda j, d: _pair_scale(j, j + d),
+                            (1j * lam + ux) / SQRT2, (1j * lam - ux) / SQRT2)
+    table[0, 0] = gauss  # k = m = 0 is the Gaussian factor alone
     return table
 
 
@@ -310,9 +297,9 @@ def norm_sq_closed_hermite(k, m, x, p):
             e^{2i(s-l)x/n} H_{m,m}(sqrt2 (s-l)/n, sqrt2 (s-l)/n).
 
     Equals ||h_k||^2 ||S||^2 (time-frequency energy again 2 pi times this),
-    returned as a real number."""
-    if k < 0 or m < 0:
-        raise ValueError(f"orders must be nonnegative, got ({k}, {m})")
+    returned as a real number; orders outside 0..MAX_HERMITE_ORDER are a
+    ValueError."""
+    _check_orders(k, m)
     return hermite_norm_sq(k) * _norm_double_sum(m, x, p)
 
 
@@ -348,7 +335,9 @@ def i_km_series(k, m, x, u, lam):
 
     Defined so that sqrt(pi) e^{-lam^2/4 + i lam (x+u)/2 - (x-u)^2/4} I_{k,m}
     equals int e^{it lam} h_k(t-x) h_m(t-u) dt.  Accepts complex x, u, lam
-    (it is a polynomial identity)."""
+    (it is a polynomial identity); orders outside 0..MAX_HERMITE_ORDER are
+    a ValueError."""
+    _check_orders(k, m)
     x = complex(x)
     u = complex(u)
     lam = complex(lam)
@@ -364,7 +353,8 @@ def i_km_series(k, m, x, u, lam):
 def i_km_closed(k, m, x, u, lam):
     """Compact closed form of the same polynomial:
     (-1)^m 2^{(k+m)/2} H_{k,m}((u - x - i lam)/sqrt2, (u - x + i lam)/sqrt2);
-    identical to i_km_series for all (complex) arguments."""
+    identical to i_km_series for all (complex) arguments, and refuses the
+    same orders (complex_hermite_2d does)."""
     a, b = complex(u) - complex(x), -complex(lam)
     return complex((-1.0) ** m * 2.0 ** ((k + m) / 2.0) * complex_hermite_2d(
         k, m, (a + 1j * b) / SQRT2, (a - 1j * b) / SQRT2))
@@ -385,18 +375,6 @@ def _convolution_table(K, x, lam):
     return pre * _pair_integral_table(K, 0.0, lam, x - x)
 
 
-def _generating_weights(u, v, K):
-    """u^k v^m / (2^{(k+m)/2} k! m!) for k, m <= K and points u, v of one
-    shape, the weights both generating identities sum, of shape
-    (K + 1, K + 1) + that shape."""
-    orders = range(K + 1)
-    norm = np.array([[2.0 ** ((k + m) / 2.0) * math.factorial(k)
-                      * math.factorial(m) for m in orders] for k in orders])
-    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    return (_powers(u, K)[:, None] * _powers(v, K)[None, :]
-            / norm.reshape(norm.shape + (1,) * u.ndim))
-
-
 def generating_sum_check(x, u, v, lam, K):
     """Pair (LHS, RHS) of the modulated-convolution generating identity:
 
@@ -406,9 +384,9 @@ def generating_sum_check(x, u, v, lam, K):
     The truncated LHS converges to the RHS for |u|, |v| <= 1.  x, u, v and
     lam broadcast together: each side is an array of the points' shape, or
     a complex for a scalar call.  The convolutions form one order table
-    (_convolution_table)."""
+    (_convolution_table); K outside 0..MAX_HERMITE_ORDER is a ValueError."""
     shape, (x, u, v, lam) = _flat_points(x, u, v, lam)
-    lhs = _order_sum(_generating_weights(u, v, K)
+    lhs = _order_sum(_generating_weights(u, v, K, 2.0)
                      * _convolution_table(K, x, lam))
     rhs = SQRT_PI * np.exp(-lam ** 2 / 4.0
                            + lam * (1j * x + (u + v) / SQRT2) - u * v)
@@ -424,14 +402,15 @@ def generating_product_check(x, u, v, lam, K):
         RHS = 2 pi e^{-uv - (x-lam)^2 + (u+v)^2/2 + sqrt2 i (x-lam)(u+v)}.
 
     The 2 pi carries the Fourier-pairing normalization of this library's
-    transform convention.  x, u, v and lam broadcast together as in
-    generating_sum_check; h_k(lam - x) is evaluated once per order."""
+    transform convention.  x, u, v, lam and K as in generating_sum_check;
+    h_k(lam - x) is evaluated once per order."""
     shape, (x, u, v, lam) = _flat_points(x, u, v, lam)
+    weights = _generating_weights(u, v, K, 2.0)
     s = lam.astype(float) - x.astype(float)
     h = np.stack([hermite_function(k, s) for k in range(K + 1)])
     turns = np.array([[ipow(-(k + m)) for m in range(K + 1)]
                       for k in range(K + 1)])
-    lhs = TWO_PI * _order_sum(_generating_weights(u, v, K) * turns[:, :, None]
+    lhs = TWO_PI * _order_sum(weights * turns[:, :, None]
                               * h[:, None] * h[None, :])
     rhs = TWO_PI * np.exp(-u * v - s * s + (u + v) ** 2 / 2.0
                           - SQRT2 * 1j * s * (u + v))
@@ -610,10 +589,9 @@ def _hermite_superosc_grid(k, m, x, p, u_axis, eta_axis):
     by _termwise_grid, is used if its Higham bound
     (n + 1) u max(1, |a|)^n ||h_k|| ||h_m|| is within the tolerance; for
     k = m it is stft_superosc_termwise_grid to the bit.  Failing
-    that, this raises ValueError naming the eta range; negative orders are
-    a ValueError too."""
-    if k < 0 or m < 0:
-        raise ValueError(f"orders must be nonnegative, got ({k}, {m})")
+    that, this raises ValueError naming the eta range; orders outside
+    0..MAX_HERMITE_ORDER are a ValueError too."""
+    _check_orders(k, m)
     u, eta = u_axis.ravel(), eta_axis.ravel()
     shape = u_axis.shape + eta_axis.shape
     if not (u.size and eta.size):

@@ -3,19 +3,18 @@
 Hermite polynomials/functions, generalized Laguerre polynomials, the
 2D-complex Hermite polynomials H_{k,l}(z, w), a truncated Jacobi theta
 series, and the Gaussian integral.  Evaluation uses recurrences where the
-explicit sums would lose precision.  H_{k,l} keeps its sum (orders up to
-32) for complex arguments; at conjugate arguments, where the sum cancels,
-kernels.hermite_pair_integral evaluates it as (-1)^j j! z^d L_j^{(d)}(|z|^2).
+explicit sums would lose precision.  H_{k,l} is evaluated in its Laguerre
+form (-1)^j j! z^{l-k} L_j^{(l-k)}(zw), j = min(k, l), for real and complex
+arguments alike; its order tables, and those of
+kernels.hermite_pair_integral, come from one builder, _laguerre_table.
 """
 
 import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
 MAX_HERMITE_ORDER = 64
-MAX_COMPLEX_HERMITE_ORDER = 32
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -91,17 +90,21 @@ def _phase_outer(a, b):
     return out
 
 
+def _check_orders(*orders):
+    """A ValueError naming the orders unless each is in 0..MAX_HERMITE_ORDER."""
+    if not all(0 <= n <= MAX_HERMITE_ORDER for n in orders):
+        named = f"orders {orders}" if len(orders) > 1 else f"order {orders[0]}"
+        raise ValueError(f"{named} outside 0..{MAX_HERMITE_ORDER}")
+
+
 def hermite_polynomial(n, t):
     """Physicists' Hermite polynomial H_n(t) by the three-term recurrence
     H_{n+1} = 2 t H_n - 2 n H_{n-1}.
 
-    Accepts scalars or arrays.  Orders above 64 are refused: the values
+    Accepts scalars or arrays.  Orders outside 0..64 are refused: the values
     overflow for moderate |t| and nothing here needs them.
     """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    if n > MAX_HERMITE_ORDER:
-        raise ValueError(f"order {n} exceeds supported maximum {MAX_HERMITE_ORDER}")
+    _check_orders(n)
     t, scalar = _descalarize(t)
     h_prev = np.ones_like(t)
     if n == 0:
@@ -152,77 +155,71 @@ def laguerre(n, x, alpha=0):
     return float(out) if scalar else out
 
 
-@lru_cache(maxsize=None)
-def _complex_hermite_coeffs(k, l):
-    # (-1)^j j! C(k,j) C(l,j) computed in exact integer arithmetic
-    return tuple(
-        (j, float((-1) ** j * math.factorial(j) * math.comb(k, j) * math.comb(l, j)))
-        for j in range(min(k, l) + 1)
-    )
+def _laguerre_table(K, arg, base, scale, up, down):
+    """base * scale(j, d) * L_j^{(d)}(arg) for every pair of orders k, l <= K,
+    j = min(k, l) and d = |k - l|, times up^d at [j, j + d] and down^d at
+    [j + d, j]: one array of shape (K + 1, K + 1) + base.shape.  One
+    _laguerre_steps recurrence per d collects every degree j, and the
+    products run in the per-order evaluations' order (complex_hermite_2d,
+    kernels.hermite_pair_integral), so for array arguments each entry is
+    theirs to the bit."""
+    table = np.empty((K + 1, K + 1) + base.shape, dtype=complex)
+    tail = (1,) * base.ndim
+    for d in range(K + 1):
+        j = np.arange(K + 1 - d)
+        degrees = _laguerre_steps(arg, d)
+        diag = base * np.reshape([scale(i, d) for i in j], j.shape + tail)
+        diag *= np.stack([next(degrees) for _ in j])
+        if not d:
+            table[j, j] = diag
+            continue
+        table[j, j + d] = diag * up ** d
+        table[j + d, j] = diag * down ** d
+    return table
+
+
+def _hermite_2d_scale(j, d):
+    """(-1)^j j!, the constant of H_{k,l}'s Laguerre form."""
+    return (-1.0) ** j * math.factorial(j)
 
 
 def complex_hermite_2d(k, l, z, w):
     """2D-complex Hermite polynomial
-    H_{k,l}(z, w) = sum_j (-1)^j j! C(k,j) C(l,j) z^{l-j} w^{k-j}.
+    H_{k,l}(z, w) = sum_j (-1)^j j! C(k,j) C(l,j) z^{l-j} w^{k-j},
+    evaluated in its Laguerre form (-1)^j j! z^{l-k} L_j^{(l-k)}(zw) for
+    l >= k, with w^{k-l} in place of z^{l-k} otherwise, j = min(k, l).
 
     Note the index/argument pairing: the first index k rides on w, the
     second index l rides on z.  H_{k,0}(z, w) = w^k; H_{m,m}(0, 0) =
-    (-1)^m m! (numpy's 0**0 = 1 gives the j = m term cleanly).
-    Accepts scalars or broadcasting arrays; orders up to 32.
+    (-1)^m m!.  Accepts scalars or broadcasting arrays; orders
+    0..MAX_HERMITE_ORDER (a ValueError otherwise).
     """
-    if k < 0 or l < 0:
-        raise ValueError(f"orders must be nonnegative, got ({k}, {l})")
-    if k > MAX_COMPLEX_HERMITE_ORDER or l > MAX_COMPLEX_HERMITE_ORDER:
-        raise ValueError(
-            f"orders ({k}, {l}) exceed supported maximum {MAX_COMPLEX_HERMITE_ORDER}"
-        )
+    _check_orders(k, l)
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    out = np.zeros(np.broadcast(z, w).shape, dtype=complex)
-    for j, c in _complex_hermite_coeffs(k, l):
-        out = out + c * z ** (l - j) * w ** (k - j)
-    return complex(out) if out.ndim == 0 else out
+    j, d = min(k, l), abs(k - l)
+    zw = z * w
+    out = np.ones(zw.shape, dtype=complex) * _hermite_2d_scale(j, d)
+    out *= next(itertools.islice(_laguerre_steps(zw, d), j, None))
+    if d:
+        out *= (z if l > k else w) ** d
+    return _as_result(out)
 
 
-@lru_cache(maxsize=None)
-def _complex_hermite_coeff_table(K):
-    """Read-only c[j, k, l] = (-1)^j j! C(k,j) C(l,j) for j, k, l <= K, the
-    coefficients of _complex_hermite_coeffs (0 where j > min(k, l))."""
-    c = np.zeros((K + 1,) * 3)
-    for k in range(K + 1):
-        for l in range(K + 1):
-            for j, cj in _complex_hermite_coeffs(k, l):
-                c[j, k, l] = cj
-    c.flags.writeable = False
-    return c
-
-
-def _powers(x, K):
-    """x ** 0, ..., x ** K stacked on a new first axis, each power taken as
-    complex_hermite_2d takes it."""
-    return np.stack([x ** e for e in range(K + 1)])
-
-
-def _complex_hermite_table(K, z, w):
-    """H_{k,l}(z, w) for every k, l <= K, one array of shape
-    (K + 1, K + 1) + the broadcast shape of z and w.  The j-sum of
-    complex_hermite_2d runs over the whole table at once, in the same order
-    and on the same powers, so for array arguments each entry is
-    complex_hermite_2d(k, l, z, w) to the bit (a 0-d call of that function
-    runs on numpy scalars, whose arithmetic can differ in the last bit)."""
-    if not 0 <= K <= MAX_COMPLEX_HERMITE_ORDER:
-        raise ValueError(f"order {K} outside 0..{MAX_COMPLEX_HERMITE_ORDER}")
-    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                               np.asarray(w, dtype=complex))
-    zp, wp = _powers(z, K), _powers(w, K)
-    coeff = _complex_hermite_coeff_table(K).reshape(
-        (K + 1,) * 3 + (1,) * z.ndim)
-    table = np.zeros((K + 1, K + 1) + z.shape, dtype=complex)
-    for j in range(K + 1):
-        # H_{k,l} += c_j(k, l) z^{l-j} w^{k-j} for k, l >= j
-        top = K + 1 - j
-        table[j:, j:] += coeff[j, j:, j:] * zp[None, :top] * wp[:top, None]
-    return table
+def _generating_weights(u, v, K, base):
+    """u^k v^l / (base^{(k+l)/2} k! l!) for k, l <= K and points u, v of one
+    shape, of shape (K + 1, K + 1) + that shape: the weights of every
+    generating sum (base 1 for complex_hermite_generating_sum, 2 for the
+    kernels' generating identities).  K outside 0..MAX_HERMITE_ORDER is a
+    ValueError."""
+    _check_orders(K)
+    orders = range(K + 1)
+    norm = np.array([[base ** ((k + l) / 2.0) * math.factorial(k)
+                      * math.factorial(l) for l in orders] for k in orders])
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    return (np.stack([u ** e for e in orders])[:, None]
+            * np.stack([v ** e for e in orders])[None, :]
+            / norm.reshape(norm.shape + (1,) * u.ndim))
 
 
 def complex_hermite_generating_sum(z, w, u, v, K):
@@ -231,14 +228,14 @@ def complex_hermite_generating_sum(z, w, u, v, K):
     Converges to exp(u*w + v*z - u*v); the index k pairs with w and l
     pairs with z, matching the pairing inside H_{k,l} itself.  z, w, u and
     v broadcast together; a scalar call returns a complex.  The orders form
-    one table (_complex_hermite_table), K at most 32.
+    one table (_laguerre_table), K at most MAX_HERMITE_ORDER.
     """
     shape, (z, w, u, v) = _flat_points(z, w, u, v)
-    fact = np.array([float(math.factorial(k)) for k in range(K + 1)])
-    weights = (_powers(u, K)[:, None] * _powers(v, K)[None, :]
-               / np.multiply.outer(fact, fact)[:, :, None])
-    return _as_result(_order_sum(_complex_hermite_table(K, z, w) * weights)
-                      .reshape(shape))
+    weights = _generating_weights(u, v, K, 1.0)
+    z, w = z.astype(complex), w.astype(complex)
+    table = _laguerre_table(K, z * w, np.ones(z.shape, dtype=complex),
+                            _hermite_2d_scale, z, w)
+    return _as_result(_order_sum(table * weights).reshape(shape))
 
 
 def theta(z, tau):

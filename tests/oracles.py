@@ -3,9 +3,9 @@
 The variant closed expressions circulate next to a library closed form and
 differ from it by exchanging the two polynomial slots of H_{k,m} (a
 conjugation for real parameters) or by a constant; the tests pin the
-exact relation between the two; their polynomial is the explicit sum of
-complex_hermite_2d, not the library's Laguerre form, so the relations
-also compare two evaluations.  The explicit sums and the quadrature
+exact relation between the two; their polynomial is the explicit
+alternating sum of this module (_explicit_hermite_2d), not the library's
+Laguerre form, so the relations also compare two evaluations.  The explicit sums and the quadrature
 avatar are independent oracles for the library's recurrences, product
 form and closed norms.  The full-grid frame check is the reference for
 the library's blocked scan.  The mpmath evolution uses mpmath's own H_m in
@@ -18,18 +18,30 @@ import mpmath
 import numpy as np
 
 from superstft.quadrature import QuadratureSpec, integrate
-from superstft.special import (SQRT2, SQRT_PI, TWO_PI, _descalarize,
-                               complex_hermite_2d, ipow)
+from superstft.special import SQRT2, SQRT_PI, TWO_PI, _descalarize, ipow
 from superstft.superosc import coefficients, supershift_probe
 from superstft.zak import FrameVerdict, zak_grid
+
+
+def _explicit_hermite_2d(k, m, z, w):
+    """H_{k,m}(z, w) = sum_j (-1)^j j! C(k,j) C(m,j) z^{m-j} w^{k-j} term by
+    term in numpy (index k rides on w, as in complex_hermite_2d)."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    out = np.zeros(np.broadcast(z, w).shape, dtype=complex)
+    for j in range(min(k, m) + 1):
+        c = float((-1) ** j * math.factorial(j) * math.comb(k, j)
+                  * math.comb(m, j))
+        out = out + c * z ** (m - j) * w ** (k - j)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _hermite_term(k, m, a, b):
     """2^{(k+m)/2} H_{k,m}((a + ib)/sqrt2, (a - ib)/sqrt2) by the explicit
     sum (a, b may be complex or arrays)."""
     return (2.0 ** ((k + m) / 2.0)
-            * complex_hermite_2d(k, m, (a + 1j * b) / SQRT2,
-                                 (a - 1j * b) / SQRT2))
+            * _explicit_hermite_2d(k, m, (a + 1j * b) / SQRT2,
+                                   (a - 1j * b) / SQRT2))
 
 
 def _envelope(lam, s, d):
@@ -60,6 +72,20 @@ def hermite_pair_integral_mp(k, m, u, x, lam, dps=300):
                        * mpmath.sqrt(2) ** (k + m) * poly
                        * mpmath.exp(-lam ** 2 / 4 + 1j * lam * (u + x) / 2
                                     - (u - x) ** 2 / 4))
+
+
+def complex_hermite_2d_mp(k, l, z, w, dps=130):
+    """H_{k,l}(z, w) by its alternating sum in mpmath at dps digits, on the
+    double inputs as given, and the sum of the moduli of its terms, which
+    is j! |zeta|^d L_j^{(d)}(-|zw|) (j = min(k, l), d = |k - l|, zeta = z
+    for l >= k, w otherwise); both as floats."""
+    with mpmath.workdps(dps):
+        z, w = mpmath.mpc(z), mpmath.mpc(w)
+        terms = [(-1) ** j * mpmath.factorial(j) * mpmath.binomial(k, j)
+                 * mpmath.binomial(l, j) * z ** (l - j) * w ** (k - j)
+                 for j in range(min(k, l) + 1)]
+        return (complex(mpmath.fsum(terms)),
+                float(mpmath.fsum(abs(t) for t in terms)))
 
 
 def stft_superosc_cross_mirror(k, m, x, p, u, eta):

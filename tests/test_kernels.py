@@ -27,7 +27,8 @@ from superstft.quadrature import QuadratureSpec, make_spec, nodes_weights
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window, shifted_window, signal_norm_sq,
                                window_norm_sq)
-from superstft.special import hermite_function, hermite_norm_sq, laguerre
+from superstft.special import (complex_hermite_generating_sum,
+                               hermite_function, hermite_norm_sq, laguerre)
 from superstft.superosc import SuperoscParams, f_n, supershift_probe
 from superstft.transforms import (convolve, fourier, moyal_double_integral,
                                   stft, stft_grid)
@@ -846,6 +847,27 @@ def test_pair_integral_order_check():
     for k, m in ((65, 0), (0, 65), (-1, 2)):
         with pytest.raises(ValueError, match=r"outside 0\.\.64"):
             hermite_pair_integral(k, m, 0.0, 0.0, 0.0)
+
+
+def test_i_km_order_check():
+    """Both I_{k,m} forms refuse the same orders, naming them: a negative
+    m is not an empty series."""
+    for k, m in ((2, -1), (-1, 2), (65, 0), (0, 65)):
+        for form in (i_km_series, i_km_closed):
+            with pytest.raises(ValueError,
+                               match=rf"orders \({k}, {m}\) outside 0\.\.64"):
+                form(k, m, 0.1, 0.2, 0.3)
+
+
+@pytest.mark.parametrize("check", [complex_hermite_generating_sum,
+                                   generating_sum_check,
+                                   generating_product_check])
+@pytest.mark.parametrize("K", [-1, 65])
+def test_generating_checks_refuse_orders(check, K):
+    """A truncation order outside 0..64 is a ValueError naming it, on each
+    of the three generating sums."""
+    with pytest.raises(ValueError, match=rf"order {K} outside 0\.\.64"):
+        check(0.1, 0.2, -0.1, 0.3, K)
 
 
 def test_gauss_hermite_rules_resolve_their_bands():

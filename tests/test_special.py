@@ -7,7 +7,7 @@ from scipy.special import eval_genlaguerre, eval_hermite
 from oracles import hermite_polynomial_sum, laguerre_sum
 from superstft import special
 from superstft.quadrature import QuadratureSpec, integrate
-from superstft.special import (MAX_COMPLEX_HERMITE_ORDER, MAX_HERMITE_ORDER,
+from superstft.special import (MAX_HERMITE_ORDER,
                                complex_hermite_2d,
                                complex_hermite_generating_sum,
                                gaussian_integral, hermite_function,
@@ -136,8 +136,15 @@ def test_complex_hermite_at_origin():
 
 
 def test_complex_hermite_order_limit():
-    with pytest.raises(ValueError):
-        complex_hermite_2d(MAX_COMPLEX_HERMITE_ORDER + 1, 0, 0.0, 0.0)
+    """Orders 0..64 are evaluated; any other order is a ValueError naming
+    the pair."""
+    for k, l in ((MAX_HERMITE_ORDER + 1, 0), (0, MAX_HERMITE_ORDER + 1),
+                 (-1, 2)):
+        with pytest.raises(ValueError, match=rf"orders \({k}, {l}\) outside 0\.\.64"):
+            complex_hermite_2d(k, l, 0.0, 0.0)
+    top = math.factorial(MAX_HERMITE_ORDER)
+    assert abs(complex_hermite_2d(64, 64, 0.0, 0.0) - top) <= 1e-14 * top
+    assert complex_hermite_2d(0, MAX_HERMITE_ORDER, 0.5j, 2.0) == 0.5j ** 64
 
 
 def test_generating_sum_matches_exponential():
@@ -159,19 +166,19 @@ def test_generating_sum_matches_exponential():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_complex_hermite_table_is_the_per_order_values(seed):
-    """Every entry of the order table is complex_hermite_2d's to the bit,
-    for k, l <= 20 on the generating-pairing draw domain (five points with
-    z, w in [-1, 1] + i[-1, 1])."""
+    """Every entry of the Laguerre table on complex_hermite_generating_sum's
+    arguments is complex_hermite_2d's to the bit, for k, l <= 20 on the
+    generating-pairing draw domain (five points with z, w in
+    [-1, 1] + i[-1, 1])."""
     draw = np.random.default_rng(seed)
     z, w = draw.uniform(-1, 1, (2, 5)) + 1j * draw.uniform(-1, 1, (2, 5))
-    table = special._complex_hermite_table(20, z, w)
+    table = special._laguerre_table(20, z * w, np.ones(5, dtype=complex),
+                                    special._hermite_2d_scale, z, w)
     assert table.shape == (21, 21, 5)
     for k in range(21):
         for l in range(21):
             assert (table[k, l].tobytes()
                     == complex_hermite_2d(k, l, z, w).tobytes()), (k, l)
-    with pytest.raises(ValueError, match="outside 0..32"):
-        special._complex_hermite_table(MAX_COMPLEX_HERMITE_ORDER + 1, z, w)
 
 
 def test_laguerre_steps_are_the_per_degree_values():
