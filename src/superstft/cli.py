@@ -231,8 +231,10 @@ def _encode(values):
     """The %.17g text of each value, as NUL-padded byte slots of shape
     values.shape + (_SLOT,): Python's '%.17g' % v once the NULs are dropped.
 
-    The digits of _decimal are laid out in numpy; a value whose rounding is
-    not decided there takes '%.17g' % v, one at a time."""
+    The digits of _decimal are laid out in numpy: one layout for scientific
+    notation and fixed X <= 0, then the integer part of fixed X >= 1 laid
+    over it one width X at a time, by static slices (BENCH_23.json).  A value
+    whose rounding is not decided there takes '%.17g' % v, one at a time."""
     prefix8, suffix8 = _text_tables()[2:]
     shape = np.shape(values)
     v = np.ravel(values).astype(np.float64, copy=False)
@@ -249,17 +251,14 @@ def _encode(values):
     out[:, 6] = text[:, 0]
     out[:, 7] = ((~fixed | (x == 0)) & (text[:, 1] != 0)) * ord(".")
     out[:, 8:24] = text[:, 1:]
-    # fixed X >= 1: every integer digit, then the point if a digit follows
+    # fixed X >= 1, one integer width at = X at a time: digits 0..at, a
+    # stripped one (NUL) shown as '0', then the point if a digit follows;
+    # the digits after it are where the layout above put them
     whole = np.flatnonzero(fixed & (x > 0))
-    if whole.size:
-        at = x[whole, None]
-        shown = np.zeros((whole.size, 18), np.uint8)
-        shown[:, :17] = text[whole] | (np.arange(17) <= at) * np.uint8(48)
-        cols = np.arange(18)
-        body = np.where(cols <= at, shown, np.roll(shown, 1, axis=1))
-        body[cols == at + 1] = (shown[np.arange(whole.size), at[:, 0] + 1]
-                                != 0) * ord(".")
-        out[whole, 6:24] = body
+    for at in np.flatnonzero(np.bincount(x[whole])).tolist():
+        rows = whole[x[whole] == at]
+        out[rows, 6:7 + at] = text[rows, :at + 1] | 48
+        out[rows, 7 + at] = text[rows, at + 1:].any(axis=1) * ord(".")
     suffix = np.where(fixed, -1, x + 300)
     out[:, 24:] = suffix8[suffix].view(np.uint8).reshape(n, 8)[:, :5]
     slow = np.flatnonzero(~decided)

@@ -513,30 +513,61 @@ def test_encoder_matches_percent_format_on_random_bits():
     assert _encode(values.reshape(-1, 4)).shape == (2 ** 16, 4, cli._SLOT)
 
 
-def _spectrogram_reference(u, eta):
+def test_encoder_lays_out_every_integer_width():
+    """One block with fixed fields of every integer width X = 1..16, both
+    signs: with and without fractional digits, stripped trailing zeros,
+    each 10^k (k = 1..17) and its neighbours, where floor(log10) can be one
+    short and the rounding carries into the next width, and 17-digit
+    integers at X = 16, which take no point."""
+    widths = np.arange(1, 17)
+    scaled = 10.0 ** widths[:, None] * np.array([1.2345678901234567, 1.5,
+                                                 9.87654321, 3.0])
+    powers = np.array([float(10 ** k) for k in range(1, 18)])
+    values = np.concatenate([
+        scaled.ravel(), [1234.5, 100.0, 10.5, 120.25, 99.99999999999999],
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        [12345678901234568.0, 99999999999999984.0, 2.0 ** 56, 1e16 + 2]])
+    values = np.concatenate([values, -values])
+    expected = ["%.17g" % v for v in values.tolist()]
+    assert _encoded(values) == expected
+    whole = [f.lstrip("-").split(".")[0] for f in expected if "e" not in f]
+    assert {len(w) - 1 for w in whole} >= set(widths.tolist())
+    assert any(len(w) == 17 and "." not in f
+               for w, f in zip(whole, expected))
+
+
+def _spectrogram_reference(u, eta, window):
     from superstft.kernels import stft_superosc_closed_grid
-    from superstft.signals import gaussian_window
     from superstft.superosc import SuperoscParams
-    values = stft_superosc_closed_grid(gaussian_window(), 0.5,
-                                       SuperoscParams(a=2.0, n=8), u, eta)
+    values = stft_superosc_closed_grid(window, 0.5, SuperoscParams(a=2.0, n=8),
+                                       u, eta)
     pairs = [(ui, ei) for ui in u for ei in eta]
     return "u,eta,re,im,abs\n" + _reference_rows(pairs, values.ravel())
 
 
-@pytest.mark.parametrize("u, eta", [
-    ("0.5", "-3:3:9001"),    # scalar u: one slice longer than a write block
-    ("-3:3:9001", "0.25"),   # scalar eta: one-row slices
-    ("-0", "-1:1:3"),        # -0.0 prints as -0
-])
-def test_spectrogram_axis_shapes_match_per_cell_writer(tmp_path, u, eta):
+@pytest.mark.parametrize("u, eta, order", [
+    ("0.5", "-3:3:9001", None),    # scalar u: one slice longer than a block
+    ("-3:3:9001", "0.25", None),   # scalar eta: one-row slices
+    ("-0", "-1:1:3", None),        # -0.0 prints as -0
+    # h_3 reaches |V| ~ 170: over half the fields have an integer part
+    ("-6:6:61", "-6:6:61", 3),
+], ids=["0.5--3:3:9001", "-3:3:9001-0.25", "-0--1:1:3", "hermite3"])
+def test_spectrogram_axis_shapes_match_per_cell_writer(tmp_path, u, eta,
+                                                       order):
+    from superstft.signals import gaussian_window, hermite_window
     out = tmp_path / "s.csv"
-    assert main(["spectrogram", "--n", "8", "--x", "0.5", "--u", u,
+    window = [] if order is None else ["--window", "hermite", "--order",
+                                       str(order)]
+    assert main(["spectrogram", *window, "--n", "8", "--x", "0.5", "--u", u,
                  "--eta", eta, "--out", str(out)]) == 0
     text = out.read_text()
-    expected = _spectrogram_reference(_axis(u), _axis(eta))
+    g = gaussian_window() if order is None else hermite_window(order)
+    expected = _spectrogram_reference(_axis(u), _axis(eta), g)
     assert _lines(text) == _lines(expected)
     if u == "-0":
         assert text.splitlines()[1].startswith("-0,-1,")
+    if order is not None:
+        assert max(float(r.split(",")[4]) for r in text.splitlines()[1:]) > 100
 
 
 def test_parser_is_built_once_and_handlers_resolved_per_call(monkeypatch,
