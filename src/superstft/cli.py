@@ -353,29 +353,25 @@ def _window_from_args(args):
 
 def cmd_spectrogram(args):
     g = _window_from_args(args)
+    # one route pair per --signal, both called as f(g, x, param, ...): the
+    # closed grid, and the signal whose stft_grid is its quadrature twin
+    if args.signal == "superosc":
+        if args.n is None:
+            args._parser.error("--signal superosc requires --n")
+        param = SuperoscParams(a=args.a, n=args.n)
+        closed_grid, make_signal = stft_superosc_closed_grid, build_signal
+    else:  # limit signal at frequency a
+        param = args.a
+        closed_grid, make_signal = stft_superosc_limit_grid, shifted_window
     # a route that cannot resolve the axes (or overflows) reports why in
     # one line, as a usage error, instead of a traceback
     try:
-        if args.signal == "superosc":
-            if args.n is None:
-                args._parser.error("--signal superosc requires --n")
-            p = SuperoscParams(a=args.a, n=args.n)
-            closed = None
-            if args.mode in ("closed", "both"):
-                closed = stft_superosc_closed_grid(g, args.x, p, args.u, args.eta)
-            numeric = None
-            if args.mode in ("numeric", "both"):
-                s = build_signal(g, args.x, p)
-                numeric = stft_grid(s, g, args.u, args.eta)
-        else:  # limit signal at frequency a
-            closed = None
-            if args.mode in ("closed", "both"):
-                closed = stft_superosc_limit_grid(g, args.x, args.a, args.u,
-                                                  args.eta)
-            numeric = None
-            if args.mode in ("numeric", "both"):
-                s = shifted_window(g, args.x, args.a)
-                numeric = stft_grid(s, g, args.u, args.eta)
+        closed = numeric = None
+        if args.mode in ("closed", "both"):
+            closed = closed_grid(g, args.x, param, args.u, args.eta)
+        if args.mode in ("numeric", "both"):
+            numeric = stft_grid(make_signal(g, args.x, param), g, args.u,
+                                args.eta)
     except (ValueError, FloatingPointError) as exc:
         args._parser.error(str(exc))
 
@@ -415,8 +411,7 @@ def cmd_zak_frame(args):
         p = SuperoscParams(a=args.a, n=args.n)
         f = build_signal(gaussian_window(), 0.0, p)
     elif args.window is not None:
-        f = gaussian_window() if args.window == "gaussian" \
-            else hermite_window(args.order)
+        f = _window_from_args(args)
     else:
         args._parser.error("give either --signal superosc-gaussian or --window")
     # JSON has no NaN or infinity: a scan that met one (F_n overflows at

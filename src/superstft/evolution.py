@@ -22,9 +22,8 @@ m = 0 case is the Gaussian window's evolve_gaussian_closed.
 evolve_numeric is the momentum-space quadrature oracle, and the route for
 custom windows.  Its e^{-i p^2 t} factor oscillates with instantaneous
 frequency 2|p t|, so node density is scaled by (1 + |t| T) up to a cap;
-past the cap (|t| T^2 > 10^4) its results are unreliable and it raises a
-warning — oscillation_hazard() exposes the same predicate for callers
-that need a flag instead of a warning.
+past the cap (|t| T^2 > 10^4, the predicate oscillation_hazard) its
+results are unreliable and it raises a warning.
 
 The evolution routes are grid-first: the fields of an EvolutionPoint (and
 the y, t of evolve_superosc and evolve_superosc_integral_representation)

@@ -34,14 +34,13 @@ special._laguerre_table), each entry the per-order call's to the bit.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, _guard, nodes_weights
-from .signals import (Signal, Window, build_signal, hermite_window,
-                      shifted_window, signal_norm_sq)
+from .quadrature import _guard
+from .signals import (Signal, build_signal, hermite_window, shifted_window,
+                      signal_norm_sq)
 from .special import (
     SQRT2,
     SQRT_PI,
@@ -62,23 +61,7 @@ from .special import (
     laguerre,
 )
 from .superosc import coefficients, f_n, frequencies, supershift_probe
-from .transforms import (ComplexGrid, _resolve_spec, reconstruct, stft,
-                         stft_grid)
-
-
-@dataclass(frozen=True)
-class TFQuadruple:
-    """A pair of time-frequency points (x, omega; u, eta): the kernel's
-    source point (x, omega) and evaluation point (u, eta)."""
-
-    x: float
-    omega: float
-    u: float
-    eta: float
-
-    def __post_init__(self):
-        for name in ("x", "omega", "u", "eta"):
-            _finite(name, getattr(self, name))
+from .transforms import _resolve_spec, stft, stft_grid
 
 
 # |lam| or |u - x| beyond which e^{-lam^2/4} or e^{-(u-x)^2/4} is exactly 0
@@ -170,15 +153,18 @@ def _pair_integral_table(K, u, x, lam):
 # Gabor kernels  K_g(x, omega; u, eta) = <M_omega T_x g, M_eta T_u g>
 # ---------------------------------------------------------------------------
 
-def gabor_kernel_numeric(g, q):
+def gabor_kernel_numeric(g, x, omega, u, eta):
     """K_g(x, omega; u, eta) = int e^{it(omega - eta)} g(t - x) conj(g(t - u)) dt
     by quadrature; ground truth for the closed kernels of
-    stft_superosc_limit_grid.  Since V_g(M_omega f)(u, eta) =
-    V_g f(u, eta - omega), it is one stft of the translated window T_x g
-    at eta - omega, on the box make_spec(decay radius, x, u); a window
-    without a decay radius is a ValueError."""
-    return stft(Signal(g, q.x), g, q.u, q.eta - q.omega,
-                _resolve_spec(None, g, shifts=(q.x, q.u)))
+    stft_superosc_limit_grid, whose arguments it takes.  Since
+    V_g(M_omega f)(u, eta) = V_g f(u, eta - omega), it is one stft of the
+    translated window T_x g at eta - omega, on the box make_spec(decay
+    radius, x, u); a window without a decay radius is a ValueError, and so
+    is a non-finite x, omega, u or eta, named."""
+    for name, value in (("x", x), ("omega", omega), ("u", u), ("eta", eta)):
+        _finite(name, value)
+    return stft(Signal(g, x), g, u, eta - omega,
+                _resolve_spec(None, g, shifts=(x, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +184,9 @@ def _tensor_axes(u_axis, eta_axis):
     return u_axis.reshape(u_axis.shape + (1,) * eta_axis.ndim), eta_axis
 
 
-def stft_superosc_limit_cross(k, m, x, a, u, eta):
-    """Large-n limit of stft_superosc_cross: the single pair integral at
-    frequency a, i.e. int e^{it(a - eta)} h_k(t-u) h_m(t-x) dt."""
-    return hermite_pair_integral(k, m, u, x, a - eta)
-
-
 # ---------------------------------------------------------------------------
 # Fock-space forms
 # ---------------------------------------------------------------------------
-
-def fock_kernel(z, w):
-    """Reproducing kernel (1/pi) e^{z conj(w)} of the Gaussian-weighted
-    space of entire functions."""
-    return complex(np.exp(complex(z) * np.conj(complex(w))) / math.pi)
-
 
 def normalized_fock_kernel(w, z):
     """Unit-norm kernel element k_w evaluated at z:
@@ -239,23 +213,6 @@ def stft_superosc_fock_form(x, p, u, eta):
     total = supershift_probe(
         lambda w: normalized_fock_kernel(w / SQRT2, np.conj(q) / SQRT2), p)
     return complex(math.pi * np.exp(u * x) * m_inv * total)
-
-
-def weyl_action_on_basis(a, b, m, z):
-    """Action of the phase-space shift operator (the Fock-side conjugate of
-    M_b T_a) on the monomial basis element e_m(z) = z^m / sqrt(m! pi):
-
-        (1/sqrt(m! pi)) e^{-(a^2+b^2)/4 + i a b/2}
-            e^{z (a + i b)/sqrt2} (z - (a - i b)/sqrt2)^m."""
-    if m < 0:
-        raise ValueError(f"order must be nonnegative, got {m}")
-    z = complex(z)
-    return complex(
-        np.exp(-(a * a + b * b) / 4.0 + 0.5j * a * b
-               + z * (a + 1j * b) / SQRT2)
-        * (z - (a - 1j * b) / SQRT2) ** m
-        / math.sqrt(math.factorial(m) * math.pi)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,34 +372,6 @@ def generating_product_check(x, u, v, lam, K):
     rhs = TWO_PI * np.exp(-u * v - s * s + (u + v) ** 2 / 2.0
                           - SQRT2 * 1j * s * (u + v))
     return _as_result(lhs.reshape(shape)), _as_result(rhs.reshape(shape))
-
-
-# ---------------------------------------------------------------------------
-# Integral representation of the superoscillating pointwise values
-# ---------------------------------------------------------------------------
-
-def stft_integral_representation(g, x, y, p):
-    """Recover the superoscillating pointwise value F_n(y) from the closed
-    STFT by the inversion integral:
-
-        (1/(2 pi g(y - x) ||g||^2))
-            int int V_g(S)(u, eta) e^{i eta y} g(y - u) du deta,
-
-    which reproduces F_n(y) because S(y) = F_n(y) g(y - x).  That is
-    reconstruct of the termwise grid (stft_superosc_termwise_grid) on
-    |u| <= 14 + |x| + |y|, |eta| <= 16, divided by g(y - x).  Needs
-    g(y - x) != 0 and a window with a closed-form kernel."""
-    if not isinstance(g, Window) or g.kind not in ("gaussian", "hermite"):
-        raise ValueError("integral representation needs a Gaussian or Hermite window")
-    denom = complex(np.asarray(g(y - x), dtype=complex))
-    if abs(denom) < 1e-12:
-        raise ValueError(f"window vanishes at y - x = {y - x}; "
-                         "the representation divides by g(y - x)")
-    xu, _ = nodes_weights(QuadratureSpec(truncation_radius=14.0 + abs(x) + abs(y),
-                                         nodes_per_unit=16))
-    xe, _ = nodes_weights(QuadratureSpec(truncation_radius=16.0, nodes_per_unit=16))
-    grid = ComplexGrid(xu, xe, stft_superosc_termwise_grid(g, x, p, xu, xe))
-    return reconstruct(grid, g, y) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +587,8 @@ def stft_superosc_termwise_grid(g, x, p, u_axis, eta_axis):
     arithmetic, but the sum cancels: sum_j |C_j| = max(1, |a|)^n, so its
     roundoff grows like (n + 1) u max(1, |a|)^n ||g||^2 and it is wrong
     from about n = 32 at a = 2.  The verify cases that pin the closed
-    kernel sum and the two integral representations, which invert it, use
-    it.  It is _termwise_grid with k = m the window's order, the same code
+    kernel sum and the evolution's integral representation, which inverts
+    it, use it.  It is _termwise_grid with k = m the window's order, the same code
     as _hermite_superosc_grid's fallback."""
     if g.kind not in ("gaussian", "hermite"):
         raise ValueError("the termwise sum needs a gaussian or hermite window")

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import QuadratureSpec, default_nodes_per_unit, integrate
-from .special import _finite, hermite_function, hermite_norm_sq
+from .special import _as_result, _finite, hermite_function, hermite_norm_sq
 from .superosc import f_n
 
 WINDOW_KINDS = ("gaussian", "hermite", "custom")
@@ -105,23 +105,20 @@ def _norm_sq(f, radius):
     return float(np.real(integrate(lambda t: np.abs(f(t)) ** 2, spec)))
 
 
-def time_frequency_shift(x, omega, g, t):
-    """(M_omega T_x g)(t) = e^{i omega t} g(t - x)."""
-    t = np.asarray(t, dtype=float)
-    out = np.exp(1j * omega * t) * g(t - x)
-    return complex(out) if out.ndim == 0 else out
-
-
 def shifted_window(g, x, omega):
-    """The time-frequency shift M_omega T_x g as a Window (custom kind,
-    decay radius inflated by |x|).  A non-finite x or omega is a
-    ValueError that names it."""
+    """The time-frequency shift M_omega T_x g, t -> e^{i omega t} g(t - x),
+    as a Window (custom kind, decay radius inflated by |x|) whose value at
+    a scalar t is a complex.  A non-finite x or omega is a ValueError that
+    names it."""
     _finite("x", x)
     _finite("omega", omega)
     radius = None if g.decay_radius is None else float(g.decay_radius) + abs(x)
-    return custom_window(
-        lambda t: time_frequency_shift(x, omega, g, t), decay_radius=radius
-    )
+
+    def shifted(t):
+        t = np.asarray(t, dtype=float)
+        return _as_result(np.exp(1j * omega * t) * g(t - x))
+
+    return custom_window(shifted, decay_radius=radius)
 
 
 @dataclass(frozen=True)

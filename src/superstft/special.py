@@ -1,10 +1,10 @@
 """Scalar special functions used everywhere else.
 
 Hermite polynomials/functions, generalized Laguerre polynomials, the
-2D-complex Hermite polynomials H_{k,l}(z, w), a truncated Jacobi theta
-series, and the Gaussian integral.  Evaluation uses recurrences where the
-explicit sums would lose precision.  H_{k,l} is evaluated in its Laguerre
-form (-1)^j j! z^{l-k} L_j^{(l-k)}(zw), j = min(k, l), for real and complex
+2D-complex Hermite polynomials H_{k,l}(z, w) and a truncated Jacobi theta
+series.  Evaluation uses recurrences where the explicit sums would lose
+precision.  H_{k,l} is evaluated in its Laguerre form
+(-1)^j j! z^{l-k} L_j^{(l-k)}(zw), j = min(k, l), for real and complex
 arguments alike; its order tables, and those of
 kernels.hermite_pair_integral, come from one builder, _laguerre_table.
 """
@@ -197,13 +197,18 @@ def complex_hermite_2d(k, l, z, w):
     _check_orders(k, l)
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
+    shape = np.broadcast_shapes(z.shape, w.shape)
+    # 0-d operands run as 1-element arrays: numpy multiplies complex scalars
+    # otherwise than complex arrays (about half of all products differ in
+    # the last bit), and a scalar call gives its array entry's bits
+    z, w = np.atleast_1d(z, w)
     j, d = min(k, l), abs(k - l)
     zw = z * w
     out = np.ones(zw.shape, dtype=complex) * _hermite_2d_scale(j, d)
     out *= next(itertools.islice(_laguerre_steps(zw, d), j, None))
     if d:
         out *= (z if l > k else w) ** d
-    return _as_result(out)
+    return _as_result(out.reshape(shape))
 
 
 def _generating_weights(u, v, K, base):
@@ -259,15 +264,3 @@ def theta(z, tau):
                    + 2j * math.pi * np.multiply.outer(z, k))
     out = terms.sum(axis=-1)
     return complex(out) if scalar else out
-
-
-def gaussian_integral(alpha, w):
-    """Closed form of the Gaussian integral:
-    int e^{-alpha t^2 + w t} dt = sqrt(pi/alpha) e^{w^2/(4 alpha)},
-    for real alpha > 0 and complex w."""
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise ValueError(f"gaussian_integral requires alpha > 0, got {alpha}")
-    w = np.asarray(w, dtype=complex)
-    out = math.sqrt(math.pi / alpha) * np.exp(w * w / (4.0 * alpha))
-    return complex(out) if out.ndim == 0 else out

@@ -54,16 +54,6 @@ def fourier(f, lam, spec=None):
     return stft_grid(f, _unit, 0.0, _finite("lam", lam), spec)
 
 
-def inverse_fourier(fhat, t, spec=None):
-    """(1/2pi) int e^{i t lam} fhat(lam) dlam; guarded like fourier."""
-    t_arr = _finite("t", t)
-    spec = _resolve_spec(spec, fhat)
-    lam, w = nodes_weights(spec)
-    vals = _guard(np.asarray(fhat(lam), dtype=complex) * w)
-    out = vals @ np.exp(1j * np.multiply.outer(lam, t_arr)) / TWO_PI
-    return complex(out) if t_arr.ndim == 0 else out
-
-
 def inner_product(f, g, spec=None):
     """L2 inner product int f(t) conj(g(t)) dt."""
     spec = _resolve_spec(spec, f, g)
@@ -163,16 +153,6 @@ def stft_grid(f, g, u_axis, eta_axis, spec=None):
                * np.conj(np.asarray(g(t[None, :] - u[:, None]), dtype=complex)))
     e = _phase_outer(t, eta)
     return _as_result((a @ e).reshape(u_axis.shape + eta_axis.shape))
-
-
-def spectrogram(values, g=None):
-    """Spectrogram |V_g f|^2 of sampled STFT values, divided by ||g||^2
-    when the window is supplied (equivalent to unit-normalizing the
-    window up front)."""
-    out = np.abs(values) ** 2
-    if g is not None:
-        out = out / window_norm_sq(g)
-    return out
 
 
 def _boundary_max(mags):

@@ -80,16 +80,6 @@ def zak_grid(f, u_axis, eta_axis):
     return _as_result((a @ e).reshape(u_axis.shape + eta_axis.shape))
 
 
-def zak_gaussian(u, eta):
-    """Closed expression for the Gaussian window's Zak transform,
-
-        Z(e^{-t^2/2})(u, eta) = e^{-u^2/2} theta((eta - i u)/(2 pi), i/(2 pi)),
-
-    i.e. the defining sum resummed as a Jacobi theta value."""
-    z = (eta - 1j * u) / TWO_PI
-    return complex(math.exp(-0.5 * u * u) * theta(z, 1j / TWO_PI))
-
-
 def zak_shift_identity_check(f, x, omega, u, eta):
     """Residual |Z(T_x M_omega f)(u, eta) - e^{i omega (u - x)} Z(f)(u - x, eta - omega)|.
 
@@ -103,16 +93,9 @@ def zak_shift_identity_check(f, x, omega, u, eta):
     return float(abs(lhs - rhs))
 
 
-def zak_superosc(g, x, p, u, eta):
-    """Zak transform of the modulated signal S(t) = F_n(t) g(t - x), the
-    lattice sum zak(build_signal(g, x, p), u, eta).  F_n is evaluated as a
-    product and the lattice is truncated at the signal's decay radius, so
-    nothing cancels at any n; the window needs a decay radius."""
-    return zak(build_signal(g, x, p), u, eta)
-
-
 def zak_superosc_termwise(g, x, p, u, eta):
-    """The closed twin of zak_superosc: the frequency-shift rule applied
+    """The closed twin of zak(build_signal(g, x, p), u, eta), the Zak
+    transform of S(t) = F_n(t) g(t - x): the frequency-shift rule applied
     termwise,
 
         Z(S)(u, eta) = sum_j C_j e^{i omega_j u} Z(g)(u - x, eta - omega_j),

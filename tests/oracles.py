@@ -9,7 +9,9 @@ Laguerre form, so the relations also compare two evaluations.  The explicit sums
 avatar are independent oracles for the library's recurrences, product
 form and closed norms.  The full-grid frame check is the reference for
 the library's blocked scan.  The mpmath evolution uses mpmath's own H_m in
-place of the library's recurrence.
+place of the library's recurrence.  Two paper identities are kept here as
+test oracles: the phase-space inversion that recovers F_n(y) from the
+closed STFT, and the Gaussian window's Zak transform as a theta value.
 """
 
 import math
@@ -17,9 +19,13 @@ import math
 import mpmath
 import numpy as np
 
-from superstft.quadrature import QuadratureSpec, integrate
-from superstft.special import SQRT2, SQRT_PI, TWO_PI, _descalarize, ipow
+from superstft.kernels import stft_superosc_termwise_grid
+from superstft.quadrature import QuadratureSpec, integrate, nodes_weights
+from superstft.signals import Window
+from superstft.special import (SQRT2, SQRT_PI, TWO_PI, _descalarize, ipow,
+                               theta)
 from superstft.superosc import coefficients, supershift_probe
+from superstft.transforms import ComplexGrid, reconstruct
 from superstft.zak import FrameVerdict, zak_grid
 
 
@@ -178,6 +184,40 @@ def f_n_direct(p, t):
     """F_n(t) as the explicit exponential sum; oracle for f_n."""
     t = np.asarray(t, dtype=float)
     return supershift_probe(lambda w: np.exp(1j * w * t), p)
+
+
+def stft_integral_representation(g, x, y, p):
+    """Recover the superoscillating pointwise value F_n(y) from the closed
+    STFT by the inversion integral:
+
+        (1/(2 pi g(y - x) ||g||^2))
+            int int V_g(S)(u, eta) e^{i eta y} g(y - u) du deta,
+
+    which reproduces F_n(y) because S(y) = F_n(y) g(y - x).  That is
+    reconstruct of the termwise grid (stft_superosc_termwise_grid) on
+    |u| <= 14 + |x| + |y|, |eta| <= 16, divided by g(y - x).  Needs
+    g(y - x) != 0 and a window with a closed-form kernel."""
+    if not isinstance(g, Window) or g.kind not in ("gaussian", "hermite"):
+        raise ValueError("integral representation needs a Gaussian or Hermite window")
+    denom = complex(np.asarray(g(y - x), dtype=complex))
+    if abs(denom) < 1e-12:
+        raise ValueError(f"window vanishes at y - x = {y - x}; "
+                         "the representation divides by g(y - x)")
+    xu, _ = nodes_weights(QuadratureSpec(truncation_radius=14.0 + abs(x) + abs(y),
+                                         nodes_per_unit=16))
+    xe, _ = nodes_weights(QuadratureSpec(truncation_radius=16.0, nodes_per_unit=16))
+    grid = ComplexGrid(xu, xe, stft_superosc_termwise_grid(g, x, p, xu, xe))
+    return reconstruct(grid, g, y) / denom
+
+
+def zak_gaussian(u, eta):
+    """Closed expression for the Gaussian window's Zak transform,
+
+        Z(e^{-t^2/2})(u, eta) = e^{-u^2/2} theta((eta - i u)/(2 pi), i/(2 pi)),
+
+    i.e. the defining sum resummed as a Jacobi theta value."""
+    z = (eta - 1j * u) / TWO_PI
+    return complex(math.exp(-0.5 * u * u) * theta(z, 1j / TWO_PI))
 
 
 def _scan_full(f, resolution):

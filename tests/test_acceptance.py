@@ -146,9 +146,8 @@ def test_A14_quadrature_stability(monkeypatch):
         s = sg.build_signal(g, 0.3, p)
         return {
             "stft": tr.stft(s, g, 0.4, 0.8),
-            "kernel": kn.gabor_kernel_numeric(
-                sg.hermite_window(2),
-                kn.TFQuadruple(x=0.3, omega=0.7, u=-0.2, eta=0.5)),
+            "kernel": kn.gabor_kernel_numeric(sg.hermite_window(2), 0.3, 0.7,
+                                              -0.2, 0.5),
             "convolve": tr.convolve(
                 lambda t: np.exp(0.3j * t) * sp.hermite_function(1, t),
                 lambda t: sp.hermite_function(2, t),

@@ -6,23 +6,19 @@ import numpy as np
 import pytest
 
 from oracles import (hermite_convolution_mirror, i_km_mirror, phi_na_norm,
-                     stft_superosc_cross_mirror)
+                     stft_integral_representation, stft_superosc_cross_mirror)
 from superstft import kernels, special, superosc, transforms, verify
 from superstft.approx import stft_approx_hermite_closed
-from superstft.kernels import (TFQuadruple, fock_kernel,
-                               gabor_kernel_numeric, generating_product_check,
+from superstft.kernels import (gabor_kernel_numeric, generating_product_check,
                                generating_sum_check, hermite_autoconvolution,
                                hermite_convolution_closed,
                                hermite_pair_integral, i_km_closed,
                                i_km_series, norm_sq_closed_gaussian,
                                norm_sq_closed_hermite, normalized_fock_kernel,
-                               stft_integral_representation,
                                stft_superosc_closed_grid, stft_superosc_cross,
                                stft_superosc_fock_form,
-                               stft_superosc_limit_cross,
                                stft_superosc_limit_grid,
-                               stft_superosc_termwise_grid,
-                               weyl_action_on_basis)
+                               stft_superosc_termwise_grid)
 from superstft.quadrature import QuadratureSpec, make_spec, nodes_weights
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window, shifted_window, signal_norm_sq,
@@ -57,12 +53,11 @@ def test_gabor_kernel_gaussian_closed():
     g, h0 = gaussian_window(), hermite_window(0)
     for _ in range(10):
         x, omega, u, eta = rng.uniform(-2.0, 2.0, 4)
-        q = TFQuadruple(x=x, omega=omega, u=u, eta=eta)
         closed = stft_superosc_limit_grid(g, x, omega, u, eta)
-        numeric = gabor_kernel_numeric(g, q)
+        numeric = gabor_kernel_numeric(g, x, omega, u, eta)
         assert abs(closed - numeric) < 1e-12
         assert stft_superosc_limit_grid(h0, x, omega, u, eta) == closed
-        assert gabor_kernel_numeric(h0, q) == numeric
+        assert gabor_kernel_numeric(h0, x, omega, u, eta) == numeric
 
 
 def test_gabor_kernel_hermite_calibrated():
@@ -72,9 +67,8 @@ def test_gabor_kernel_hermite_calibrated():
         g = hermite_window(n)
         for _ in range(4):
             x, omega, u, eta = rng.uniform(-1.5, 1.5, 4)
-            q = TFQuadruple(x=x, omega=omega, u=u, eta=eta)
             closed = stft_superosc_limit_grid(g, x, omega, u, eta)
-            numeric = gabor_kernel_numeric(g, q)
+            numeric = gabor_kernel_numeric(g, x, omega, u, eta)
             assert abs(closed - numeric) < 1e-10
             # and the Laguerre product alone is off by exactly that factor
             r2 = ((x - u) ** 2 + (omega - eta) ** 2) / 2.0
@@ -87,7 +81,18 @@ def test_gabor_kernel_numeric_needs_decay_radius():
     box: a ValueError that names decay_radius, as stft_grid raises."""
     w = custom_window(lambda t: np.exp(-np.asarray(t) ** 2))
     with pytest.raises(ValueError, match="decay_radius"):
-        gabor_kernel_numeric(w, TFQuadruple(x=0.1, omega=0.2, u=0.3, eta=0.4))
+        gabor_kernel_numeric(w, 0.1, 0.2, 0.3, 0.4)
+
+
+@pytest.mark.parametrize("name", ["x", "omega", "u", "eta"])
+def test_gabor_kernel_numeric_names_the_non_finite_argument(name):
+    """gabor_kernel_numeric takes the arguments of its closed twin
+    stft_superosc_limit_grid and, like it, refuses a NaN or infinite one
+    with a ValueError that names it."""
+    for bad in (math.nan, -math.inf):
+        args = {"x": 0.1, "omega": 0.2, "u": 0.3, "eta": 0.4, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gabor_kernel_numeric(gaussian_window(), **args)
 
 
 def test_stft_superosc_closed_vs_numeric():
@@ -125,8 +130,7 @@ def test_stft_superosc_limit_is_single_kernel():
     for (u, eta) in [(0.2, 0.5), (-1.0, 1.5)]:
         closed = stft_superosc_limit_grid(g, x, a, u, eta)
         assert abs(closed - stft(s, g, u, eta)) < 1e-12
-        q = TFQuadruple(x=x, omega=a, u=u, eta=eta)
-        assert abs(closed - gabor_kernel_numeric(g, q)) < 1e-12
+        assert abs(closed - gabor_kernel_numeric(g, x, a, u, eta)) < 1e-12
 
 
 def test_cross_reduces_to_gaussian():
@@ -165,14 +169,15 @@ def test_cross_mirror_relation():
 
 def test_limit_cross_is_n_to_infinity_limit():
     """The cross-window and Gaussian transforms approach their limit
-    kernels: the error at n = 40 is below 0.6 times that at n = 10."""
+    kernels, the single pair integral at frequency a: the error at n = 40
+    is below 0.6 times that at n = 10."""
     a, x4, u, eta = 1.5, 0.3, 0.4, 0.8
     g = gaussian_window()
     errs = {}
     for n in (10, 40):
         p = SuperoscParams(a=a, n=n)
         errs[n] = abs(stft_superosc_cross(1, 2, x4, p, u, eta)
-                      - stft_superosc_limit_cross(1, 2, x4, a, u, eta))
+                      - hermite_pair_integral(1, 2, u, x4, a - eta))
     assert errs[40] < 0.6 * errs[10]
     for n in (10, 40):
         p = SuperoscParams(a=a, n=n)
@@ -182,9 +187,7 @@ def test_limit_cross_is_n_to_infinity_limit():
 
 
 def test_fock_kernel_reproducing_values():
-    assert abs(fock_kernel(0.0, 0.0) - 1.0 / math.pi) < 1e-15
-    z, w = 0.5 + 0.2j, -0.3 + 0.7j
-    assert abs(fock_kernel(z, w) - np.exp(z * np.conj(w)) / math.pi) < 1e-14
+    w = -0.3 + 0.7j
     # normalized kernel has unit self-overlap factor e^{|w|^2/2 - |w|^2} ...
     val = normalized_fock_kernel(w, w)
     assert abs(val - np.exp(abs(w) ** 2 / 2.0) / SQRT_PI) < 1e-13
@@ -200,17 +203,6 @@ def test_fock_form_equals_closed():
         lhs = stft_superosc_fock_form(x, p, u, eta)
         rhs = stft_superosc_closed_grid(g, x, p, u, eta)
         assert abs(lhs - rhs) < 1e-12
-
-
-def test_weyl_action_shifts_vacuum():
-    """On e_0 the phase-space shift produces the normalized coherent state."""
-    a, b = 0.7, -0.4
-    z = 0.3 + 0.5j
-    got = weyl_action_on_basis(a, b, 0, z)
-    w = (a - 1j * b) / math.sqrt(2.0)
-    # matches k_w up to the metaplectic phase e^{i a b / 2}
-    expect = normalized_fock_kernel(w, z) * np.exp(0.5j * a * b)
-    assert abs(got - expect) < 1e-13
 
 
 def test_norm_closed_gaussian():

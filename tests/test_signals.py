@@ -8,11 +8,9 @@ from superstft.kernels import norm_sq_closed_gaussian, norm_sq_closed_hermite
 from superstft.quadrature import QuadratureSpec, integrate
 from superstft.signals import (Signal, build_signal, custom_window, evaluate,
                                gaussian_window, hermite_window, shifted_window,
-                               signal_norm_sq, time_frequency_shift,
-                               window_norm_sq)
+                               signal_norm_sq, window_norm_sq)
 from superstft.special import hermite_function
 from superstft.superosc import SuperoscParams, f_n
-from superstft.zak import zak_superosc
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -81,14 +79,19 @@ def test_norm_quadrature_honors_node_override(monkeypatch):
 
 
 def test_time_frequency_shift():
+    """shifted_window(g, x, omega) evaluates M_omega T_x g: a complex at a
+    scalar t, an array of t's shape otherwise."""
     g = gaussian_window()
     x, omega, t = 0.7, 2.0, 1.1
     expect = np.exp(1j * omega * t) * np.exp(-((t - x) ** 2) / 2.0)
-    assert abs(time_frequency_shift(x, omega, g, t) - expect) < 1e-15
     w = shifted_window(g, x, omega)
     assert w.kind == "custom"
     assert w.decay_radius == g.decay_radius + abs(x)
+    assert type(w(t)) is complex
     assert abs(w(t) - expect) < 1e-15
+    ts = np.array([[t], [-t]])
+    assert w(ts).shape == ts.shape
+    assert abs(w(ts)[0, 0] - expect) < 1e-15
 
 
 def test_signal_decay_radius_is_derived():
@@ -114,8 +117,6 @@ def test_signal_and_tone_reject_non_finite_parameters():
             build_signal(g, bad, p)
         with pytest.raises(ValueError, match="^x must be finite"):
             Signal(window=g, x=bad)
-        with pytest.raises(ValueError, match="^x must be finite"):
-            zak_superosc(g, bad, p, 0.3, 1.1)
         with pytest.raises(ValueError, match="^x must be finite"):
             shifted_window(g, bad, 2.0)
         with pytest.raises(ValueError, match="^omega must be finite"):

@@ -10,9 +10,9 @@ from superstft.signals import (build_signal, custom_window, gaussian_window,
 from superstft.special import hermite_function, hermite_norm_sq
 from superstft.superosc import SuperoscParams
 from superstft.transforms import (ComplexGrid, ambiguity, bargmann, convolve,
-                                  fourier, inner_product, inverse_fourier,
+                                  fourier, inner_product,
                                   moyal_double_integral, moyal_inner_product,
-                                  reconstruct, spectrogram, stft, stft_grid)
+                                  reconstruct, stft, stft_grid)
 from superstft.zak import zak, zak_grid, zak_superosc_termwise
 
 rng = np.random.default_rng(99)
@@ -37,13 +37,6 @@ def test_fourier_eigenrelation():
         vals = fourier(hk, lam)
         expect = math.sqrt(TWO_PI) * (-1j) ** k * hermite_function(k, lam)
         np.testing.assert_allclose(vals, expect, atol=1e-12)
-
-
-def test_inverse_fourier_roundtrip():
-    g = gaussian_window()
-    fhat = custom_window(lambda lam: fourier(g, lam), decay_radius=9.0)
-    for t in (-1.2, 0.0, 0.8):
-        assert abs(inverse_fourier(fhat, t) - g(t)) < 1e-12
 
 
 def test_inner_product_orthogonality():
@@ -134,16 +127,6 @@ def test_scalar_calls_are_one_point_grids(f):
     for (x, omega) in [(0.4, -0.6), (-1.3, 2.1)]:
         assert stft(f, g, x, omega) == stft_grid(f, g, [x], [omega])[0, 0]
         assert zak(f, x, omega) == zak_grid(f, [x], [omega])[0, 0]
-
-
-def test_spectrogram_normalization():
-    g = gaussian_window()
-    u = np.linspace(-1.0, 1.0, 5)
-    grid = stft_grid(g, g, u, u)
-    raw = spectrogram(grid)
-    normed = spectrogram(grid, g)
-    np.testing.assert_allclose(normed * SQRT_PI, raw, rtol=1e-12)
-    assert np.all(raw >= 0.0)
 
 
 def test_moyal_energy_identity():
@@ -351,8 +334,6 @@ def test_stft_grid_rejects_non_finite_window():
     ("eta_axis", lambda g: stft_grid(g, g, [0.0, 1.0], [-np.inf, 1.0])),
     ("lam", lambda g: fourier(g, [0.0, np.nan])),
     ("lam", lambda g: fourier(g, np.inf)),
-    ("t", lambda g: inverse_fourier(g, [np.nan, 0.0])),
-    ("t", lambda g: inverse_fourier(g, -np.inf)),
 ])
 def test_non_finite_axes_rejected_by_name(name, call):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -369,17 +350,16 @@ def test_complex_grid_rejects_non_finite_axes():
                     values=vals)
 
 
-def test_fourier_and_inverse_reject_non_finite_window():
+def test_fourier_rejects_non_finite_window():
     """A window that yields NaN or inf raises like stft_grid does, instead
     of returning NaN."""
     for bad in (np.nan, np.inf):
         g = custom_window(lambda t, bad=bad: np.where(np.abs(t) < 0.5, bad,
                                                       np.exp(-t * t / 2.0)),
                           decay_radius=9.0)
-        for transform in (fourier, inverse_fourier):
-            with np.errstate(invalid="ignore"):
-                with pytest.raises(FloatingPointError, match="non-finite"):
-                    transform(g, [0.0, 1.0])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                fourier(g, [0.0, 1.0])
 
 
 def test_fourier_bit_identical_to_unguarded_product():
@@ -392,8 +372,6 @@ def test_fourier_bit_identical_to_unguarded_product():
         a = np.asarray(g(t), dtype=complex) * w
         phase = np.multiply.outer(t, lam)
         assert np.array_equal(fourier(g, lam), a @ np.exp(-1j * phase))
-        assert np.array_equal(inverse_fourier(g, lam),
-                              a @ np.exp(1j * phase) / TWO_PI)
     assert _has_subnormals(a)  # the wide window's tails need the guard
 
 
