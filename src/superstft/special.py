@@ -90,6 +90,33 @@ def _phase_outer(a, b):
     return out
 
 
+def _real_phase_product(a, t, eta):
+    """a @ e^{-i t eta} for a real matrix a whose columns sample the 1-D
+    axis t, as two real matrix products in place of one complex one.  When
+    t is an exact mirror (_mirror_start), a folds into its even and odd
+    parts over +-t, which meet cos and sin on t >= 0 only; otherwise both
+    parts are a on all of t.  When eta is an exact mirror, the columns of
+    its upper half are contracted and the others filled by
+    V(-eta) = conj V(eta).  The phase table is _phase_outer's, so np.exp's
+    bits; the values agree with the complex product to rounding."""
+    m = _mirror_start(t)
+    if m:
+        even, odd, tail = a[:, m:].copy(), a[:, m:].copy(), a[:, m - 1::-1]
+        even[:, len(t) - 2 * m:] += tail
+        odd[:, len(t) - 2 * m:] -= tail
+        t = t[m:]
+    else:
+        even = odd = a
+    k = _mirror_start(eta)
+    e = _phase_outer(t, eta[k:])
+    out = np.empty(a.shape[:1] + eta.shape, dtype=complex)
+    out.real[:, k:] = even @ np.ascontiguousarray(e.real)
+    out.imag[:, k:] = odd @ np.ascontiguousarray(e.imag)
+    if k:
+        np.conjugate(out[:, len(eta) - k:], out=out[:, k - 1::-1])
+    return out
+
+
 def _check_orders(*orders):
     """A ValueError naming the orders unless each is in 0..MAX_HERMITE_ORDER."""
     if not all(0 <= n <= MAX_HERMITE_ORDER for n in orders):

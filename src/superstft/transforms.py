@@ -21,7 +21,8 @@ import numpy as np
 from .quadrature import (QuadratureSpec, _guard, band_spec, integrate,
                          make_spec, nodes_weights)
 from .signals import Window, window_norm_sq
-from .special import SQRT2, TWO_PI, _as_result, _finite, _phase_outer
+from .special import (SQRT2, TWO_PI, _as_result, _finite, _phase_outer,
+                      _real_phase_product)
 
 
 def _decay_radius_of(f):
@@ -48,9 +49,9 @@ def _unit(t):
 
 def fourier(f, lam, spec=None):
     """F(f)(lam) = int e^{-i t lam} f(t) dt; lam may be scalar or array.
-    It is stft_grid of f against the unit window at u = 0, so a non-finite
-    sample raises FloatingPointError and a non-finite lam is a ValueError
-    that names it."""
+    It is stft_grid of f against the unit window at u = 0, so a real f
+    takes the real contraction, a non-finite sample raises
+    FloatingPointError and a non-finite lam is a ValueError that names it."""
     return stft_grid(f, _unit, 0.0, _finite("lam", lam), spec)
 
 
@@ -82,7 +83,9 @@ def convolve(f, g, lam, spec=None):
 def ambiguity(g, u, eta):
     """Ambiguity function A[g](u, eta) = e^{i u eta/2} V_g g(u, eta)
     = int g(t + u/2) conj(g(t - u/2)) e^{-i eta t} dt, on the box the
-    window's decay radius sets."""
+    window's decay radius sets.  A non-finite u or eta is a ValueError that
+    names it."""
+    u, eta = _finite("u", u), _finite("eta", eta)
     return np.exp(0.5j * u * eta) * stft(g, g, u, eta)
 
 
@@ -133,15 +136,20 @@ class ComplexGrid:
 def stft_grid(f, g, u_axis, eta_axis, spec=None):
     """V_g f on the tensor grid u x eta, an array of shape
     u.shape + eta.shape (a complex for 0-d axes), evaluated over the
-    raveled axes as one matrix product: row i collects
-    w_t f(t) conj(g(t - u_i)), column j applies e^{-i t eta_j}.
+    raveled axes as one contraction: row i collects
+    w_t f(t) conj(g(t - u_i)) in the dtype of the factors, column j
+    applies e^{-i t eta_j}.  A complex integrand (a superoscillating
+    signal, a modulated window) is one complex matrix product.  A real one
+    (real f and g) goes to _real_phase_product: two real matrix products
+    on the halves t >= 0 and eta >= 0 of mirrored axes, within
+    32 eps sum_t |a(u, t)| of the complex product per cell.
 
     The axes must be finite (ValueError naming the axis otherwise); their
     order does not matter.  The weighted integrand goes through the
-    quadrature guard before the product: a non-finite sample raises
+    quadrature guard before the contraction: a non-finite sample raises
     FloatingPointError, and components that underflowed to subnormal
     numbers in the windows' Gaussian tails are set to zero, which keeps
-    the values bit-identical while sparing the matrix product the slow
+    the values bit-identical while sparing the matrix products the slow
     subnormal arithmetic."""
     u_axis = _finite("u_axis", u_axis)
     eta_axis = _finite("eta_axis", eta_axis)
@@ -149,10 +157,13 @@ def stft_grid(f, g, u_axis, eta_axis, spec=None):
     shift = float(np.max(np.abs(u))) if u.size else 0.0
     spec = _resolve_spec(spec, f, g, shifts=(shift,))
     t, w = nodes_weights(spec)
-    a = _guard(w * np.asarray(f(t), dtype=complex)
-               * np.conj(np.asarray(g(t[None, :] - u[:, None]), dtype=complex)))
-    e = _phase_outer(t, eta)
-    return _as_result((a @ e).reshape(u_axis.shape + eta_axis.shape))
+    a = _guard(w * np.asarray(f(t))
+               * np.conj(np.asarray(g(t[None, :] - u[:, None]))))
+    if np.iscomplexobj(a):
+        v = a @ _phase_outer(t, eta)
+    else:
+        v = _real_phase_product(a, t, eta)
+    return _as_result(v.reshape(u_axis.shape + eta_axis.shape))
 
 
 def _boundary_max(mags):
@@ -170,7 +181,9 @@ def _band(h):
 
 def moyal_double_integral(f1, g1, f2=None, g2=None):
     """int int V_{g1} f1 (u, eta) conj(V_{g2} f2 (u, eta)) du deta by
-    tensor quadrature of two stft_grid calls.  The outer rule takes
+    tensor quadrature of two stft_grid calls, each a real contraction on
+    the mirrored halves of its rules when its factors are real, as the
+    Gaussian and Hermite windows are.  The outer rule takes
     |u|, |eta| <= R at 16 Simpson nodes per unit, R the largest decay
     radius of f1, g1, f2 and g2.  That box does not always cover the
     transforms: V_{h_k} h_k reaches out to about the sum of the two radii,

@@ -752,25 +752,28 @@ def test_pair_integral_far_arguments_are_zero(order, far):
 
 
 def test_phase_matrices_are_the_complex_exponential(monkeypatch):
-    """Every phase matrix stft_grid builds for the moyal-full case (545 x 321
-    and 577 x 321) and _gauss_hermite_grid builds for a bench grid (h_3,
-    n = 64, 121 x 121 on [-6, 6]^2) is np.exp(-1j * outer)'s to the bit, so
-    those grids keep their bytes."""
+    """Every phase matrix stft_grid builds for the moyal-full case and
+    _gauss_hermite_grid builds for a bench grid (h_3, n = 64, 121 x 121 on
+    [-6, 6]^2) is np.exp(-1j * outer)'s to the bit, so those grids keep
+    their bytes.  moyal-full's integrands are real, so their tables cover
+    t >= 0 of the mirrored 545- and 577-node rules and eta >= 0 of the
+    mirrored 321-point axis."""
     seen = []
+    phase_outer = special._phase_outer
 
     def spy(a, b):
-        out = special._phase_outer(a, b)
+        out = phase_outer(a, b)
         seen.append((a, b, out))
         return out
 
-    monkeypatch.setattr(transforms, "_phase_outer", spy)
-    monkeypatch.setattr(kernels, "_phase_outer", spy)
+    for module in (special, transforms, kernels):
+        monkeypatch.setattr(module, "_phase_outer", spy)
     moyal_double_integral(hermite_window(0), gaussian_window(),
                           hermite_window(1), hermite_window(1))
     axis = np.linspace(-6.0, 6.0, 121)
     stft_superosc_closed_grid(hermite_window(3), 0.5, SuperoscParams(2.0, 64),
                               axis, axis)
-    assert [out.shape for *_, out in seen] == [(545, 321), (577, 321),
+    assert [out.shape for *_, out in seen] == [(273, 161), (289, 161),
                                                (121, 121), (70, 121), (110, 2)]
     for a, b, out in seen:
         ref = np.exp(-1j * np.multiply.outer(a, b))
