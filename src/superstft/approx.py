@@ -28,9 +28,8 @@ def approximating_function(psi, p):
     The decay radius inflates by the unit shift plus the coefficient
     growth sum_j |C_j| = max(1, |a|)^n (for Gaussian-type decay)."""
     def func(t):
-        t = np.asarray(t, dtype=float)
         return supershift_probe(
-            lambda w: np.asarray(psi(t + w), dtype=complex), p)
+            lambda w: np.asarray(psi(np.add.outer(w, t)), dtype=complex), p)
 
     r = getattr(psi, "decay_radius", None)
     radius = None if r is None else 1.0 + _supershift_radius(r, p)
@@ -53,7 +52,8 @@ def stft_approx_via_ambiguity(g, p, u, eta):
         e^{-i u eta / 2} sum_j C_j e^{i eta omega_j / 2}
                                A[g](u + omega_j, eta).
 
-    Each time-shifted term folds into one ambiguity evaluation."""
+    The time-shifted terms are one ambiguity evaluation at u + omega, on
+    one rule."""
     total = supershift_probe(
         lambda w: np.exp(0.5j * eta * w) * ambiguity(g, u + w, eta),
         p)

@@ -50,7 +50,7 @@ from .quadrature import (
 from .signals import window_norm_sq
 from .special import (TWO_PI, _as_result, _check_orders, _finite,
                       hermite_function)
-from .superosc import coefficients, frequencies
+from .superosc import supershift_probe
 from .transforms import fourier
 
 SQRT_TWO_PI = math.sqrt(TWO_PI)
@@ -250,26 +250,24 @@ def evolve_superosc(p, y, t):
     At t = 0 this is F_n(y); as n grows it approaches e^{i a y - i a^2 t}
     (the supershift acts on the evolved closed form, which is entire in
     the frequency).  y and t broadcast together; the sum over j is one
-    contraction over the whole grid.  A non-finite y or t is a ValueError
-    that names it."""
-    c = coefficients(p)
-    w = frequencies(p)
+    supershift_probe contraction over the whole grid.  A non-finite y or t
+    is a ValueError that names it."""
     y, t = np.broadcast_arrays(_finite("y", y), _finite("t", t))
-    phase = np.multiply.outer(w, y) - np.multiply.outer(w * w, t)
-    return _as_result(np.tensordot(c, np.exp(1j * phase), axes=1))
+    return supershift_probe(lambda w: np.exp(1j * (
+        np.multiply.outer(w, y) - np.multiply.outer(w * w, t))), p)
 
 
 def evolve_superosc_signal(g, x, p, y, t):
     """U_t S(y) for the signal S = F_n(.) g(. - x), by evolving each atom
     M_{omega_j} T_x g and summing (datum scale: equals S(y) at t = 0).
     All n + 1 atoms are one evolve_hermite grid call over k0 = omega_j
-    (order 0 for the Gaussian window)."""
+    (order 0 for the Gaussian window), contracted by supershift_probe."""
     if g.kind not in ("gaussian", "hermite"):
         raise ValueError(
             "mode-wise evolution needs a gaussian or hermite window"
         )
-    atoms = evolve_hermite(g.order, EvolutionPoint(y, t, x, frequencies(p)))
-    return complex(coefficients(p) @ atoms / TWO_PI)
+    return complex(supershift_probe(lambda w: evolve_hermite(
+        g.order, EvolutionPoint(y, t, x, w)), p) / TWO_PI)
 
 
 def evolve_superosc_integral_representation(g, x, p, y, t):

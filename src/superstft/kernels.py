@@ -27,10 +27,11 @@ calls of one core, _hermite_superosc_grid, which integrates the product
 form of F_n against the window pair by Gauss-Hermite quadrature.  The
 coefficient sum of pair integrals stays only as that core's fallback and
 as its closed twin, stft_superosc_termwise_grid; both are calls of
-_termwise_grid, which contracts C_j directly and applies the part of the
-phase that no term owns once, after the sum.  The generating checks build
-their order tables in one pass (_convolution_table, on
-special._laguerre_table), each entry the per-order call's to the bit.
+_termwise_grid, the one coefficient sum that forms C_j itself (the Fock
+form and the closed norms are superosc.supershift_probe calls); it applies
+the part of the phase that no term owns once, after the sum.  The
+generating checks build their order tables in one pass (_convolution_table,
+on special._laguerre_table), each entry the per-order call's to the bit.
 """
 
 import math
@@ -190,10 +191,10 @@ def _tensor_axes(u_axis, eta_axis):
 
 def normalized_fock_kernel(w, z):
     """Unit-norm kernel element k_w evaluated at z:
-    (1/sqrt(pi)) e^{z conj(w) - |w|^2 / 2}."""
-    w = complex(w)
-    z = complex(z)
-    return complex(np.exp(z * np.conj(w) - abs(w) ** 2 / 2.0) / SQRT_PI)
+    (1/sqrt(pi)) e^{z conj(w) - |w|^2 / 2}.  w and z broadcast together;
+    a scalar call returns a complex, the array call's entry to the bit."""
+    w, z = np.asarray(w, dtype=complex), np.asarray(z, dtype=complex)
+    return _as_result(np.exp(z * np.conj(w) - np.abs(w) ** 2 / 2.0) / SQRT_PI)
 
 
 def stft_superosc_fock_form(x, p, u, eta):
@@ -207,7 +208,8 @@ def stft_superosc_fock_form(x, p, u, eta):
     Time-frequency data enter the complex plane scaled by 1/sqrt2 (both the
     kernel index omega_j/sqrt2 and the evaluation point conj(q)/sqrt2);
     with that scaling the sum is algebraically identical to
-    stft_superosc_termwise_grid with the Gaussian window."""
+    stft_superosc_termwise_grid with the Gaussian window; the sum is a
+    supershift_probe of one array normalized_fock_kernel call."""
     q = _finite("q", eta - 1j * (u + x))
     m_inv = np.exp(-eta ** 2 / 4.0 - (u + x) ** 2 / 4.0 - 0.5j * (u + x) * eta)
     total = supershift_probe(
@@ -219,31 +221,13 @@ def stft_superosc_fock_form(x, p, u, eta):
 # Closed norm twins of signal_norm_sq
 # ---------------------------------------------------------------------------
 
-def _norm_double_sum(m, x, p):
-    """||F_n(.) h_m(. - x)||^2 as the closed double sum, with
-    d = (k - j)/n,
-
-        sqrt(pi) (-2)^m  sum_{j,k} C_j C_k e^{-d^2 + 2 i d x}
-                                   H_{m,m}(sqrt2 d, sqrt2 d),
-
-    whose summand is hermite_pair_integral(m, m, x, x, 2d) and whose
-    imaginary part cancels pairwise; a sum that comes out non-real
-    (cancellation at large n) raises FloatingPointError."""
-    c = coefficients(p)
-    idx = np.arange(p.n + 1)
-    d = (idx[None, :] - idx[:, None]) / p.n  # d[j, k] = (k - j)/n
-    total = c @ hermite_pair_integral(m, m, x, x, 2.0 * d) @ c
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise FloatingPointError(f"norm sum came out non-real: {total}")
-    return float(total.real)
-
-
 def norm_sq_closed_gaussian(x, p):
     """Closed double sum
     pi sum_{j,k} C_j C_k e^{-2ix(j-k)/n - (k-j)^2/n^2}; equals
     ||phi||^2 ||S||^2 for the Gaussian window phi and the signal S built on
-    it (so the full time-frequency energy is 2 pi times this value)."""
-    return SQRT_PI * _norm_double_sum(0, x, p)
+    it (so the full time-frequency energy is 2 pi times this value).  It is
+    norm_sq_closed_hermite(0, 0, x, p): ||h_0||^2 is sqrt(pi) exactly."""
+    return norm_sq_closed_hermite(0, 0, x, p)
 
 
 def norm_sq_closed_hermite(k, m, x, p):
@@ -254,10 +238,22 @@ def norm_sq_closed_hermite(k, m, x, p):
             e^{2i(s-l)x/n} H_{m,m}(sqrt2 (s-l)/n, sqrt2 (s-l)/n).
 
     Equals ||h_k||^2 ||S||^2 (time-frequency energy again 2 pi times this),
-    returned as a real number; orders outside 0..MAX_HERMITE_ORDER are a
-    ValueError."""
+    returned as a real number: ||h_k||^2 times ||F_n(.) h_m(. - x)||^2,
+
+        sqrt(pi) (-2)^m  sum_{s,l} C_s C_l e^{-d^2 + 2 i d x}
+                                   H_{m,m}(sqrt2 d, sqrt2 d),
+
+    d = (l - s)/n, whose summand hermite_pair_integral(m, m, x, x,
+    omega_s - omega_l) two nested supershift_probe calls contract.  Its
+    imaginary part cancels pairwise; a sum that comes out non-real
+    (cancellation at large n) raises FloatingPointError.  Orders outside
+    0..MAX_HERMITE_ORDER are a ValueError."""
     _check_orders(k, m)
-    return hermite_norm_sq(k) * _norm_double_sum(m, x, p)
+    total = supershift_probe(lambda ws: supershift_probe(
+        lambda wl: hermite_pair_integral(m, m, x, x, ws - wl[:, None]), p), p)
+    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
+        raise FloatingPointError(f"norm sum came out non-real: {total}")
+    return hermite_norm_sq(k) * total.real
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +453,11 @@ def _termwise_grid(k, m, x, p, u_axis, eta_axis):
     term and multiplies the sum once.  What each term keeps is the real
     Gaussian-Laguerre factor e^{-lam^2/4 - (u-x)^2/4} L_i^{(d)}(|z|^2),
     i = min(k, m), times zeta^d for k != m; for the Gaussian window it is
-    an outer product, so the sum is one (U x J) @ (J x E) matrix product.
-    As in the pair integral, lam and u - x are clipped at _D_MAX, and a cell
+    an outer product, so the sum is one (U x J) @ (J x E) matrix product
+    with C_j folded into its first factor.  It forms C_j itself because
+    supershift_probe's (J, U, E) term array would add 433^2 x 5 x 16 B =
+    15 MB on verify's evolution triple path, a quarter of its peak RSS.  As
+    in the pair integral, lam and u - x are clipped at _D_MAX, and a cell
     whose phase is not finite is 0 where the Gaussian factor is 0, a
     ValueError where it is not."""
     u, eta = u_axis.ravel(), eta_axis.ravel()

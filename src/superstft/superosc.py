@@ -16,23 +16,26 @@ converges to psi(x + a) under mild regularity (a "supershift").
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .special import _as_result
 
 
 @dataclass(frozen=True)
 class SuperoscParams:
     """Parameters (a, n) of the basic superoscillating sequence: target
     frequency a (any real; |a| > 1 is the superoscillatory regime) and
-    order n >= 1."""
+    integer order n >= 1 (a float n, 2.0 too, is a ValueError)."""
 
     a: float
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not math.isfinite(self.a):
             raise ValueError(f"a must be finite, got {self.a}")
 
@@ -76,22 +79,11 @@ def f_n(p, t):
     return complex(out) if out.ndim == 0 else out
 
 
-def supershift_probe(closed_form_at, p):
-    """Apply the coefficient pattern to a lambda-indexed family:
-    returns sum_j C_j closed_form_at(omega_j).  closed_form_at maps a
-    frequency to any numpy-addable value (scalar or array), so this
-    drives both scalar probes and whole-grid sums, term by term (j = 0
-    first); the supershift of psi at x is
-    supershift_probe(lambda w: psi(x + w), p).  Sums that gain from a
-    contraction form C_j themselves instead: kernels._termwise_grid,
-    evolution.evolve_superosc and evolve_superosc_signal, and the closed
-    norms' kernels._norm_double_sum."""
-    c = coefficients(p)
-    w = frequencies(p)
-    total = None
-    for cj, wj in zip(c, w):
-        term = cj * np.asarray(closed_form_at(float(wj)))
-        total = term if total is None else total + term
-    if total.ndim == 0:
-        return complex(total) if np.iscomplexobj(total) else float(total)
-    return total
+def supershift_probe(terms_at, p):
+    """sum_j C_j terms_at(omega)[j], terms_at called once on the whole
+    frequency vector omega = frequencies(p) and returning an array whose
+    leading axis is j; the result has the remaining shape (a complex for a
+    0-d one).  Every whole-term coefficient sum but kernels._termwise_grid
+    calls it; the supershift of psi at x takes terms_at = psi(x + omega)."""
+    terms = terms_at(frequencies(p))
+    return _as_result(np.tensordot(coefficients(p), terms, axes=1))

@@ -101,15 +101,16 @@ def zak_superosc_termwise(g, x, p, u, eta):
         Z(S)(u, eta) = sum_j C_j e^{i omega_j u} Z(g)(u - x, eta - omega_j),
 
     on the tensor grid u x eta, shape u.shape + eta.shape (a complex for
-    0-d axes), as zak_grid: one zak_grid call per term on the raveled
-    axes, so a 0-d call does the array arithmetic of a grid's point.
-    Exact in exact arithmetic, but sum_j |C_j| = max(1, |a|)^n, so it
-    cancels at large n (off by 9.0e2 at n = 64, a = 2, x = 0.5,
-    (u, eta) = (0.3, 1.1)); the verify case and the tests that pin the
-    expansion call it."""
+    0-d axes), as zak_grid: one zak_grid call on the raveled u axis and
+    the 2-D eta axis eta - omega_j, contracted by supershift_probe, so a
+    0-d call does the array arithmetic of a grid's point.  Exact in exact
+    arithmetic, but sum_j |C_j| = max(1, |a|)^n, so it cancels at large n
+    (off by 9.0e2 at n = 64, a = 2, x = 0.5, (u, eta) = (0.3, 1.1)); the
+    verify case and the tests that pin the expansion call it."""
     uf, ef = _finite("u", u).ravel(), _finite("eta", eta).ravel()
-    total = supershift_probe(lambda w: np.exp(1j * w * uf)[:, None]
-                             * zak_grid(g, uf - x, ef - w), p)
+    total = supershift_probe(
+        lambda w: np.exp(1j * np.multiply.outer(w, uf))[:, :, None]
+        * np.moveaxis(zak_grid(g, uf - x, ef - w[:, None]), 1, 0), p)
     return _as_result(total.reshape(np.shape(u) + np.shape(eta)))
 
 

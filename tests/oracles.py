@@ -183,7 +183,7 @@ def laguerre_sum(n, x):
 def f_n_direct(p, t):
     """F_n(t) as the explicit exponential sum; oracle for f_n."""
     t = np.asarray(t, dtype=float)
-    return supershift_probe(lambda w: np.exp(1j * w * t), p)
+    return supershift_probe(lambda w: np.exp(1j * np.multiply.outer(w, t)), p)
 
 
 def stft_integral_representation(g, x, y, p):

@@ -193,6 +193,19 @@ def test_fock_kernel_reproducing_values():
     assert abs(val - np.exp(abs(w) ** 2 / 2.0) / SQRT_PI) < 1e-13
 
 
+def test_fock_kernel_array_call_equals_its_scalar_calls():
+    """An array call is the scalar calls' values to the bit, and a scalar
+    call is a complex; w and z broadcast together, as in the Fock form."""
+    w = np.array([-0.3 + 0.7j, 1.1, -2.0j, 0.45 - 0.2j])
+    z = np.array([0.2 - 1.3j, 0.6j, -0.9, 1.7 + 0.4j])
+    for ws, zs in ((w, z), (w, z[0]), (w[:, None], z)):
+        grid = normalized_fock_kernel(ws, zs)
+        for i in np.ndindex(grid.shape):
+            one = normalized_fock_kernel(np.broadcast_to(ws, grid.shape)[i],
+                                         np.broadcast_to(zs, grid.shape)[i])
+            assert type(one) is complex and one == grid[i]
+
+
 def test_fock_form_equals_closed():
     """Coherent-state reassembly of the Gaussian-window closed transform."""
     g = gaussian_window()
@@ -210,6 +223,9 @@ def test_norm_closed_gaussian():
     for (a, n, x) in [(1.5, 2, 0.0), (2.0, 4, 0.3)]:
         p = SuperoscParams(a=a, n=n)
         closed = norm_sq_closed_gaussian(x, p)
+        # the k = m = 0 Hermite norm, to the bit: ||h_0||^2 is sqrt(pi)
+        assert type(closed) is float
+        assert closed == norm_sq_closed_hermite(0, 0, x, p)
         s = build_signal(g, x, p)
         from superstft.quadrature import QuadratureSpec, integrate
         spec = QuadratureSpec(truncation_radius=float(s.decay_radius))

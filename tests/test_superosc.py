@@ -20,6 +20,78 @@ def test_params_validation():
     assert not SuperoscParams(a=0.5, n=3).is_superoscillatory
 
 
+def test_params_refuse_a_non_integer_order():
+    """A float n, even an integral one, is refused by name: F_n would be a
+    principal-branch power, and the coefficients could not be formed."""
+    for n in (2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            SuperoscParams(a=2.0, n=n)
+    p = SuperoscParams(a=2.0, n=np.int64(3))
+    np.testing.assert_array_equal(coefficients(p),
+                                  coefficients(SuperoscParams(a=2.0, n=3)))
+
+
+def test_supershift_probe_calls_its_terms_once_on_the_frequency_vector():
+    p = SuperoscParams(a=2.0, n=5)
+    seen = []
+
+    def terms_at(w):
+        seen.append(w)
+        return np.multiply.outer(w, np.ones((2, 3)))
+
+    probe = supershift_probe(terms_at, p)
+    assert len(seen) == 1 and seen[0].shape == (6,)
+    np.testing.assert_array_equal(seen[0], frequencies(p))
+    assert probe.shape == (2, 3)
+    assert type(supershift_probe(lambda w: w, p)) is complex
+
+
+def test_every_whole_term_sum_forms_its_coefficients_in_superosc(monkeypatch):
+    """One route: each whole-term coefficient sum forms C_j through
+    superosc.coefficients, which supershift_probe calls."""
+    from superstft import superosc
+    from superstft.approx import (approximating_function,
+                                  stft_approx_via_ambiguity)
+    from superstft.evolution import evolve_superosc, evolve_superosc_signal
+    from superstft.kernels import (norm_sq_closed_gaussian,
+                                   norm_sq_closed_hermite,
+                                   stft_superosc_fock_form)
+    from superstft.signals import gaussian_window, hermite_window
+    from superstft.zak import zak_superosc_termwise
+
+    calls = []
+    original = superosc.coefficients
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(superosc, "coefficients", counting)
+    p, g = SuperoscParams(a=1.5, n=3), gaussian_window()
+    sums = {
+        "evolve_superosc": lambda: evolve_superosc(p, 0.3, 0.2),
+        "evolve_superosc_signal": lambda: evolve_superosc_signal(
+            hermite_window(1), 0.5, p, 0.3, 0.2),
+        "norm_sq_closed_gaussian": lambda: norm_sq_closed_gaussian(0.4, p),
+        "norm_sq_closed_hermite": lambda: norm_sq_closed_hermite(1, 2, 0.3, p),
+        "stft_superosc_fock_form": lambda: stft_superosc_fock_form(
+            0.5, p, 0.3, 0.7),
+        "zak_superosc_termwise": lambda: zak_superosc_termwise(
+            g, 0.5, p, 0.3, 1.1),
+        "approximating_function": lambda: approximating_function(g, p)(0.2),
+        "stft_approx_via_ambiguity": lambda: stft_approx_via_ambiguity(
+            g, p, 0.3, 0.5),
+    }
+    formed = {}
+    for name, run in sums.items():
+        del calls[:]
+        run()
+        formed[name] = len(calls)
+    # the closed norms are two nested contractions, the others one
+    assert formed == {name: 2 if name.startswith("norm") else 1
+                      for name in sums}, formed
+
+
 def test_coefficient_sums():
     """sum C_j = 1 always; sum |C_j| = max(1,|a|)^n."""
     for a in (0.5, 1.5, 2.0, -3.0):
@@ -97,7 +169,7 @@ def test_supershift_probe_linear_exact():
 def test_supershift_probe_array_values():
     p = SuperoscParams(a=1.5, n=4)
     y = np.linspace(-1, 1, 5)
-    probe = supershift_probe(lambda w: np.exp(1j * w * y), p)
+    probe = supershift_probe(lambda w: np.exp(1j * np.multiply.outer(w, y)), p)
     np.testing.assert_allclose(probe, f_n(p, y), atol=1e-12)
 
 
