@@ -450,11 +450,15 @@ def cmd_evolve(args):
         if args.n is None:
             args._parser.error("--superosc requires --n")
         p = SuperoscParams(a=args.a, n=args.n)
+        # blocks of whole t slices, each at most 2^20 terms (n + 1) x len(x)
+        step = max(1, 2**20 // ((args.n + 1) * len(args.x)))
+        times = [args.t[i:i + step, None] for i in range(0, len(args.t), step)]
 
         def sample(t):
             return evolve_superosc(p, args.x, t)
     else:
         order = 0 if args.window == "gaussian" else args.order
+        times = args.t.tolist()
 
         def sample(t):
             pt = EvolutionPoint(x=args.x, t=t, x0=args.x0, k0=args.k0)
@@ -462,9 +466,8 @@ def cmd_evolve(args):
 
     # every slice is computed before a row is written, so a value no route
     # can give is a one-line usage error with no partial CSV
-    times = args.t.tolist()
     try:
-        slices = [sample(t) for t in times]  # one grid call per slice
+        slices = [sample(t) for t in times]  # one grid call per slice/block
     except (ValueError, FloatingPointError) as exc:
         args._parser.error(str(exc))
     except OverflowError:  # k0**2 of a Python float
@@ -474,7 +477,7 @@ def cmd_evolve(args):
         out.write("x,t,re,im,abs,accuracy_flag\n")
         # one slice per t, its x rows in order; accuracy_flag is 0 until a
         # route has an error bound that sets it
-        _write_grid(out, (args.t, args.x), _complex_columns(np.stack(slices)),
+        _write_grid(out, (args.t, args.x), _complex_columns(np.vstack(slices)),
                     keys=(1, 0), tail=",0")
     return 0
 

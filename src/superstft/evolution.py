@@ -31,7 +31,9 @@ may be arrays that broadcast together, and a scalar call is the 0-d case of
 the same code.  evolve_numeric and evolve_hermite take one t per call: the
 quadrature rule depends on t, and with a scalar t every entry of a grid
 equals its one-point call to the bit (an array t would change the last
-bits of the closed forms).
+bits of the closed forms).  evolve_superosc exponentiates each phase
+factor once per axis, and the CLI's --superosc route makes one such call
+per block of whole t slices.
 """
 
 import math
@@ -85,12 +87,12 @@ def oscillation_hazard(t, truncation_radius):
     return abs(t) * float(truncation_radius) ** 2 > OSCILLATION_HAZARD
 
 
-def _single_t(pt):
-    """pt.t as a float; an array t is a ValueError."""
-    if np.ndim(pt.t) != 0:
-        raise ValueError("the evolution routes take one t per call "
-                         "(x, x0 and k0 may be arrays)")
-    return float(pt.t)
+def _scalar(name, value):
+    """value as a float; an array is a ValueError that names it."""
+    if np.ndim(value) != 0:
+        raise ValueError(f"{name} must be a scalar: this evolution route "
+                         f"takes one {name} per call")
+    return float(value)
 
 
 def _warn_if_hazard(t, truncation_radius):
@@ -146,7 +148,7 @@ def evolve_numeric(g, pt, spec=None, normalized=False):
     pt.x, pt.x0 and pt.k0 may be arrays, and the whole grid is one rule and
     one weighted vector, contracted against e^{i s u - i u^2 t} for every
     s = x - x0 - 2 k0 t.  A hazardous spec warns once per call."""
-    t = _single_t(pt)
+    t = _scalar("t", pt.t)
     closed = g.kind in ("gaussian", "hermite")
     if spec is None:
         if not closed:
@@ -234,7 +236,7 @@ def evolve_hermite(m, pt, normalized=False):
     every t: no rule is built and no warning is raised.  h_0 is the Gaussian
     window, so m = 0 returns evolve_gaussian_closed."""
     _check_orders(m)
-    t = _single_t(pt)
+    t = _scalar("t", pt.t)
     if m == 0:
         return evolve_gaussian_closed(pt, normalized=normalized)
     out = _as_result(_hermite_closed_arr(m, pt.x, t, pt.x0, pt.k0))
@@ -249,23 +251,28 @@ def evolve_superosc(p, y, t):
 
     At t = 0 this is F_n(y); as n grows it approaches e^{i a y - i a^2 t}
     (the supershift acts on the evolved closed form, which is entire in
-    the frequency).  y and t broadcast together; the sum over j is one
-    supershift_probe contraction over the whole grid.  A non-finite y or t
-    is a ValueError that names it."""
-    y, t = np.broadcast_arrays(_finite("y", y), _finite("t", t))
-    return supershift_probe(lambda w: np.exp(1j * (
-        np.multiply.outer(w, y) - np.multiply.outer(w * w, t))), p)
+    the frequency).  y and t broadcast together, and a non-finite one is a
+    ValueError naming it.  Each phase factor is exponentiated on its own
+    argument's points (J (T + Y) complex exps for y of shape (1, Y) and t
+    of (T, 1), not J T Y); supershift_probe contracts their product."""
+    y, t = _finite("y", y), _finite("t", t)
+    # one ndim for both keeps j their leading axis, also at length n + 1
+    y, t = (np.array(v, ndmin=max(y.ndim, t.ndim)) for v in (y, t))
+    return supershift_probe(lambda w: np.exp(1j * np.multiply.outer(w, y))
+                            * np.exp(-1j * np.multiply.outer(w * w, t)), p)
 
 
 def evolve_superosc_signal(g, x, p, y, t):
     """U_t S(y) for the signal S = F_n(.) g(. - x), by evolving each atom
     M_{omega_j} T_x g and summing (datum scale: equals S(y) at t = 0).
     All n + 1 atoms are one evolve_hermite grid call over k0 = omega_j
-    (order 0 for the Gaussian window), contracted by supershift_probe."""
+    (order 0 for the Gaussian window), contracted by supershift_probe; so
+    x, y and t are scalars, and an array one is a ValueError naming it."""
     if g.kind not in ("gaussian", "hermite"):
         raise ValueError(
             "mode-wise evolution needs a gaussian or hermite window"
         )
+    x, y, t = (_scalar(name, v) for name, v in zip("xyt", (x, y, t)))
     return complex(supershift_probe(lambda w: evolve_hermite(
         g.order, EvolutionPoint(y, t, x, w)), p) / TWO_PI)
 

@@ -628,9 +628,11 @@ def test_evolve_csv_bytes_match_per_cell_writer(tmp_path, route):
     assert rc == 0
     xs, ts = np.linspace(-3, 3, 31), np.linspace(0, 0.6, 4)
     expected = "x,t,re,im,abs,accuracy_flag\n"
-    for t in ts:
+    # the superosc route is one grid call over the whole (t, x) grid
+    grid = evolve_superosc(SuperoscParams(a=2.0, n=8), xs, ts[:, None])
+    for t, row in zip(ts, grid):
         if route[0] == "--superosc":
-            v = evolve_superosc(SuperoscParams(a=2.0, n=8), xs, t)
+            v = row
         elif route[1] == "gaussian":
             v = evolve_gaussian_closed(EvolutionPoint(xs, t, 0.5, 1.5))
         else:
@@ -638,6 +640,41 @@ def test_evolve_csv_bytes_match_per_cell_writer(tmp_path, route):
                                normalized=True)
         expected += _reference_rows([(x, t) for x in xs], v, ["0"] * xs.size)
     assert out.read_bytes() == expected.encode()
+
+
+def test_evolve_superosc_blocks_whole_t_slices(tmp_path, monkeypatch):
+    """n = 256, a = 0.5 (sum |C_j| = 1) on 101 x 1001 points: the
+    257 x 101 x 1001 term array would take about 415 MB, so the route
+    evaluates a few whole t slices per grid call.  Each value is within
+    32 eps of its point call, and the traced peak stays below 64 MB."""
+    import tracemalloc
+    from superstft.evolution import evolve_superosc
+    from superstft.superosc import SuperoscParams
+    out = tmp_path / "b.csv"
+    argv = ["evolve", "--superosc", "--a", "0.5", "--n", "256",
+            "--x", "-4:4:1001", "--t", "0:1:101", "--out", str(out)]
+    calls = []
+
+    def counted(p, y, t):
+        calls.append(np.shape(t))
+        return evolve_superosc(p, y, t)
+
+    monkeypatch.setattr(cli, "evolve_superosc", counted)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    assert len(calls) > 1 and sum(shape[0] for shape in calls) == 101
+    rows = _read_csv(str(out))[1:]
+    assert len(rows) == 101 * 1001
+    p = SuperoscParams(a=0.5, n=256)
+    for r in rows[::997]:
+        got = complex(float(r[2]), float(r[3]))
+        ref = evolve_superosc(p, float(r[0]), float(r[1]))
+        assert abs(got - ref) <= 32.0 * np.finfo(float).eps, r
 
 
 @pytest.mark.parametrize("argv", [

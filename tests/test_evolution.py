@@ -128,6 +128,9 @@ def test_superosc_signal_datum():
     s = build_signal(g, 0.5, p)
     for y in (-0.3, 0.0, 0.8):
         assert abs(evolve_superosc_signal(g, 0.5, p, y, 0.0) - s(y)) < 1e-11
+    # a 0-d array or numpy scalar is the scalar case, to the bit
+    assert (evolve_superosc_signal(g, 0.5, p, np.array(0.8), np.float64(0.3))
+            == evolve_superosc_signal(g, 0.5, p, 0.8, 0.3))
 
 
 def test_superosc_signal_hermite_window():
@@ -261,6 +264,59 @@ def test_superosc_grid_matches_point_calls():
     assert np.allclose(evolve_superosc(p, 0.4, ts),
                        [evolve_superosc(p, 0.4, tk) for tk in ts],
                        rtol=0.0, atol=32.0 * EPS * np.sum(np.abs(coefficients(p))))
+
+
+@pytest.mark.parametrize("n", [8, 9, 20])
+@pytest.mark.parametrize("shapes", [
+    ((9,), ()), ((), (9,)), ((1, 9), (10, 1)), ((10, 9), (9,)),
+    ((21,), ()), ((), (21,)), ((1, 21), (9, 1)), ((9, 21), (21,))])
+def test_superosc_broadcasts_like_its_point_calls(shapes, n):
+    """Each factor's j axis leads, also where len(y) or len(t) is n + 1
+    (9 at n = 8, 10 at n = 9, 21 at n = 20): every grid entry is its
+    point call's value within 32 eps sum |C_j|."""
+    from superstft.superosc import coefficients
+    p = SuperoscParams(a=2.0, n=n)
+    rng = np.random.default_rng(n)
+    y = rng.uniform(-4.0, 4.0, shapes[0])
+    t = rng.uniform(0.0, 1.0, shapes[1])
+    grid = evolve_superosc(p, y, t)
+    yb, tb = np.broadcast_arrays(y, t)
+    assert grid.shape == yb.shape
+    ref = np.array([evolve_superosc(p, yi, ti)
+                    for yi, ti in zip(yb.ravel(), tb.ravel())])
+    bound = 32.0 * EPS * np.sum(np.abs(coefficients(p)))
+    assert np.max(np.abs(grid.ravel() - ref)) <= bound
+
+
+def test_superosc_grid_matches_mpmath_on_bench_axes():
+    """n = 8, a = 2 (sum |C_j| = 2^8) on the (1, 201) x (21, 1) grid of
+    the x -4:4:201, t 0:1:21 request, against an mpmath mode sum."""
+    import mpmath
+    from superstft.superosc import coefficients, frequencies
+    p = SuperoscParams(a=2.0, n=8)
+    xs, ts = np.linspace(-4.0, 4.0, 201), np.linspace(0.0, 1.0, 21)
+    grid = evolve_superosc(p, xs[None, :], ts[:, None])
+    assert grid.shape == (21, 201)
+    assert np.sum(np.abs(coefficients(p))) == 256.0
+    terms = list(zip(coefficients(p), frequencies(p)))
+    with mpmath.workdps(30):
+        ref = np.array([[complex(mpmath.fsum(
+            c * mpmath.expj(w * mpmath.mpf(x) - w * w * mpmath.mpf(t))
+            for c, w in terms)) for x in xs] for t in ts])
+    assert np.max(np.abs(grid - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, y, t, x", [
+    ("y", np.array([0.1, 0.7]), 0.3, 0.5),  # length n + 1, omega's length
+    ("y", np.array([0.1, 0.4, 0.7]), 0.3, 0.5),
+    ("t", 0.1, np.array([0.3]), 0.5),
+    ("x", 0.1, 0.3, np.array([0.5, 0.6]))])
+def test_superosc_signal_refuses_array_points(name, y, t, x):
+    """The mode-wise signal evolution takes one point per call: an array
+    is a ValueError naming it, not a wrong value or a broadcast error."""
+    p = SuperoscParams(a=2.0, n=1)
+    with pytest.raises(ValueError, match=f"^{name} must be a scalar"):
+        evolve_superosc_signal(gaussian_window(), x, p, y, t)
 
 
 def test_point_validation_covers_arrays():
