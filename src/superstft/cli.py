@@ -449,29 +449,26 @@ def cmd_evolve(args):
     if args.superosc:
         if args.n is None:
             args._parser.error("--superosc requires --n")
-        p = SuperoscParams(a=args.a, n=args.n)
-        # blocks of whole t slices, each at most 2^20 terms (n + 1) x len(x)
-        step = max(1, 2**20 // ((args.n + 1) * len(args.x)))
-        times = [args.t[i:i + step, None] for i in range(0, len(args.t), step)]
-
-        def sample(t):
-            return evolve_superosc(p, args.x, t)
+        terms = args.n + 1
+        sample = functools.partial(evolve_superosc,
+                                   SuperoscParams(a=args.a, n=args.n), args.x)
     else:
-        order = 0 if args.window == "gaussian" else args.order
-        times = args.t.tolist()
+        terms, order = 1, 0 if args.window == "gaussian" else args.order
 
         def sample(t):
             pt = EvolutionPoint(x=args.x, t=t, x0=args.x0, k0=args.k0)
             return evolve_hermite(order, pt, normalized=args.normalized)
 
-    # every slice is computed before a row is written, so a value no route
-    # can give is a one-line usage error with no partial CSV
+    # one grid call per block of whole t slices, each block at most 2^20
+    # terms (terms per cell x cells); every block is computed before a row
+    # is written, so a value no route can give is a one-line usage error
+    # with no partial CSV
+    step = max(1, 2**20 // (terms * len(args.x)))
     try:
-        slices = [sample(t) for t in times]  # one grid call per slice/block
+        slices = [sample(args.t[i:i + step, None])
+                  for i in range(0, len(args.t), step)]
     except (ValueError, FloatingPointError) as exc:
         args._parser.error(str(exc))
-    except OverflowError:  # k0**2 of a Python float
-        args._parser.error(f"--k0 {args.k0:g} overflows the phase k0^2 t")
 
     with _output(args.out) as out:
         out.write("x,t,re,im,abs,accuracy_flag\n")

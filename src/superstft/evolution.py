@@ -16,8 +16,9 @@ For the Hermite window h_m the position-space integral has a closed form
     int e^{-alpha u^2 + i y u} H_m(u) du
         = sqrt(pi / alpha) e^{-y^2 / (4 alpha)} gamma^m H_m(i y / (2 alpha gamma)).
 
-It holds at every t, and evolve_hermite evaluates it on every slice; its
-m = 0 case is the Gaussian window's evolve_gaussian_closed.
+It holds at every t.  evolve_hermite evaluates it by a three-term
+recurrence; order 0 is the Gaussian window, and evolve_gaussian_closed is
+that call.
 
 evolve_numeric is the momentum-space quadrature oracle, and the route for
 custom windows.  Its e^{-i p^2 t} factor oscillates with instantaneous
@@ -26,14 +27,15 @@ past the cap (|t| T^2 > 10^4, the predicate oscillation_hazard) its
 results are unreliable and it raises a warning.
 
 The evolution routes are grid-first: the fields of an EvolutionPoint (and
-the y, t of evolve_superosc and evolve_superosc_integral_representation)
-may be arrays that broadcast together, and a scalar call is the 0-d case of
-the same code.  evolve_numeric and evolve_hermite take one t per call: the
-quadrature rule depends on t, and with a scalar t every entry of a grid
-equals its one-point call to the bit (an array t would change the last
-bits of the closed forms).  evolve_superosc exponentiates each phase
-factor once per axis, and the CLI's --superosc route makes one such call
-per block of whole t slices.
+the x, y, t of evolve_superosc_signal, the y, t of evolve_superosc and
+evolve_superosc_integral_representation) may be arrays that broadcast
+together, and a scalar call is the 0-d case of the same code.
+evolve_hermite runs its four fields, t included, as one flat array, so
+every grid entry equals its point call to the bit; evolve_superosc_signal
+is one such call with k0 = omega_j on a leading axis.  evolve_numeric
+takes one t per call, since its quadrature rule depends on t.
+evolve_superosc exponentiates each phase factor once per axis.  The CLI's
+evolve makes one grid call per block of whole t slices.
 """
 
 import math
@@ -51,7 +53,7 @@ from .quadrature import (
 )
 from .signals import window_norm_sq
 from .special import (TWO_PI, _as_result, _check_orders, _finite,
-                      hermite_function)
+                      _flat_points, hermite_function)
 from .superosc import supershift_probe
 from .transforms import fourier
 
@@ -70,7 +72,7 @@ class EvolutionPoint:
     translation x0 and initial modulation k0 of the datum M_{k0} T_{x0} g.
     Each field is a float or an array; together they broadcast to the grid
     of points that an evolution route evaluates (one t per call for
-    evolve_numeric and evolve_hermite)."""
+    evolve_numeric)."""
 
     x: float
     t: float
@@ -85,14 +87,6 @@ class EvolutionPoint:
 def oscillation_hazard(t, truncation_radius):
     """True when |t| T^2 exceeds the reliability threshold."""
     return abs(t) * float(truncation_radius) ** 2 > OSCILLATION_HAZARD
-
-
-def _scalar(name, value):
-    """value as a float; an array is a ValueError that names it."""
-    if np.ndim(value) != 0:
-        raise ValueError(f"{name} must be a scalar: this evolution route "
-                         f"takes one {name} per call")
-    return float(value)
 
 
 def _warn_if_hazard(t, truncation_radius):
@@ -148,7 +142,10 @@ def evolve_numeric(g, pt, spec=None, normalized=False):
     pt.x, pt.x0 and pt.k0 may be arrays, and the whole grid is one rule and
     one weighted vector, contracted against e^{i s u - i u^2 t} for every
     s = x - x0 - 2 k0 t.  A hazardous spec warns once per call."""
-    t = _scalar("t", pt.t)
+    if np.ndim(pt.t) != 0:
+        raise ValueError("t must be a scalar: this evolution route takes "
+                         "one t per call")
+    t = float(pt.t)
     closed = g.kind in ("gaussian", "hermite")
     if spec is None:
         if not closed:
@@ -169,55 +166,14 @@ def evolve_numeric(g, pt, spec=None, normalized=False):
     return out / TWO_PI if normalized else out
 
 
-def _gaussian_closed_arr(x, t, x0, k0):
-    root = 1.0 / np.sqrt(1.0 + 2j * t)  # principal branch, = 1 at t = 0
-    expo = (1j * x0 * k0 - 0.5 * k0**2
-            + (k0 + 1j * (x - x0)) ** 2 / (2.0 * (1.0 + 2j * t)))
-    return TWO_PI * root * np.exp(expo)
-
-
 def evolve_gaussian_closed(pt, normalized=False):
-    """Closed form for the Gaussian window:
+    """Closed form for the Gaussian window, evolve_hermite's order 0:
 
         2 pi (1 + 2 i t)^{-1/2} e^{i x0 k0 - k0^2/2}
              e^{[k0 + i(x - x0)]^2 / (2 (1 + 2 i t))},
 
-    principal square root (continuous through t = 0).  Solves
-    i d/dt phi = -d^2/dx^2 phi exactly and equals 2 pi M_{k0} T_{x0} phi
-    at t = 0.  Evaluated on the whole grid that pt spans."""
-    # as in _hermite_closed_arr: past |x - x0 - 2 k0 t| = 80 |1/2 + i t| the
-    # modulus is below e^{-800} and underflows to zero; clipping x there
-    # keeps that zero and stops the square from overflowing
-    centre = pt.x0 + 2.0 * pt.k0 * pt.t
-    reach = 80.0 * np.abs(0.5 + 1j * pt.t)
-    x = np.clip(pt.x, centre - reach, centre + reach)
-    out = _as_result(_gaussian_closed_arr(x, pt.t, pt.x0, pt.k0))
-    return out / TWO_PI if normalized else out
-
-
-def _hermite_closed_arr(m, x, t, x0, k0):
-    """Closed form of evolve_hermite (unnormalized): with alpha = 1/2 + i t,
-    s = x - x0 - 2 k0 t and z = i s / (2 alpha),
-
-        sqrt(2 pi) (-i)^m e^{i k0 x - i k0^2 t} sqrt(pi / alpha)
-            e^{-s^2 / (4 alpha)} P_m,
-
-    where P_m = gamma^m H_m(z / gamma) comes from the recurrence
-    P_{k+1} = 2 z P_k - 2 k gamma^2 P_{k-1}.  Only gamma^2 = 1 - 1/alpha
-    enters, so no square root of it (and no branch) is needed."""
-    alpha = 0.5 + 1j * t
-    # past |s| = 80 |alpha| the Gaussian factor, of modulus
-    # e^{-|s|^2 / (8 |alpha|^2)} < e^{-800}, underflows to zero; clipping s
-    # there keeps that zero and stops P_m (about |2 z|^m) from overflowing
-    reach = 80.0 * abs(alpha)
-    s = np.clip(x - x0 - 2.0 * k0 * t, -reach, reach)
-    z = 0.5j * s / alpha
-    gamma_sq = 1.0 - 1.0 / alpha
-    p_prev, p = np.zeros_like(z), np.ones_like(z)
-    for k in range(m):
-        p, p_prev = 2.0 * z * p - 2.0 * k * gamma_sq * p_prev, p
-    return (SQRT_TWO_PI * (-1j) ** m * np.sqrt(math.pi / alpha)
-            * np.exp(1j * k0 * x - 1j * k0**2 * t - s * s / (4.0 * alpha)) * p)
+    principal square root (continuous through t = 0)."""
+    return evolve_hermite(0, pt, normalized=normalized)
 
 
 def evolve_hermite(m, pt, normalized=False):
@@ -229,17 +185,43 @@ def evolve_hermite(m, pt, normalized=False):
 
     The constant and the two t-dependent exponents are fixed by the
     requirements that the t = 0 value be 2 pi M_{k0} T_{x0} h_m and that
-    the result match evolve_numeric at all t.
+    the result match evolve_numeric at all t.  The integral is the closed
+    Gaussian-moment form of the module docstring: with alpha = 1/2 + i t,
+    s = x - x0 - 2 k0 t and z = i s / (2 alpha), the value is
 
-    pt.t must be a scalar; pt.x, pt.x0 and pt.k0 may be arrays.  The
-    integral is the closed Gaussian-moment form of the module docstring at
-    every t: no rule is built and no warning is raised.  h_0 is the Gaussian
-    window, so m = 0 returns evolve_gaussian_closed."""
+        sqrt(2 pi) (-i)^m e^{i k0 x - i k0^2 t} sqrt(pi / alpha)
+            e^{-s^2 / (4 alpha)} P_m,
+
+    where P_m = gamma^m H_m(z / gamma) comes from the recurrence
+    P_{k+1} = 2 z P_k - 2 k gamma^2 P_{k-1}.  Only gamma^2 = 1 - 1/alpha
+    enters, so no square root of it (and no branch) is needed; no rule is
+    built and no warning is raised.  The four fields of pt broadcast
+    together, t included, and run as one flat array (a 0-d call as a
+    1-element one), so every grid entry is its point call's value to the
+    bit.  A phase k0 x - k0^2 t that is not finite is a ValueError."""
     _check_orders(m)
-    t = _scalar("t", pt.t)
-    if m == 0:
-        return evolve_gaussian_closed(pt, normalized=normalized)
-    out = _as_result(_hermite_closed_arr(m, pt.x, t, pt.x0, pt.k0))
+    shape, (x, t, x0, k0) = _flat_points(
+        *(np.asarray(v, dtype=float) for v in (pt.x, pt.t, pt.x0, pt.k0)))
+    alpha = 0.5 + 1j * t
+    # past |s| = 80 |alpha| the Gaussian factor, of modulus
+    # e^{-|s|^2 / (8 |alpha|^2)} < e^{-800}, underflows to zero; clipping x
+    # there keeps that zero and stops P_m (about |2 z|^m), s^2 and k0 x
+    # from overflowing
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre, reach = x0 + 2.0 * k0 * t, 80.0 * np.abs(alpha)
+        x = np.clip(x, centre - reach, centre + reach)
+        phase = k0 * x - k0**2 * t
+    if not np.isfinite(phase).all():
+        raise ValueError("k0 overflows the phase k0^2 t")
+    s = x - x0 - 2.0 * k0 * t
+    z = 0.5j * s / alpha
+    gamma_sq = 1.0 - 1.0 / alpha
+    p_prev, p = np.zeros_like(z), np.ones_like(z)
+    for k in range(m):
+        p, p_prev = 2.0 * z * p - 2.0 * k * gamma_sq * p_prev, p
+    out = (SQRT_TWO_PI * (-1j) ** m * np.sqrt(math.pi / alpha)
+           * np.exp(1j * phase - s * s / (4.0 * alpha)) * p)
+    out = _as_result(out.reshape(shape))
     return out / TWO_PI if normalized else out
 
 
@@ -265,16 +247,18 @@ def evolve_superosc(p, y, t):
 def evolve_superosc_signal(g, x, p, y, t):
     """U_t S(y) for the signal S = F_n(.) g(. - x), by evolving each atom
     M_{omega_j} T_x g and summing (datum scale: equals S(y) at t = 0).
-    All n + 1 atoms are one evolve_hermite grid call over k0 = omega_j
-    (order 0 for the Gaussian window), contracted by supershift_probe; so
-    x, y and t are scalars, and an array one is a ValueError naming it."""
+    x, y and t broadcast together, and a non-finite one is a ValueError
+    naming it.  All n + 1 atoms are one evolve_hermite call (order 0 for
+    the Gaussian window) with k0 = omega_j on a leading axis, contracted by
+    supershift_probe."""
     if g.kind not in ("gaussian", "hermite"):
         raise ValueError(
             "mode-wise evolution needs a gaussian or hermite window"
         )
-    x, y, t = (_scalar(name, v) for name, v in zip("xyt", (x, y, t)))
-    return complex(supershift_probe(lambda w: evolve_hermite(
-        g.order, EvolutionPoint(y, t, x, w)), p) / TWO_PI)
+    x, y, t = (_finite(name, v) for name, v in zip("xyt", (x, y, t)))
+    lead = (1,) * max(x.ndim, y.ndim, t.ndim)
+    return supershift_probe(lambda w: evolve_hermite(g.order, EvolutionPoint(
+        y, t, x, w.reshape(w.shape + lead))), p) / TWO_PI
 
 
 def evolve_superosc_integral_representation(g, x, p, y, t):

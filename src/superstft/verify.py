@@ -597,11 +597,10 @@ def _run_triple_path(rng):
     p = SuperoscParams(a=2.0, n=4)
     points = [(0.7, 0.4), (-0.3, 0.1), (0.0, 0.8)]
     y, t = np.array(points).T
-    v2 = ev.evolve_superosc_integral_representation(g, 0.5, p, y, t)
-    worst = max(abs(ev.evolve_superosc_signal(g, 0.5, p, yi, ti) - vi)
-                for (yi, ti), vi in zip(points, v2))
-    return float(worst), {"x": 0.5, "a": 2.0, "n": 4,
-                          "points": [[0.7, 0.4], [-0.3, 0.1], [0.0, 0.8]]}
+    worst = np.max(np.abs(ev.evolve_superosc_signal(g, 0.5, p, y, t)
+                          - ev.evolve_superosc_integral_representation(
+                              g, 0.5, p, y, t)))
+    return float(worst), {"x": 0.5, "a": 2.0, "n": 4, "points": points}
 
 
 # ---------------------------------------------------------------------------

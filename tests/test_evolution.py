@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from oracles import evolve_hermite_mp
 from superstft.cli import main
 from superstft.evolution import (OSCILLATION_HAZARD, EvolutionPoint,
-                                 _gaussian_closed_arr, evolve_gaussian_closed,
+                                 evolve_gaussian_closed,
                                  evolve_hermite, evolve_numeric,
                                  evolve_superosc,
                                  evolve_superosc_integral_representation,
@@ -172,14 +173,14 @@ def test_integral_representation_path():
 
 def _whole_atom_contractions(g, x, p, points):
     """For each (y, t) of points, the phase-space double integral with every
-    evolved atom taken whole from _gaussian_closed_arr on the (u, eta)
+    evolved atom taken whole from evolve_hermite(0, ...) on the (u, eta)
     grid, and the absolute mass sum |w_i w_j V_ij phi_ij| of its terms,
     both over (2 pi)^2 ||g||^2."""
     xu, w = nodes_weights(QuadratureSpec(13.0 + abs(x), 16))
     wv = np.outer(w, w) * stft_superosc_termwise_grid(g, x, p, xu, xu)
     scale = TWO_PI ** 2 * window_norm_sq(g)
     for y, t in points:
-        terms = wv * _gaussian_closed_arr(y, t, xu[:, None], xu)
+        terms = wv * evolve_hermite(0, EvolutionPoint(y, t, xu[:, None], xu))
         yield complex(terms.sum()) / scale, float(np.abs(terms).sum()) / scale
 
 
@@ -233,9 +234,62 @@ def test_hermite_grid_matches_point_calls():
     assert np.max(np.abs(grid - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_hermite_grid_needs_scalar_t():
-    with pytest.raises(ValueError):
-        evolve_hermite(1, EvolutionPoint(0.0, np.array([0.1, 0.2]), 0.0, 0.0))
+@pytest.mark.parametrize("m", [0, 3, 8, 64])
+def test_hermite_grid_over_every_field_is_its_point_calls(m):
+    """t, x, x0 and k0 on four axes of one grid call: every entry is its
+    point call's value to the bit, and a point call is a complex."""
+    draws = np.random.default_rng(m)
+    t = draws.uniform(-3.0, 3.0, (5, 1, 1, 1))
+    x = draws.uniform(-6.0, 6.0, (1, 7, 1, 1))
+    x0 = draws.uniform(-1.0, 1.0, (1, 1, 3, 1))
+    k0 = draws.uniform(-2.0, 2.0, 4)
+    grid = evolve_hermite(m, EvolutionPoint(x, t, x0, k0))
+    assert grid.shape == (5, 7, 3, 4)
+    for i, j, k, l in np.ndindex(grid.shape):
+        value = evolve_hermite(m, EvolutionPoint(x[0, j, 0, 0], t[i, 0, 0, 0],
+                                                 x0[0, 0, k, 0], k0[l]))
+        assert type(value) is complex and value == grid[i, j, k, l]
+
+
+def test_hermite_order_zero_matches_mpmath():
+    """The Gaussian atom is the recurrence's order 0: within 1e-14 of the
+    grid maximum of a 40-digit oracle on x in [-8, 8] with |k0| <= 20 and
+    |t| <= 100.  Where the packet is followed out to |x| ~ 4000, each value
+    is within 4 eps (1 + |k0 x| + |k0^2 t| + |s^2 / (4 alpha)|) of its
+    modulus: the terms of the exponent, whose rounding any double
+    evaluation keeps."""
+    draws = np.random.default_rng(20)
+    t = np.concatenate([[0.0, 0.5, -1.5], draws.uniform(-100.0, 100.0, 5)])
+    k0 = np.concatenate([[0.0], draws.uniform(-20.0, 20.0, 4)])
+    x, t, k0 = np.broadcast_arrays(np.linspace(-8.0, 8.0, 8), t[:, None, None],
+                                   k0[:, None])
+    for follow in (False, True):
+        if follow:
+            x = 0.3 + 2.0 * k0 * t + draws.uniform(-3.0, 3.0, x.shape) * (
+                1.0 + 2.0 * abs(t))
+        got = evolve_hermite(0, EvolutionPoint(x, t, 0.3, k0))
+        ref = np.reshape([evolve_hermite_mp(0, *v, 0.3, kv) for *v, kv in
+                          zip(x.ravel(), t.ravel(), k0.ravel())], x.shape)
+        err = np.abs(got - ref)
+        if not follow:
+            assert np.max(err) <= 1e-14 * np.max(np.abs(ref))
+            continue
+        s = x - 0.3 - 2.0 * k0 * t
+        terms = (abs(k0 * x) + k0 * k0 * abs(t)
+                 + abs(s * s / (4.0 * (0.5 + 1j * t))))
+        assert np.all(err <= 4.0 * EPS * (1.0 + terms) * np.abs(ref))
+
+
+@pytest.mark.parametrize("k0", [1e200, np.array([0.5, 1e160])])
+def test_hermite_phase_overflow_is_a_value_error(k0):
+    """A k0 whose k0^2 t overflows is a ValueError naming it, with no
+    floating-point warning first."""
+    pt = EvolutionPoint(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]), 0.0, k0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (0, 3):
+            with pytest.raises(ValueError, match=r"overflows the phase k0\^2 t"):
+                evolve_hermite(m, pt)
 
 
 def test_gaussian_closed_grid_matches_point_calls():
@@ -306,17 +360,37 @@ def test_superosc_grid_matches_mpmath_on_bench_axes():
     assert np.max(np.abs(grid - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("x, y, t", [
+    (0.5, np.array([0.1, 0.7]), 0.3),  # len(y) = n + 1 at n = 1
+    (0.5, np.array([0.1, 0.4, 0.7]), 0.3),  # len(y) = n + 1 at n = 2
+    (0.5, 0.1, np.array([0.3])),
+    (np.array([0.5, 0.6]), 0.1, 0.3),
+    (np.array([[0.5], [-0.2]]), np.array([-0.4, 0.1, 0.7]),
+     np.array([[0.0], [0.3]]))])
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("m", [0, 3])
+def test_superosc_signal_broadcasts_like_its_point_calls(x, y, t, n, m):
+    """x, y and t broadcast together, each atom's k0 = omega_j on its own
+    leading axis, also where an axis has omega's length n + 1: every entry
+    is its point call's value within 32 eps sum |C_j|."""
+    from superstft.superosc import coefficients
+    g, p = hermite_window(m), SuperoscParams(a=2.0, n=n)
+    grid = evolve_superosc_signal(g, x, p, y, t)
+    xb, yb, tb = np.broadcast_arrays(x, y, t)
+    assert grid.shape == xb.shape
+    ref = [evolve_superosc_signal(g, xi, p, yi, ti)
+           for xi, yi, ti in zip(xb.ravel(), yb.ravel(), tb.ravel())]
+    bound = 32.0 * EPS * np.sum(np.abs(coefficients(p)))
+    assert np.max(np.abs(grid.ravel() - ref)) <= bound
+
+
 @pytest.mark.parametrize("name, y, t, x", [
-    ("y", np.array([0.1, 0.7]), 0.3, 0.5),  # length n + 1, omega's length
-    ("y", np.array([0.1, 0.4, 0.7]), 0.3, 0.5),
-    ("t", 0.1, np.array([0.3]), 0.5),
-    ("x", 0.1, 0.3, np.array([0.5, 0.6]))])
-def test_superosc_signal_refuses_array_points(name, y, t, x):
-    """The mode-wise signal evolution takes one point per call: an array
-    is a ValueError naming it, not a wrong value or a broadcast error."""
-    p = SuperoscParams(a=2.0, n=1)
-    with pytest.raises(ValueError, match=f"^{name} must be a scalar"):
-        evolve_superosc_signal(gaussian_window(), x, p, y, t)
+    ("y", np.array([0.1, math.nan]), 0.3, 0.5), ("t", 0.1, math.inf, 0.5),
+    ("x", 0.1, 0.3, np.array([0.5, -math.inf]))])
+def test_superosc_signal_names_a_non_finite_point(name, y, t, x):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        evolve_superosc_signal(gaussian_window(), x, p=SuperoscParams(2.0, 1),
+                               y=y, t=t)
 
 
 def test_point_validation_covers_arrays():
@@ -443,14 +517,13 @@ def test_hermite_closed_far_tails_are_zero(capsys):
     no overflow of the Hermite recurrence or of the Gaussian's square and
     no floating-point warning."""
     xs = np.array([1e5, -1e200, 1.7e308])
+    t = np.array([[0.0], [0.3]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for m in (0, 3, 64):
-            vals = evolve_hermite(m, EvolutionPoint(xs, 0.3, 0.1, -0.5))
-            assert np.array_equal(vals, np.zeros(3))
-        t = np.array([[0.0], [0.3]])
-        vals = evolve_gaussian_closed(EvolutionPoint(xs, t, 0.1, -0.5))
-        assert np.array_equal(vals, np.zeros((2, 3)))
+        # at k0 = 2 the unclipped phase k0 x would overflow at x = 1.7e308
+        for m, k0 in itertools.product((0, 3, 64), (-0.5, 2.0)):
+            vals = evolve_hermite(m, EvolutionPoint(xs, t, 0.1, k0))
+            assert np.array_equal(vals, np.zeros((2, 3)))
         assert main(["evolve", "--window", "gaussian", "--x", "-1e200:1e200:3",
                      "--t", "0:0.3:2"]) == 0
     rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
