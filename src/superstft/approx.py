@@ -37,13 +37,13 @@ def approximating_function(psi, p):
 
 
 def apsthm_residual(psi, p, lam):
-    """Residual of the factorization F(phi_{psi,n,a}) = F(psi) F_n at lam
-    (both sides by quadrature on the boxes the decay radii set; the
-    identity is exact)."""
-    phi = approximating_function(psi, p)
-    lhs = fourier(phi, lam)
-    rhs = fourier(psi, lam) * f_n(p, lam)
-    return float(abs(lhs - rhs))
+    """Residual |F(phi_{psi,n,a}) - F(psi) F_n| of the factorization at
+    every lam, an array of lam's shape (a float for 0-d lam).  Both sides
+    are quadratures on the boxes the decay radii set, each one rule and one
+    contraction over all of lam; the identity is exact."""
+    lhs = fourier(approximating_function(psi, p), lam)
+    res = np.abs(lhs - fourier(psi, lam) * f_n(p, lam))
+    return float(res) if res.ndim == 0 else res
 
 
 def stft_approx_via_ambiguity(g, p, u, eta):

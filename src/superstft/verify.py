@@ -495,11 +495,10 @@ def _run_zak_shift(rng):
 def _run_theta_bound(rng):
     worst = 0.0
     for (a, n) in [(2.0, 3), (1.5, 5), (2.0, 4)]:
-        p = SuperoscParams(a=a, n=n)
-        for u in (0.0, 0.25, 0.5, 0.9):
-            for eta in (0.0, 1.0, 3.0, 6.0):
-                value, bound = zk.theta_bound_check(p, u, eta)
-                worst = max(worst, value - bound)
+        value, bound = zk.theta_bound_check(SuperoscParams(a=a, n=n),
+                                            [0.0, 0.25, 0.5, 0.9],
+                                            [0.0, 1.0, 3.0, 6.0])
+        worst = max(worst, float(np.max(value - bound)))
     return float(max(worst, 0.0)), {"params": [[2.0, 3], [1.5, 5], [2.0, 4]],
                                     "grid": "4x4",
                                     "criterion": "max(value - bound, 0)"}
@@ -554,19 +553,16 @@ def _run_evolution_routes(rng):
 @_case("evolution-initial-datum", "evolution",
        "every evolution path returns 2 pi times the datum at t = 0", 1e-7)
 def _run_evolution_datum(rng):
-    worst = 0.0
     g = sg.gaussian_window()
-    for _ in range(4):
-        x, x0, k0 = rng.uniform(-1.0, 1.0, 3)
-        pt = ev.EvolutionPoint(x=x, t=0.0, x0=x0, k0=k0)
-        datum = np.exp(1j * k0 * x) * g(x - x0)
-        worst = max(worst, float(abs(ev.evolve_numeric(g, pt) - TWO_PI * datum)))
-        worst = max(worst, float(abs(ev.evolve_gaussian_closed(pt) - TWO_PI * datum)))
+    x, x0, k0 = _columns([rng.uniform(-1.0, 1.0, 3) for _ in range(4)])
+    pt = ev.EvolutionPoint(x=x, t=0.0, x0=x0, k0=k0)
+    datum = TWO_PI * (np.exp(1j * k0 * x) * g(x - x0))
+    worst = float(max(np.max(np.abs(ev.evolve_numeric(g, pt) - datum)),
+                      np.max(np.abs(ev.evolve_gaussian_closed(pt) - datum))))
+    x, x0, k0 = 0.4, 0.0, 0.5
+    pt = ev.EvolutionPoint(x=x, t=0.0, x0=x0, k0=k0)
     for m in (1, 2):
-        hm = sg.hermite_window(m)
-        x, x0, k0 = 0.4, 0.0, 0.5
-        pt = ev.EvolutionPoint(x=x, t=0.0, x0=x0, k0=k0)
-        datum = np.exp(1j * k0 * x) * hm(x - x0)
+        datum = np.exp(1j * k0 * x) * sg.hermite_window(m)(x - x0)
         worst = max(worst, float(abs(ev.evolve_hermite(m, pt) - TWO_PI * datum)))
     return worst, {"points": 4, "hermite_orders": [1, 2],
                    "convention": "2 pi times the datum"}
@@ -575,17 +571,14 @@ def _run_evolution_datum(rng):
 @_case("evolution-pde-residual", "evolution",
        "finite-difference residual of the free-evolution equation", 1e-4)
 def _run_pde(rng):
-    worst = 0.0
-    for _ in range(10):
-        x = rng.uniform(-1.0, 1.0)
-        t = rng.uniform(-1.0, 1.0)
-        x0, k0 = rng.uniform(-0.5, 0.5, 2)
+    draws = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+              *rng.uniform(-0.5, 0.5, 2)) for _ in range(10)]
+    x, t, x0, k0 = _columns(draws)
 
-        def f(xx, tt):
-            return ev.evolve_gaussian_closed(ev.EvolutionPoint(xx, tt, x0, k0))
+    def f(xx, tt):
+        return ev.evolve_gaussian_closed(ev.EvolutionPoint(xx, tt, x0, k0))
 
-        res = ev.pde_residual(f, x, t)
-        worst = max(worst, res / abs(f(x, t)))
+    worst = np.max(ev.pde_residual(f, x, t) / np.abs(f(x, t)))
     return float(worst), {"points": 10, "h": 1e-3, "relative": True,
                           "t_range": [-1.0, 1.0]}
 
@@ -612,12 +605,12 @@ def _run_triple_path(rng):
        1e-8)
 def _run_apsthm(rng):
     g = sg.gaussian_window()
+    lam = [-2.0, -0.5, 0.0, 0.9, 2.3]
     worst = 0.0
     for n in range(1, 5):
-        p = SuperoscParams(a=2.0, n=n)
-        for lam in (-2.0, -0.5, 0.0, 0.9, 2.3):
-            worst = max(worst, ap.apsthm_residual(g, p, lam))
-    return worst, {"n_max": 4, "lam_points": [-2.0, -0.5, 0.0, 0.9, 2.3]}
+        res = ap.apsthm_residual(g, SuperoscParams(a=2.0, n=n), lam)
+        worst = max(worst, float(np.max(res)))
+    return worst, {"n_max": 4, "lam_points": lam}
 
 
 @_case("approx-route-agreement", "approx",

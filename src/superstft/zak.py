@@ -119,16 +119,19 @@ def theta_bound_check(p, u, eta):
 
         (|Z(S)(u, eta)|,  (1+a)^n e^{-u^2/2} theta(-i u / 2 pi, i / 2 pi)),
 
-    where the theta value resums sum_k e^{-k^2/2 + k u}.  The first
-    component never exceeds the second.  That needs a >= 0, where
+    where the theta value resums sum_k e^{-k^2/2 + k u}, on the tensor grid
+    u x eta as zak_grid takes it: two arrays of shape u.shape + eta.shape,
+    the bound constant along eta (two floats for 0-d u and eta).  The
+    first component never exceeds the second.  That needs a >= 0, where
     |F_n| <= max(1, a)^n <= (1 + a)^n; a negative a is a ValueError."""
     if p.a < 0:
         raise ValueError(f"theta_bound_check bounds a >= 0 only, got a = {p.a}")
-    sig = build_signal(gaussian_window(), 0.0, p)
-    value = abs(zak(sig, u, eta))
-    th = float(np.real(theta(complex(0.0, -u / TWO_PI), 1j / TWO_PI)))
-    bound = (1.0 + p.a) ** p.n * math.exp(-0.5 * u * u) * th
-    return float(value), float(bound)
+    value = np.abs(zak_grid(build_signal(gaussian_window(), 0.0, p), u, eta))
+    u = np.reshape(u, np.shape(u) + (1,) * np.ndim(eta))
+    th = np.real(theta(-1j * u / TWO_PI, 1j / TWO_PI))
+    bound = np.broadcast_to((1.0 + p.a) ** p.n * np.exp(-0.5 * u * u) * th,
+                            value.shape)
+    return tuple(float(v) if v.ndim == 0 else v for v in (value, bound))
 
 
 @dataclass(frozen=True)

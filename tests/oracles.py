@@ -12,6 +12,9 @@ the library's blocked scan.  The mpmath evolution uses mpmath's own H_m in
 place of the library's recurrence.  Two paper identities are kept here as
 test oracles: the phase-space inversion that recovers F_n(y) from the
 closed STFT, and the Gaussian window's Zak transform as a theta value.
+The per-point verify cases are the references for the verify cases that
+evaluate their fixed point sets in one grid call: they make the same draws
+in the same order and call the library once per point.
 """
 
 import math
@@ -19,14 +22,17 @@ import math
 import mpmath
 import numpy as np
 
+from superstft.approx import apsthm_residual
+from superstft.evolution import (EvolutionPoint, evolve_gaussian_closed,
+                                 evolve_hermite, evolve_numeric, pde_residual)
 from superstft.kernels import stft_superosc_termwise_grid
 from superstft.quadrature import QuadratureSpec, integrate, nodes_weights
-from superstft.signals import Window
+from superstft.signals import Window, gaussian_window, hermite_window
 from superstft.special import (SQRT2, SQRT_PI, TWO_PI, _descalarize, ipow,
                                theta)
-from superstft.superosc import coefficients, supershift_probe
+from superstft.superosc import SuperoscParams, coefficients, supershift_probe
 from superstft.transforms import ComplexGrid, reconstruct
-from superstft.zak import FrameVerdict, zak_grid
+from superstft.zak import FrameVerdict, theta_bound_check, zak_grid
 
 
 def _explicit_hermite_2d(k, m, z, w):
@@ -264,3 +270,62 @@ def evolve_hermite_mp(m, x, t, x0, k0):
                     * mpmath.hermite(m, 1j * s / (2 * alpha * gamma)))
         return complex(mpmath.sqrt(2 * mpmath.pi) * mpmath.mpc(0, -1) ** m
                        * mpmath.expj(k0 * x - k0 * k0 * t) * integral)
+
+
+def _fourier_factorization_per_point(rng):
+    g = gaussian_window()
+    return max(apsthm_residual(g, SuperoscParams(a=2.0, n=n), lam)
+               for n in range(1, 5) for lam in (-2.0, -0.5, 0.0, 0.9, 2.3))
+
+
+def _theta_bound_per_point(rng):
+    worst = 0.0
+    for (a, n) in [(2.0, 3), (1.5, 5), (2.0, 4)]:
+        p = SuperoscParams(a=a, n=n)
+        for u in (0.0, 0.25, 0.5, 0.9):
+            for eta in (0.0, 1.0, 3.0, 6.0):
+                value, bound = theta_bound_check(p, u, eta)
+                worst = max(worst, value - bound)
+    return max(worst, 0.0)
+
+
+def _evolution_datum_per_point(rng):
+    g = gaussian_window()
+    worst = 0.0
+    for _ in range(4):
+        x, x0, k0 = rng.uniform(-1.0, 1.0, 3)
+        pt = EvolutionPoint(x=x, t=0.0, x0=x0, k0=k0)
+        datum = TWO_PI * (np.exp(1j * k0 * x) * g(x - x0))
+        for route in (evolve_numeric(g, pt), evolve_gaussian_closed(pt)):
+            worst = max(worst, float(np.abs(route - datum)))
+    x, x0, k0 = 0.4, 0.0, 0.5
+    pt = EvolutionPoint(x=x, t=0.0, x0=x0, k0=k0)
+    for m in (1, 2):
+        datum = np.exp(1j * k0 * x) * hermite_window(m)(x - x0)
+        worst = max(worst, float(abs(evolve_hermite(m, pt) - TWO_PI * datum)))
+    return worst
+
+
+def _evolution_pde_per_point(rng):
+    worst = 0.0
+    for _ in range(10):
+        x = rng.uniform(-1.0, 1.0)
+        t = rng.uniform(-1.0, 1.0)
+        x0, k0 = rng.uniform(-0.5, 0.5, 2)
+
+        def f(xx, tt):
+            return evolve_gaussian_closed(EvolutionPoint(xx, tt, x0, k0))
+
+        worst = max(worst, pde_residual(f, x, t) / float(np.abs(f(x, t))))
+    return worst
+
+
+# verify case id -> its per-point reference, a function of the case's rng.
+# A point's error is taken with numpy's abs, as the grid cases take it:
+# Python's abs of a complex can differ from it in the last bit.
+VERIFY_PER_POINT = {
+    "fourier-factorization": _fourier_factorization_per_point,
+    "theta-bound": _theta_bound_per_point,
+    "evolution-initial-datum": _evolution_datum_per_point,
+    "evolution-pde-residual": _evolution_pde_per_point,
+}

@@ -57,10 +57,10 @@ def test_approximating_function_supershifts_to_time_shift():
 def test_fourier_factorization():
     """F(phi_{psi,n,a})(lam) = F(psi)(lam) f_n(lam) exactly (APS sum)."""
     g = gaussian_window()
+    lams = (-1.5, 0.0, 0.8)
     for n in (1, 3, 5):
         p = SuperoscParams(a=2.0, n=n)
-        for lam in (-1.5, 0.0, 0.8):
-            assert apsthm_residual(g, p, lam) < 1e-10
+        _assert_grid_is_its_points(g, p, lams)
     # explicitly, at one point
     p = SuperoscParams(a=2.0, n=3)
     phi = approximating_function(g, p)
@@ -71,10 +71,21 @@ def test_fourier_factorization():
 
 
 def test_factorization_hermite_window():
-    h2 = hermite_window(2)
-    p = SuperoscParams(a=1.5, n=2)
-    for lam in (-0.7, 1.2):
-        assert apsthm_residual(h2, p, lam) < 1e-10
+    _assert_grid_is_its_points(hermite_window(2), SuperoscParams(a=1.5, n=2),
+                               (-0.7, 1.2))
+
+
+def _assert_grid_is_its_points(psi, p, lams):
+    """Each residual is below 1e-10, as a 0-d call (a float) and as an entry
+    of the lam array, which is its point call's value to 1e-13 of the
+    transform F(psi)(lam) F_n(lam) it is the residual of."""
+    grid = apsthm_residual(psi, p, np.array(lams))
+    assert grid.shape == (len(lams),)
+    for lam, entry in zip(lams, grid):
+        point = apsthm_residual(psi, p, lam)
+        assert type(point) is float and point < 1e-10
+        scale = abs(fourier(psi, lam) * f_n(p, lam))
+        assert abs(entry - point) <= 1e-13 * scale
 
 
 def test_ambiguity_route_vs_direct_quadrature():

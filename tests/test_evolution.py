@@ -79,11 +79,21 @@ def test_closed_form_solves_pde():
     def f(x, t):
         return evolve_gaussian_closed(EvolutionPoint(x, t, x0, k0))
 
+    xs, ts = [], []
     for _ in range(6):
         x = rng.uniform(-1.0, 1.0)
         t = rng.uniform(-1.0, 1.0)
         res = pde_residual(f, x, t)
-        assert res < 1e-4 * abs(f(x, t))
+        assert type(res) is float and res < 1e-4 * abs(f(x, t))
+        xs.append(x)
+        ts.append(t)
+    # the draws as one array call: each entry is its point call's to the bit
+    grid = pde_residual(f, np.array(xs), np.array(ts))
+    assert grid.tolist() == [pde_residual(f, x, t) for x, t in zip(xs, ts)]
+    # and x and t broadcast, here to a (2, 3) grid
+    grid = pde_residual(f, np.array(xs[:2])[:, None], np.array(ts[:3]))
+    assert grid.tolist() == [[pde_residual(f, x, t) for t in ts[:3]]
+                             for x in xs[:2]]
 
 
 def test_oscillation_hazard_predicate():
@@ -290,6 +300,18 @@ def test_hermite_phase_overflow_is_a_value_error(k0):
         for m in (0, 3):
             with pytest.raises(ValueError, match=r"overflows the phase k0\^2 t"):
                 evolve_hermite(m, pt)
+
+
+@pytest.mark.parametrize("k0", [1e200, np.array([0.5, 1e200])])
+def test_numeric_phase_overflow_is_a_value_error(k0):
+    """evolve_numeric takes evolve_hermite's check: a scalar k0 = 1e200
+    raised OverflowError from the float k0**2, and an array one returned
+    NaN with three RuntimeWarnings."""
+    pt = EvolutionPoint(0.0, 1.0, 0.0, k0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^k0 overflows the phase k0\^2 t"):
+            evolve_numeric(gaussian_window(), pt)
 
 
 def test_gaussian_closed_grid_matches_point_calls():

@@ -114,12 +114,20 @@ def test_zak_superosc_large_n_matches_mpmath():
 
 
 def test_theta_bound_holds():
+    """At 0-d (u, eta) the pair is two floats; on the tensor grid u x eta
+    each entry is its point call's to 1e-13 relative."""
     from superstft.zak import theta_bound_check
     p = SuperoscParams(a=2.0, n=3)
-    for u in (0.0, 0.25, 0.6):
-        for eta in (0.0, 1.5, 5.0):
+    us, etas = (0.0, 0.25, 0.6), (0.0, 1.5, 5.0)
+    values, bounds = theta_bound_check(p, np.array(us), np.array(etas))
+    assert values.shape == bounds.shape == (3, 3)
+    for i, u in enumerate(us):
+        for j, eta in enumerate(etas):
             value, bound = theta_bound_check(p, u, eta)
+            assert type(value) is float and type(bound) is float
             assert value <= bound + 1e-12
+            assert abs(values[i, j] - value) <= 1e-13 * value
+            assert abs(bounds[i, j] - bound) <= 1e-13 * bound
     value, bound = theta_bound_check(p, 0.0, 1.0)
     assert abs(bound - FROZEN_BOUND_A2_N3) < 1e-9
 
