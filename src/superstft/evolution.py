@@ -268,7 +268,7 @@ def evolve_superosc_integral_representation(g, x, p, y, t):
     kernel falls below 1e-12.  y and t broadcast together: the V_g S grid
     is built once per call, and each point contracts it against its own
     grid of evolved atoms, so a point's value is the one-point call's to
-    the bit.  A non-finite y or t is a ValueError that names it.  phi is
+    the bit.  A non-finite x, y or t is a ValueError that names it.  phi is
     2 pi c^{-1/2} e^{-(y-u-2t eta)^2/(2c)} e^{i eta (y-t eta)}, c = 1 + 2it:
     the eta phase rides on the weights; the 2-D factor has modulus <= 1.
     Its error is absolute, about 1e-14 of the integrand's absolute mass,
@@ -279,6 +279,7 @@ def evolve_superosc_integral_representation(g, x, p, y, t):
             "the integral-representation cross-check is implemented for "
             "the gaussian window"
         )
+    _finite("x", x)
     y, t = np.broadcast_arrays(_finite("y", y), _finite("t", t))
     outer = QuadratureSpec(truncation_radius=13.0 + abs(x), nodes_per_unit=16)
     xu, w = nodes_weights(outer)

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import _guard
-from .signals import (Signal, build_signal, hermite_window, shifted_window,
+from .signals import (build_signal, hermite_window, shifted_window,
                       signal_norm_sq)
 from .special import (
     SQRT2,
@@ -62,7 +62,7 @@ from .special import (
     laguerre,
 )
 from .superosc import coefficients, f_n, frequencies, supershift_probe
-from .transforms import _resolve_spec, stft, stft_grid
+from .transforms import stft, stft_grid
 
 
 # |lam| or |u - x| beyond which e^{-lam^2/4} or e^{-(u-x)^2/4} is exactly 0
@@ -157,15 +157,14 @@ def _pair_integral_table(K, u, x, lam):
 def gabor_kernel_numeric(g, x, omega, u, eta):
     """K_g(x, omega; u, eta) = int e^{it(omega - eta)} g(t - x) conj(g(t - u)) dt
     by quadrature; ground truth for the closed kernels of
-    stft_superosc_limit_grid, whose arguments it takes.  Since
-    V_g(M_omega f)(u, eta) = V_g f(u, eta - omega), it is one stft of the
-    translated window T_x g at eta - omega, on the box make_spec(decay
-    radius, x, u); a window without a decay radius is a ValueError, and so
-    is a non-finite x, omega, u or eta, named."""
+    stft_superosc_limit_grid, whose arguments it takes.  By the covariance
+    t = s + x it is e^{i x (omega - eta)} V_g g(u - x, eta - omega), one
+    stft of the window against itself on the box make_spec(decay radius,
+    u - x); a window without a decay radius is a ValueError, and so is a
+    non-finite x, omega, u or eta, named."""
     for name, value in (("x", x), ("omega", omega), ("u", u), ("eta", eta)):
         _finite(name, value)
-    return stft(Signal(g, x), g, u, eta - omega,
-                _resolve_spec(None, g, shifts=(x, u)))
+    return complex(np.exp(1j * x * (omega - eta)) * stft(g, g, u - x, eta - omega))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 A Window bundles an evaluator with the metadata the quadrature layer
 needs (an effective decay radius).  A Signal is a window translated to
-x and modulated by the superoscillating sequence F_n (product form) or
-by nothing at all:
+x and modulated by the superoscillating sequence F_n (product form):
 
-    S(t) = F_n(t) g(t - x)    |    g(t - x).
+    S(t) = F_n(t) g(t - x).
 
 The limit tone e^{i a t} g(t - x) that F_n(t) g(t - x) converges to is the
-time-frequency shift shifted_window(g, x, a).
+time-frequency shift shifted_window(g, x, a); the unmodulated translate
+g(t - x) is shifted_window(g, x, 0).
 """
 
 import math
@@ -124,12 +124,12 @@ def shifted_window(g, x, omega):
 @dataclass(frozen=True)
 class Signal:
     """A translated window, modulated by the superoscillating sequence
-    F_n when superosc holds an (a, n) parameter set.  A non-finite x is a
+    F_n of the (a, n) parameter set superosc.  A non-finite x is a
     ValueError that names it."""
 
     window: Window
     x: float
-    superosc: object = None
+    superosc: object
 
     def __post_init__(self):
         _finite("x", self.x)
@@ -141,9 +141,7 @@ class Signal:
         r = self.window.decay_radius
         if r is None:
             return None
-        if self.superosc is not None:
-            r = _supershift_radius(r, self.superosc)
-        return abs(self.x) + float(r)
+        return abs(self.x) + _supershift_radius(r, self.superosc)
 
     def __call__(self, t):
         return evaluate(self, t)
@@ -162,13 +160,7 @@ def _supershift_radius(radius, p):
 def evaluate(sig, t):
     """Evaluate the signal at t (scalar or array)."""
     t = np.asarray(t, dtype=float)
-    base = sig.window(t - sig.x)
-    if sig.superosc is not None:
-        out = f_n(sig.superosc, t) * base
-    else:
-        out = base * np.exp(0j)
-    out = np.asarray(out)
-    return complex(out) if out.ndim == 0 else out
+    return _as_result(f_n(sig.superosc, t) * sig.window(t - sig.x))
 
 
 def build_signal(g, x, p):
@@ -177,17 +169,12 @@ def build_signal(g, x, p):
 
 
 def signal_norm_sq(sig):
-    """||S||^2 for any Signal, as a float.
-
-    A superoscillating signal S(t) = F_n(t) g(t - x) is one quadrature of
-    |S|^2 on [-R, R], R the signal's decay radius, whatever the window:
-    F_n is evaluated as a product, so nothing cancels at any n (the
-    closed double sum over C_j C_k, which does cancel, is kept as the
+    """||S||^2 of a Signal S(t) = F_n(t) g(t - x), as a float: one
+    quadrature of |S|^2 on [-R, R], R the signal's decay radius, whatever
+    the window.  F_n is evaluated as a product, so nothing cancels at any n
+    (the closed double sum over C_j C_k, which does cancel, is kept as the
     twins norm_sq_closed_gaussian and norm_sq_closed_hermite).  Its window
-    therefore needs a decay radius.  The bare window's norm is the window
-    norm."""
-    if sig.superosc is None:
-        return window_norm_sq(sig.window)
+    therefore needs a decay radius."""
     if sig.decay_radius is None:
         raise ValueError(
             "custom window needs a decay_radius to integrate the signal norm"

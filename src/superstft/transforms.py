@@ -5,10 +5,17 @@ Conventions (used consistently package-wide):
     fourier:      F(f)(lam) = int e^{-i t lam} f(t) dt
     inverse:      carries the 1/(2 pi)
     stft:         V_g f(u, eta) = int e^{-i t eta} conj(g(t - u)) f(t) dt
+    inner:        <f, g> = int f(t) conj(g(t)) dt = V_g f(0, 0)
+    convolution:  (f * g)(lam) = int f(t) g(lam - t) dt = V_{g~} f(lam, 0),
+                  g~(s) = conj(g(-s))
     ambiguity:    A[f](x, omega) = e^{i x omega / 2} V_f f(x, omega)
     bargmann:     B(f)(z) = pi^{-3/4} int f(t) e^{-z^2/2 - t^2/2 + sqrt2 z t} dt
+                          = pi^{-3/4} e^{-z^2/2 + (Re z)^2}
+                            V_gamma f(sqrt2 Re z, -sqrt2 Im z),
+                  gamma(s) = e^{-s^2/2}
 
-With these, the orthogonality relation reads
+Each transform is thus one stft_grid call, with its one quadrature guard
+and contraction.  With these, the orthogonality relation reads
 int int |V_g f|^2 du deta = 2 pi ||f||^2 ||g||^2, and inversion needs
 the matching 1/(2 pi ||g||^2) factor.
 """
@@ -18,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (QuadratureSpec, _guard, band_spec, integrate,
-                         make_spec, nodes_weights)
-from .signals import Window, window_norm_sq
+from .quadrature import (QuadratureSpec, _guard, band_spec, make_spec,
+                         nodes_weights)
+from .signals import Window, gaussian_window, window_norm_sq
 from .special import (SQRT2, TWO_PI, _as_result, _finite, _phase_outer,
                       _real_phase_product)
 
@@ -56,10 +63,8 @@ def fourier(f, lam, spec=None):
 
 
 def inner_product(f, g, spec=None):
-    """L2 inner product int f(t) conj(g(t)) dt."""
-    spec = _resolve_spec(spec, f, g)
-    return integrate(lambda t: np.asarray(f(t), dtype=complex)
-                     * np.conj(np.asarray(g(t), dtype=complex)), spec)
+    """L2 inner product int f(t) conj(g(t)) dt, the stft V_g f(0, 0)."""
+    return stft(f, g, 0.0, 0.0, spec)
 
 
 def stft(f, g, x, omega, spec=None):
@@ -71,13 +76,12 @@ def stft(f, g, x, omega, spec=None):
 
 
 def convolve(f, g, lam, spec=None):
-    """(f * g)(lam) = int f(t) g(lam - t) dt."""
-    spec = _resolve_spec(spec, f, g, shifts=(lam,))
-    return integrate(
-        lambda t: np.asarray(f(t), dtype=complex)
-        * np.asarray(g(lam - t), dtype=complex),
-        spec,
-    )
+    """(f * g)(lam) = int f(t) g(lam - t) dt, the stft V_{g~} f(lam, 0) of
+    the reflected conjugate g~(s) = conj(g(-s)), on the box of f's and g's
+    decay radii shifted by |lam|.  A non-finite lam is a ValueError that
+    names it."""
+    spec = _resolve_spec(spec, f, g, shifts=(float(_finite("lam", lam)),))
+    return stft(f, lambda s: np.conj(g(-s)), lam, 0.0, spec)
 
 
 def ambiguity(g, u, eta):
@@ -92,15 +96,15 @@ def ambiguity(g, u, eta):
 def bargmann(f, z, spec=None):
     """Bargmann transform
     B(f)(z) = pi^{-3/4} int f(t) e^{-z^2/2 - t^2/2 + sqrt2 z t} dt,
-    normalized so the Hermite function h_n maps to pi^{-1/4} 2^{n/2} z^n."""
-    z = complex(z)
+    normalized so the Hermite function h_n maps to pi^{-1/4} 2^{n/2} z^n:
+    one stft against the Gaussian on the box of f's radius shifted by
+    sqrt2 |z|.  A non-finite z is a ValueError naming it; |Re z| > 26.6 or
+    |z| > 37.6, where its factors overflow, is a FloatingPointError."""
+    z = complex(_finite("z", z))
     spec = _resolve_spec(spec, f, shifts=(SQRT2 * abs(z),))
-    val = integrate(
-        lambda t: (np.asarray(f(t), dtype=complex)
-                   * np.exp(-t * t / 2.0 + SQRT2 * z * t)),
-        spec,
-    )
-    return math.pi ** (-0.75) * np.exp(-z * z / 2.0) * val
+    val = stft(f, gaussian_window(), SQRT2 * z.real, -SQRT2 * z.imag, spec)
+    with np.errstate(over="raise", invalid="raise"):
+        return math.pi ** (-0.75) * np.exp(z.real ** 2) * np.exp(-z * z / 2.0) * val
 
 
 @dataclass(frozen=True)
@@ -265,16 +269,12 @@ def reconstruct(grid, g, y):
     with the grid's own nodes as quadrature nodes (Simpson weights on each
     uniform axis).  A grid whose boundary values are not negligible next
     to its largest value (1e-6 of it) does not cover the transform's
-    support, and is a ValueError.
+    support, and is a ValueError; so is a non-finite y, named.
     """
-    if isinstance(g, Window):
-        norm_sq = window_norm_sq(g)
-    else:
-        nspec = _resolve_spec(None, g)
-        norm_sq = float(integrate(lambda t: np.abs(np.asarray(g(t))) ** 2, nspec).real)
+    y_arr = _finite("y", y)
+    norm_sq = window_norm_sq(g) if isinstance(g, Window) else inner_product(g, g).real
     if not norm_sq > 0.0:
         raise ValueError("window has zero norm; reconstruction is undefined")
-    y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     xu, xe = grid.u, grid.eta

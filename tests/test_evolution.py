@@ -429,6 +429,17 @@ def test_superosc_evolution_rejects_non_finite_points(y, t, name):
         evolve_superosc(SuperoscParams(2.0, 64), y, t)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_integral_representation_names_a_non_finite_x(x):
+    """x sets the (u, eta) box, so it is checked before the box is built,
+    with no floating-point warning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^x must be finite"):
+            evolve_superosc_integral_representation(
+                gaussian_window(), x, SuperoscParams(2.0, 4), 0.3, 0.1)
+
+
 def test_hazard_warns_once_per_grid_call():
     pt = EvolutionPoint(x=np.linspace(0.0, 1.0, 5), t=2000.0, x0=0.0, k0=0.0)
     with warnings.catch_warnings(record=True) as caught:

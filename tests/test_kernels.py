@@ -76,6 +76,25 @@ def test_gabor_kernel_hermite_calibrated():
             assert abs(base * 2.0**n * math.factorial(n) - closed) < 1e-13
 
 
+def test_gabor_kernel_numeric_far_from_the_origin():
+    """The covariance t = s + x that makes gabor_kernel_numeric one stft of
+    the window against itself, e^{i x (omega - eta)} V_g g(u - x, eta - omega),
+    holds with |x| and |u| up to 20, where the phase x (omega - eta)
+    reaches about 120: within 1e-13 ||g||^2 of the closed kernel."""
+    draws = np.random.default_rng(7)
+    for n in (0, 2, 5):
+        g = hermite_window(n)
+        for _ in range(6):
+            x = draws.uniform(-20.0, 20.0)
+            u = float(np.clip(x + draws.uniform(-3.0, 3.0), -20.0, 20.0))
+            omega, eta = draws.uniform(-3.0, 3.0, 2)
+            closed = stft_superosc_limit_grid(g, x, omega, u, eta)
+            numeric = gabor_kernel_numeric(g, x, omega, u, eta)
+            assert type(numeric) is complex
+            assert abs(closed - numeric) <= 1e-13 * hermite_norm_sq(n), (
+                n, x, u, omega, eta)
+
+
 def test_gabor_kernel_numeric_needs_decay_radius():
     """A custom window without a decay radius cannot size the quadrature
     box: a ValueError that names decay_radius, as stft_grid raises."""

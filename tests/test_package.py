@@ -30,3 +30,28 @@ def test_all_lists_exactly_the_bound_public_names():
     assert sorted(set(exported) - set(bound)) == []
     assert sorted(set(bound) - set(exported)) == []
     assert all(hasattr(superstft, name) for name in exported)
+
+
+def _referenced_names(path):
+    """Every name a module uses, as a bare name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller_in_the_package():
+    """Each name in __all__ is used somewhere in the package's modules
+    other than __init__: an export that only tests use belongs in
+    tests/oracles.py, and a paper identity that nothing calls gets a
+    verify case."""
+    package = pathlib.Path(superstft.__file__).parent
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= _referenced_names(path)
+    assert sorted(set(superstft.__all__) - used) == []

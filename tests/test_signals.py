@@ -95,15 +95,23 @@ def test_time_frequency_shift():
 
 
 def test_signal_decay_radius_is_derived():
-    """The radius is |x| plus the window's radius (grown by F_n when
-    modulated), never a constructor argument."""
+    """The radius is |x| plus the window's radius, grown by F_n for a
+    signal, never a constructor argument.  A Signal is always modulated:
+    the unmodulated translate is the tone shifted_window(g, x, 0)."""
     g = gaussian_window()
-    assert Signal(window=g, x=-1.5).decay_radius == 1.5 + g.decay_radius
-    assert Signal(window=custom_window(g.func), x=0.0).decay_radius is None
+    p = SuperoscParams(a=2.0, n=8)
+    assert shifted_window(g, -1.5, 0.0).decay_radius == 1.5 + g.decay_radius
+    # ceil(sqrt(9^2 + 2 * 8 * log 2) + 1) = 11
+    assert build_signal(g, -1.5, p).decay_radius == 1.5 + 11.0
+    bare = custom_window(g.func)
+    assert shifted_window(bare, 0.0, 0.0).decay_radius is None
+    assert build_signal(bare, 0.0, p).decay_radius is None
     with pytest.raises(TypeError):
-        Signal(window=g, x=0.0, decay_radius=3.0)
+        Signal(window=g, x=0.0)
     with pytest.raises(TypeError):
-        Signal(window=g, x=0.0, limit_frequency=2.0)
+        Signal(window=g, x=0.0, superosc=p, decay_radius=3.0)
+    with pytest.raises(TypeError):
+        Signal(window=g, x=0.0, superosc=p, limit_frequency=2.0)
 
 
 def test_signal_and_tone_reject_non_finite_parameters():
@@ -116,7 +124,7 @@ def test_signal_and_tone_reject_non_finite_parameters():
         with pytest.raises(ValueError, match="^x must be finite"):
             build_signal(g, bad, p)
         with pytest.raises(ValueError, match="^x must be finite"):
-            Signal(window=g, x=bad)
+            Signal(window=g, x=bad, superosc=p)
         with pytest.raises(ValueError, match="^x must be finite"):
             shifted_window(g, bad, 2.0)
         with pytest.raises(ValueError, match="^omega must be finite"):
@@ -131,7 +139,8 @@ def test_signal_evaluation():
     np.testing.assert_allclose(s(t), f_n(p, t) * g(t - 0.5), atol=1e-14)
     lim = shifted_window(g, 0.5, 2.0)
     np.testing.assert_allclose(lim(t), np.exp(2j * t) * g(t - 0.5), atol=1e-14)
-    bare = Signal(window=g, x=0.5)
+    bare = shifted_window(g, 0.5, 0.0)
+    assert bare(t).dtype == complex and isinstance(bare(0.3), complex)
     np.testing.assert_allclose(bare(t), g(t - 0.5) + 0j, atol=1e-15)
     assert isinstance(evaluate(s, 0.3), complex)
 

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from superstft.quadrature import (DEFAULT_PAD, QuadratureSpec, make_spec,
-                                  nodes_weights)
+from superstft.quadrature import (DEFAULT_PAD, QuadratureSpec, integrate,
+                                  make_spec, nodes_weights)
 from superstft.signals import (build_signal, custom_window, gaussian_window,
                                hermite_window, shifted_window)
 from superstft.special import (_mirror_start, _real_phase_product,
@@ -97,6 +97,66 @@ def test_bargmann_of_hermites():
         assert abs(val - expect) < 1e-12
 
 
+def test_convolve_matches_its_integrand():
+    """convolve, one stft of the reflected conjugate window, against the
+    integral int f(t) g(lam - t) dt itself, for the tones
+    e^{i a t} h_k(t - x) of shifted_window, the second translated: it is
+    neither real nor symmetric, so a dropped reflection or conjugate
+    shows."""
+    for k, m, a, b, lam in [(0, 0, 0.0, 1.3, 0.4), (1, 3, 0.8, -1.1, -1.2),
+                            (4, 2, -0.6, 0.9, 2.1), (5, 5, 1.7, 0.3, -0.3)]:
+        f = shifted_window(hermite_window(k), 0.0, a)
+        g = shifted_window(hermite_window(m), 0.7, b)
+        spec = make_spec(f.decay_radius + g.decay_radius, lam)
+        ref = integrate(lambda t: f(t) * g(lam - t), spec)
+        scale = math.sqrt(hermite_norm_sq(k) * hermite_norm_sq(m))
+        assert abs(convolve(f, g, lam) - ref) <= 1e-13 * scale, (k, m)
+
+
+def test_bargmann_matches_its_integrand():
+    """bargmann, one stft against the Gaussian, against the integral
+    pi^{-3/4} int f(t) e^{-z^2/2 - t^2/2 + sqrt2 z t} dt at z with both
+    parts nonzero up to |z| = 2, for real and modulated Hermite functions,
+    relative to the bound ||f|| e^{|z|^2/2} / sqrt(pi) on |B(f)(z)|."""
+    for k, a in [(0, 0.0), (2, 0.0), (3, 0.9), (6, -1.4)]:
+        f = shifted_window(hermite_window(k), 0.0, a)
+        for z in (0.3 + 0.2j, -1.1 + 0.7j, 1.2 - 1.6j, -0.5 - 1.9j):
+            spec = make_spec(f.decay_radius, math.sqrt(2.0) * abs(z))
+            ref = math.pi ** -0.75 * integrate(
+                lambda t: f(t) * np.exp(-z * z / 2 - t * t / 2
+                                        + math.sqrt(2.0) * z * t), spec)
+            scale = (math.sqrt(hermite_norm_sq(k)) * math.exp(abs(z) ** 2 / 2)
+                     / SQRT_PI)
+            assert abs(bargmann(f, z) - ref) <= 1e-13 * scale, (k, z)
+
+
+def test_bargmann_fails_loudly_where_its_factors_overflow():
+    """B(h_0)(z) = pi^{-1/4} holds out to |Re z| = 26.6; beyond it the
+    factor e^{(Re z)^2}, and beyond |z| = 37.6 the factor e^{|z|^2/2},
+    leaves double range, which is a FloatingPointError with no warning
+    first (warnings are errors), not an inf or NaN value."""
+    h0 = hermite_window(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(bargmann(h0, 26.6) - math.pi ** -0.25) < 1e-12
+        for z in (26.7, -26.7 + 1j, 37.7j):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                bargmann(h0, z)
+
+
+@pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf, [0.3, np.nan]])
+def test_reconstruct_rejects_non_finite_y(y):
+    """A non-finite y is a ValueError naming it, raised before any
+    arithmetic (warnings are errors), not a NaN value."""
+    axis = np.linspace(-8.0, 8.0, 33)
+    g = gaussian_window()
+    grid = ComplexGrid(axis, axis, stft_grid(g, g, axis, axis))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^y must be finite"):
+            reconstruct(grid, g, y)
+
+
 def test_complex_grid_validation():
     with pytest.raises(ValueError):
         ComplexGrid(u=np.array([0.0, 0.0, 1.0]), eta=np.array([0.0, 1.0]),
@@ -158,6 +218,11 @@ def test_reconstruct_recovers_signal():
     pts = np.array([-1.0, 0.0, 0.7])
     rec = reconstruct(grid, g, pts)
     np.testing.assert_allclose(rec, h0(pts), atol=1e-6)
+    # a window that is not a Window takes its norm as <g, g> by quadrature
+    bare = build_signal(g, 0.0, SuperoscParams(a=1.0, n=4))  # F_n = e^{it}
+    grid = ComplexGrid(axis, axis, stft_grid(h0, bare, axis, axis))
+    np.testing.assert_allclose(reconstruct(grid, bare, pts), h0(pts),
+                               atol=1e-6)
 
 
 def test_reconstruct_rejects_undersized_grid():
@@ -482,6 +547,12 @@ def test_fourier_bit_identical_to_unguarded_product():
     ("u", lambda g: ambiguity(g, np.inf, 0.0)),
     ("eta", lambda g: ambiguity(g, 1.0, np.nan)),
     ("eta", lambda g: ambiguity(g, 1.0, -np.inf)),
+    ("lam", lambda g: convolve(g, g, np.nan)),
+    ("lam", lambda g: convolve(g, g, np.inf)),
+    ("lam", lambda g: convolve(g, g, -np.inf, spec=make_spec(9.0))),
+    ("z", lambda g: bargmann(g, np.nan)),
+    ("z", lambda g: bargmann(g, complex(0.5, np.inf))),
+    ("z", lambda g: bargmann(g, complex(-np.inf, 0.5), spec=make_spec(9.0))),
 ])
 def test_scalar_stft_rejects_non_finite_shifts_by_name(name, call):
     """Each shift is checked by its own name before any arithmetic on it,
