@@ -209,10 +209,11 @@ def test_verify_report(tmp_path):
 @pytest.mark.parametrize("max_error, tolerance, margin", [
     (1e-8, 1e-5, 3.0), (1e-5, 1e-8, -3.0), (0.0, 1e-5, None),
     (1e-3, 0.0, None), (0.0, 0.0, None), (math.nan, 1e-5, None),
+    (math.inf, 1e-5, None),
 ])
 def test_verify_margin(max_error, tolerance, margin):
     """margin = log10(tolerance / max_error) in digits, None when either
-    is 0 or the error is not a number."""
+    is 0 or the error is not finite."""
     case = CaseResult(id="c", suite="s", anchor="a", params={},
                       max_error=max_error, tolerance=tolerance, elapsed_s=0.1)
     if margin is None:
