@@ -320,16 +320,6 @@ def _write_grid(out, axes, columns, keys=(0, 1), tail=""):
         out.write(text.tobytes().translate(None, b"\0").decode())
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 @contextlib.contextmanager
 def _output(path):
     """The stream to write to: stdout for '-', else the file at path,
@@ -395,7 +385,7 @@ def cmd_verify(args):
     results = verify_mod.run_suite(args.suite, seed=args.seed)
     payload = verify_mod.report(results, args.seed)
     with _output(args.json) as out:
-        json.dump(payload, out, indent=2, default=_json_default)
+        json.dump(payload, out, indent=2, allow_nan=False)
         out.write("\n")
     return 0 if all(r.passed for r in results) else 1
 
@@ -436,7 +426,7 @@ def cmd_zak_frame(args):
         },
     }
     with _output(args.json) as out:
-        json.dump(payload, out, indent=2, default=_json_default)
+        json.dump(payload, out, indent=2, allow_nan=False)
         out.write("\n")
     return 0
 

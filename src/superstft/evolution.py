@@ -48,7 +48,6 @@ from .kernels import stft_superosc_termwise_grid
 from .quadrature import (
     DEFAULT_PAD,
     QuadratureSpec,
-    default_nodes_per_unit,
     nodes_weights,
 )
 from .signals import window_norm_sq
@@ -142,10 +141,10 @@ def evolve_numeric(g, pt, spec=None, normalized=False):
             raise ValueError(
                 "custom windows need an explicit momentum-space quadrature spec")
         # the window's own box: its decay radius plus DEFAULT_PAD (F(g)
-        # decays like g for the gaussian and hermite windows), its node
-        # density scaled by 1 + |t| radius up to _MAX_NODES_PER_UNIT
+        # decays like g for the gaussian and hermite windows), the default
+        # node density scaled by 1 + |t| radius up to _MAX_NODES_PER_UNIT
         radius = float(g.decay_radius) + DEFAULT_PAD
-        npu = math.ceil(default_nodes_per_unit() * (1.0 + abs(t) * radius))
+        npu = math.ceil(QuadratureSpec.nodes_per_unit * (1.0 + abs(t) * radius))
         spec = QuadratureSpec(radius, min(npu, _MAX_NODES_PER_UNIT))
     if oscillation_hazard(t, spec.truncation_radius):
         warnings.warn(f"highly oscillatory evolution integrand: |t| T^2 = "

@@ -12,13 +12,9 @@ An integrand whose spectrum is known to vanish (below 1e-16) beyond a band
 |omega| <= B needs fewer nodes: ``band_spec`` keeps make_spec's box and
 sets the density to max(16, ceil(B / pi)).  The phase-space oracles of
 ``transforms.moyal_double_integral`` and of ``verify`` use it.
-
-The environment variable ``SUPERSTFT_QUAD_NODES`` overrides the node
-density (integer >= 16) of both, the default and the band density.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,20 +28,6 @@ _TINY = np.finfo(float).tiny
 _GUARD_CELLS = 1 << 16
 
 
-def default_nodes_per_unit():
-    """Default node density, honoring the SUPERSTFT_QUAD_NODES override."""
-    raw = os.environ.get("SUPERSTFT_QUAD_NODES")
-    if raw is None:
-        return 64
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"SUPERSTFT_QUAD_NODES must be an integer, got {raw!r}")
-    if n < 16:
-        raise ValueError(f"SUPERSTFT_QUAD_NODES must be >= 16, got {n}")
-    return n
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Truncation radius and node density of a composite-Simpson line
@@ -55,24 +37,22 @@ class QuadratureSpec:
     nodes_per_unit: int = 64
 
     def __post_init__(self):
-        if not self.truncation_radius > 0:
-            raise ValueError(
-                f"truncation_radius must be positive, got {self.truncation_radius}"
-            )
+        if not 0 < self.truncation_radius < math.inf:
+            raise ValueError(f"truncation_radius must be finite and positive, "
+                             f"got {self.truncation_radius}")
         if self.nodes_per_unit < 16:
             raise ValueError(f"nodes_per_unit must be >= 16, got {self.nodes_per_unit}")
 
 
 def make_spec(decay_radius, *shifts):
     """Composite-Simpson spec with T = decay_radius + max|shift| + DEFAULT_PAD
-    at default_nodes_per_unit() nodes per unit.
+    at QuadratureSpec's default density of 64 nodes per unit.
 
     ``shifts`` are the translations/centers the integrand gets dragged to;
     the truncation box must still cover the decayed tails after shifting.
     """
     biggest = max((abs(s) for s in shifts), default=0.0)
-    return QuadratureSpec(float(decay_radius) + biggest + DEFAULT_PAD,
-                          default_nodes_per_unit())
+    return QuadratureSpec(float(decay_radius) + biggest + DEFAULT_PAD)
 
 
 def band_spec(band, decay_radius, *shifts):
@@ -82,13 +62,9 @@ def band_spec(band, decay_radius, *shifts):
 
     Composite Simpson is (4 T_h - T_2h) / 3, and the coarse trapezoid T_2h
     at step 2/N aliases only spectral content at |omega| >= pi N, so at
-    this density both trapezoids are exact to that level.  When
-    SUPERSTFT_QUAD_NODES is set, its density wins, as in make_spec.
+    this density both trapezoids are exact to that level.
     """
-    spec = make_spec(decay_radius, *shifts)
-    if os.environ.get("SUPERSTFT_QUAD_NODES") is not None:
-        return spec
-    return QuadratureSpec(spec.truncation_radius,
+    return QuadratureSpec(make_spec(decay_radius, *shifts).truncation_radius,
                           max(16, math.ceil(float(band) / math.pi)))
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, default_nodes_per_unit, integrate
+from .quadrature import QuadratureSpec, integrate
 from .special import _as_result, _finite, hermite_function, hermite_norm_sq
 from .superosc import f_n
 
@@ -99,9 +99,9 @@ def window_norm_sq(g):
 
 
 def _norm_sq(f, radius):
-    """integral of |f|^2 over [-radius, radius] at the default node density
-    (so SUPERSTFT_QUAD_NODES applies)."""
-    spec = QuadratureSpec(float(radius), default_nodes_per_unit())
+    """integral of |f|^2 over [-radius, radius] at QuadratureSpec's default
+    density of 64 nodes per unit."""
+    spec = QuadratureSpec(float(radius))
     return float(np.real(integrate(lambda t: np.abs(f(t)) ** 2, spec)))
 
 

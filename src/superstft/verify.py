@@ -61,7 +61,7 @@ class CaseResult:
             "id": self.id,
             "paper_anchor": self.anchor,
             "params": self.params,
-            "max_error": self.max_error,
+            "max_error": self.max_error if math.isfinite(self.max_error) else None,
             "tolerance": self.tolerance,
             "pass": self.passed,
             "elapsed_s": self.elapsed_s,
@@ -641,7 +641,7 @@ def report(results, seed):
     """JSON-ready report dict for a list of CaseResult.  Schema 2: each
     case record carries its wall time elapsed_s and its margin in digits,
     log10(tolerance / max_error) (null when either is 0 or the error is
-    not finite)."""
+    not finite); a non-finite max_error is null and its case fails."""
     return {
         "schema": 2,
         "seed": seed,

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from superstft.cli import main
 from superstft.quadrature import (DEFAULT_PAD, QuadratureSpec, _guard,
-                                  band_spec, default_nodes_per_unit,
-                                  integrate, make_spec, nodes_weights)
+                                  band_spec, integrate, make_spec,
+                                  nodes_weights)
+from superstft.signals import custom_window, gaussian_window
+from superstft.transforms import stft
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -33,17 +36,30 @@ def test_make_spec_accumulates_shifts():
     assert make_spec(5.0).truncation_radius == 5.0 + DEFAULT_PAD
 
 
-def test_band_spec_keeps_the_box_and_sizes_the_density(monkeypatch):
-    """make_spec's box at max(16, ceil(band / pi)) nodes per unit; a set
-    SUPERSTFT_QUAD_NODES wins over the band."""
-    monkeypatch.delenv("SUPERSTFT_QUAD_NODES", raising=False)
+def test_band_spec_keeps_the_box_and_sizes_the_density():
+    """make_spec's box at max(16, ceil(band / pi)) nodes per unit."""
     for band, nodes in ((27.0, 16), (16 * math.pi, 16), (59.0, 19), (300.0, 96)):
         spec = band_spec(band, 9.0, 2.0, -3.0)
         assert spec == QuadratureSpec(make_spec(9.0, 2.0, -3.0).truncation_radius,
                                       nodes)
-    monkeypatch.setenv("SUPERSTFT_QUAD_NODES", "40")
-    assert band_spec(27.0, 9.0, 2.0) == make_spec(9.0, 2.0)
-    assert band_spec(300.0, 9.0).nodes_per_unit == 40
+
+
+def test_rules_ignore_the_environment(monkeypatch, capsys):
+    """The node density is a constant: SUPERSTFT_QUAD_NODES, which once
+    overrode it, changes no rule and no output byte."""
+    argv = ["spectrogram", "--mode", "numeric", "--n", "4", "--a", "2",
+            "--x", "0.5", "--u", "-2:2:5", "--eta", "-2:2:5"]
+
+    def outputs():
+        assert main(argv) == 0
+        return (make_spec(9.0, 2.0), band_spec(300.0, 9.0, 2.0),
+                capsys.readouterr().out)
+
+    monkeypatch.delenv("SUPERSTFT_QUAD_NODES", raising=False)
+    unset = outputs()
+    assert unset[0].nodes_per_unit == 64 and unset[1].nodes_per_unit == 96
+    monkeypatch.setenv("SUPERSTFT_QUAD_NODES", "16")
+    assert outputs() == unset
 
 
 def test_band_spec_resolves_the_band():
@@ -60,8 +76,9 @@ def test_band_spec_resolves_the_band():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(truncation_radius=0.0)
+    for radius in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            QuadratureSpec(truncation_radius=radius)
     with pytest.raises(ValueError):
         QuadratureSpec(truncation_radius=1.0, nodes_per_unit=8)
 
@@ -76,17 +93,12 @@ def test_spec_is_a_frozen_hashable_value():
         a.nodes_per_unit = 32
 
 
-def test_nodes_env_override(monkeypatch):
-    monkeypatch.delenv("SUPERSTFT_QUAD_NODES", raising=False)
-    assert default_nodes_per_unit() == 64
-    monkeypatch.setenv("SUPERSTFT_QUAD_NODES", "96")
-    assert default_nodes_per_unit() == 96
-    monkeypatch.setenv("SUPERSTFT_QUAD_NODES", "8")
-    with pytest.raises(ValueError):
-        default_nodes_per_unit()
-    monkeypatch.setenv("SUPERSTFT_QUAD_NODES", "lots")
-    with pytest.raises(ValueError):
-        default_nodes_per_unit()
+def test_infinite_decay_radius_is_a_value_error():
+    """A window whose decay radius is infinite sizes no rule: stft refuses
+    the box by name instead of overflowing when it counts the nodes."""
+    wide = custom_window(lambda t: np.exp(-np.abs(t)), decay_radius=math.inf)
+    with pytest.raises(ValueError, match="truncation_radius"):
+        stft(wide, gaussian_window(), 0.5, 1.0)
 
 
 def test_nonfinite_integrand_raises():

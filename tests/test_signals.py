@@ -60,24 +60,6 @@ def test_custom_window_needs_radius_for_norm():
     assert abs(val - 1.0) < 1e-8  # int e^{-2|t|} = 1
 
 
-def test_norm_quadrature_honors_node_override(monkeypatch):
-    """SUPERSTFT_QUAD_NODES sets the node density of the rule both norm
-    quadratures integrate on."""
-    import superstft.signals as signals
-    seen = []
-
-    def spy(f, spec):
-        seen.append(spec.nodes_per_unit)
-        return integrate(f, spec)
-
-    monkeypatch.setattr(signals, "integrate", spy)
-    monkeypatch.setenv("SUPERSTFT_QUAD_NODES", "128")
-    p = SuperoscParams(a=2.0, n=4)
-    signal_norm_sq(build_signal(gaussian_window(), 0.3, p))
-    window_norm_sq(custom_window(lambda t: np.exp(-t * t), decay_radius=9.0))
-    assert seen == [128, 128]
-
-
 def test_time_frequency_shift():
     """shifted_window(g, x, omega) evaluates M_omega T_x g: a complex at a
     scalar t, an array of t's shape otherwise."""

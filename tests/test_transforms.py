@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from superstft import transforms
 from superstft.quadrature import (DEFAULT_PAD, QuadratureSpec, integrate,
                                   make_spec, nodes_weights)
 from superstft.signals import (build_signal, custom_window, gaussian_window,
@@ -297,7 +298,7 @@ def test_stft_grid_bit_identical_to_unguarded_product():
     assert np.array_equal(stft_grid(h1, h1, xu, xu), ref)
 
 
-def test_moyal_double_integral_bit_identical_to_unguarded(monkeypatch):
+def test_moyal_double_integral_bit_identical_to_unguarded():
     """The Moyal integral is the tensor quadrature of two stft_grid
     products: outer rule |u|, |eta| <= the largest decay radius at 16
     nodes per unit, inner box make_spec(f.decay_radius) at the band
@@ -305,7 +306,6 @@ def test_moyal_double_integral_bit_identical_to_unguarded(monkeypatch):
     samples stay above e^-552, far from the subnormal range below e^-708,
     so the guard has nothing to zero here; the subnormal case is the test
     above."""
-    monkeypatch.delenv("SUPERSTFT_QUAD_NODES", raising=False)
     h0, h1, phi = hermite_window(0), hermite_window(1), gaussian_window()
     xu, wu = nodes_weights(QuadratureSpec(h1.decay_radius, 16))
     _, v1 = _unguarded_stft_grid(h0, phi, xu, xu,
@@ -427,15 +427,16 @@ _H24 = custom_window(hermite_window(24).func, decay_radius=18.0)
 def test_moyal_band_rule_matches_default_density(factors, monkeypatch):
     """The inner t rule at the band density (18 nodes per unit for h_24 on
     radius 18, 16 for the others) gives the Moyal integral of the default
-    64 nodes per unit to 1e-14 of 2 pi ||f1|| ||f2|| ||g1|| ||g2||: for
+    64 nodes per unit (make_spec's rule, patched in for band_spec) to
+    1e-14 of 2 pi ||f1|| ||f2|| ||g1|| ||g2||: for
     verify's two calls, for Hermite pairs up to order 24 and for the
     narrow e^{-t^2}."""
     f1, g1, f2, g2 = factors * 2 if len(factors) == 2 else factors
     norms = [math.sqrt(inner_product(h, h).real) for h in (f1, g1, f2, g2)]
     scale = TWO_PI * math.prod(norms)
-    monkeypatch.delenv("SUPERSTFT_QUAD_NODES", raising=False)
     band = moyal_double_integral(*factors)
-    monkeypatch.setenv("SUPERSTFT_QUAD_NODES", "64")
+    monkeypatch.setattr(transforms, "band_spec",
+                        lambda _, radius, *shifts: make_spec(radius, *shifts))
     default = moyal_double_integral(*factors)
     assert abs(band - default) <= 1e-14 * scale
 

@@ -11,6 +11,13 @@ from superstft.cli import main
 from superstft.verify import SUITES, report, run_suite
 
 
+def _strict(text):
+    """JSON text parsed with NaN and infinity tokens refused."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _records(results):
     """Records without their wall times, with params as parsed JSON."""
     out = []
@@ -24,7 +31,8 @@ def _records(results):
 
 def test_nan_error_fails_its_case(monkeypatch, tmp_path):
     """A NaN from the oracle is a NaN max_error and a failed case, and the
-    command exits 1; a running max(worst, err) would keep the earlier 0.0."""
+    command exits 1; a running max(worst, err) would keep the earlier 0.0.
+    The report stays strict JSON: the NaN is written as null."""
     monkeypatch.setattr(kernels, "gabor_kernel_numeric",
                         lambda *args: complex(math.nan, math.nan))
     cases = {r.id: r for r in run_suite("kernels", 42)}
@@ -34,6 +42,10 @@ def test_nan_error_fails_its_case(monkeypatch, tmp_path):
         assert cases[case_id].margin is None
     out = tmp_path / "v.json"
     assert main(["verify", "--suite", "kernels", "--json", str(out)]) == 1
+    records = {r["id"]: r for r in _strict(out.read_text())["suites"]}
+    for case_id in ("gabor-kernel-gaussian", "gabor-kernel-hermite"):
+        rec = records[case_id]
+        assert (rec["max_error"], rec["pass"], rec["margin"]) == (None, False, None)
 
 
 def test_nan_among_finite_errors_is_the_max(monkeypatch):
@@ -69,6 +81,14 @@ def test_runs_are_reproducible_and_cases_isolated():
     assert [r["id"] for r in whole] == [c[0] for c in verify._CASES]
 
 
-def test_default_report_is_strict_json():
-    """At the default seed every error and margin is finite or null."""
+def test_default_report_is_strict_json(tmp_path):
+    """At the default seed every error and margin is finite or null, and
+    the frame scans of the Gaussian, h_3 and F_n (n = 8) write strict
+    JSON through the command line."""
     json.dumps(report(run_suite("all", 42), 42), allow_nan=False)
+    for source in (["--window", "gaussian"], ["--window", "hermite", "--order", "3"],
+                   ["--signal", "superosc-gaussian", "--a", "2", "--n", "8"]):
+        out = tmp_path / "z.json"
+        assert main(["zak-frame", *source, "--json", str(out)]) == 0
+        payload = _strict(out.read_text())
+        assert payload["schema"] == 1 and payload["verdict"], payload
