@@ -114,41 +114,53 @@ def _int_at_least(lo):
 # at most this many rows are formatted and written at a time
 _ROW_BLOCK = 2048
 
-# The NUL-padded slot of one %.17g field: sign, the "0." and up to three
-# zeros of 0.000ddd, 17 digits with a place for the point, and "e+308".  The
-# widest field, "-2.2250738585072014e-308", is 24 bytes.
-_SLOT = 29
+# The NUL-padded slot of one %.17g field, four little-endian uint64 words:
+# word 0 the sign and "0.000" prefix (bytes 0-5), the leading digit and the
+# point; words 1-2 the 16 digits after it, four chunks of four; word 3 the
+# exponent suffix "e+308" and 3 free bytes, where _write_grid puts the
+# separator.  The widest field, "-2.2250738585072014e-308", is 24 bytes.
+_SLOT = 32
 _DEKKER = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+# |X| <= _X_MAX for every X = floor(log10 |v|) that _decimal decides
+_X_MAX = 281
 
 
 @functools.lru_cache(maxsize=None)
-def _pow10(q):
-    """10**q as hi + lo: hi the nearest double, lo the nearest double to
-    the rest (int / int rounds correctly)."""
-    num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
-    hi = num / den
-    hi_num, hi_den = hi.as_integer_ratio()
-    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+def _pow10_table():
+    """10**(16 - X) for X = -_X_MAX .. _X_MAX, as four arrays indexed by
+    X + _X_MAX: hi the nearest double, lo the nearest double to the rest
+    (int / int rounds correctly), and the Dekker halves of hi.  Built once
+    per process, in about 1 ms."""
+    hi, lo = np.empty((2, 2 * _X_MAX + 1))
+    for col, q in enumerate(range(16 + _X_MAX, 15 - _X_MAX, -1)):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        hi[col] = num / den
+        hi_num, hi_den = hi[col].as_integer_ratio()
+        lo[col] = (num * hi_den - hi_num * den) / (den * hi_den)
+    c = _DEKKER * hi
+    hi_hi = c - (c - hi)
+    return hi, lo, hi_hi, hi - hi_hi
 
 
 @functools.lru_cache(maxsize=None)
 def _text_tables():
     """Byte tables of the encoder, as little-endian words: the four digits
-    of each chunk 0..9999, the same with trailing zeros as NUL, the prefixes
-    (sign, then "", "0.", "0.0", "0.00" or "0.000") and the exponent
-    suffixes "e-300" .. "e+300", which cover every X _decimal decides, with
-    no suffix last."""
+    of each chunk 0..9999, the same with trailing zeros as NUL, and per
+    exponent X = -_X_MAX .. _X_MAX (row X + _X_MAX) the prefix of word 0,
+    "0." to "0.000" after the sign's byte where -4 <= X < 0, and the suffix
+    of word 3, "e-281" to "e+281" where %g is scientific (X < -4 or
+    X >= 17); each is empty elsewhere."""
     chunk = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     digits = (chunk + 48).astype(np.uint8)
     stripped = digits * (np.cumsum(chunk[:, ::-1], axis=1)[:, ::-1] > 0)
-    prefix = np.zeros((10, 8), np.uint8)
-    prefix[5:, 0] = ord("-")
-    for zeros, text in enumerate([b"0.", b"0.0", b"0.00", b"0.000"], 1):
-        prefix[[zeros, 5 + zeros], 1:1 + len(text)] = list(text)
-    suffix = np.zeros((602, 8), np.uint8)
-    for e in range(-300, 301):
-        text = b"e%+03d" % e
-        suffix[e + 300, :len(text)] = list(text)
+    prefix, suffix = np.zeros((2, 2 * _X_MAX + 1, 8), np.uint8)
+    for x in range(-_X_MAX, _X_MAX + 1):
+        if -4 <= x < 0:
+            text = b"0." + b"0" * (-1 - x)
+            prefix[x + _X_MAX, 1:1 + len(text)] = list(text)
+        elif not 0 <= x < 17:
+            text = b"e%+03d" % x
+            suffix[x + _X_MAX, :len(text)] = list(text)
     return (digits.view("<u4").ravel(), stripped.view("<u4").ravel(),
             prefix.view("<u8").ravel(), suffix.view("<u8").ravel())
 
@@ -159,30 +171,20 @@ def _decimal(v):
     the values whose rounding is decided here; D = X = 0 for zeros.
 
     |v| 10**(16 - X) is formed as a double-double product, good to about
-    1e-14; the rounding is decided where its integer part has 17 digits and
-    its fraction is more than 1e-6 from 1/2.  It is not for NaN, the
-    infinities and |v| outside [1e-280, 1e280], where the Dekker split could
-    overflow."""
+    1e-14, with 10**(16 - X) read from _pow10_table; the rounding is
+    decided where its integer part has 17 digits and its fraction is more
+    than 1e-6 from 1/2.  It is not for NaN, the infinities and |v| outside
+    [1e-280, 1e280], where the Dekker split could overflow."""
     mag = np.abs(v)
     decided = (mag >= 1e-280) & (mag <= 1e280)  # False on NaN and inf
     mag = np.where(decided, mag, 1.0)
     x = np.floor(np.log10(mag)).astype(np.int64)
-    # 10**(16 - X) as hi + lo, for the exponents this block uses
-    q = 16 - x
-    q0 = int(q.min())
-    q -= q0
-    hi, lo = np.zeros((2, q.max() + 1))
-    for k in np.flatnonzero(np.bincount(q)).tolist():
-        hi[k], lo[k] = _pow10(q0 + k)
-    hi, lo = hi[q], lo[q]
+    hi, lo, hi_hi, hi_lo = (part[x + _X_MAX] for part in _pow10_table())
     # Dekker's exact product mag * hi = p + e, plus mag * lo
     p = mag * hi
     c = _DEKKER * mag
     mag_hi = c - (c - mag)
     mag_lo = mag - mag_hi
-    c = _DEKKER * hi
-    hi_hi = c - (c - hi)
-    hi_lo = hi - hi_hi
     e = (((mag_hi * hi_hi - p) + mag_hi * hi_lo + mag_lo * hi_hi)
          + mag_lo * hi_lo + mag * lo)
     floor_e = np.floor(e)
@@ -200,73 +202,67 @@ def _decimal(v):
     return digits, x, decided | zero
 
 
-def _chunks(x):
-    """floor(x / 10**4) and the last four digits of x, for integers x
-    below 2**53 held as doubles."""
-    high = np.floor(x / 1e4)
-    return high, (x - high * 1e4).astype(np.intp)
-
-
-def _ascii_digits(digits):
-    """The 17 digits of each integer in [0, 10**17) as ASCII, of shape
-    digits.shape + (17,), with the trailing zeros NUL, the leading digit
-    excepted: the leading digit, then four chunks of four digits, each
-    stripped unless a later one is not zero."""
-    full4, strip4 = _text_tables()[:2]
-    top = digits // 10 ** 8
-    top4, c2 = _chunks(top.astype(np.float64))
-    d0, c1 = _chunks(top4)
-    c3, c4 = _chunks((digits - top * 10 ** 8).astype(np.float64))
-    words = np.empty((digits.size, 5), "<u4")
-    words[:, 0] = (d0.astype(np.uint32) + 48) << 24
-    words[:, 4] = strip4[c4]
-    later = c4 != 0
-    for col, chunk in ((3, c3.astype(np.intp)), (2, c2), (1, c1)):
-        words[:, col] = np.where(later, full4[chunk], strip4[chunk])
-        later |= chunk != 0
-    return words.view(np.uint8)[:, 3:]
+def _split(x, unit):
+    """x // unit and x % unit, for arrays of non-negative integers."""
+    high = x // unit
+    return high, x - high * unit
 
 
 def _encode(values):
     """The %.17g text of each value, as NUL-padded byte slots of shape
     values.shape + (_SLOT,): Python's '%.17g' % v once the NULs are dropped.
 
-    The digits of _decimal are laid out in numpy: one layout for scientific
-    notation and fixed X <= 0, then the integer part of fixed X >= 1 laid
-    over it one width X at a time, by static slices (BENCH_23.json).  A value
-    whose rounding is not decided there takes '%.17g' % v, one at a time."""
-    prefix8, suffix8 = _text_tables()[2:]
+    A slot is four uint64 words (see _SLOT), each built for the whole block
+    at once from the digits of _decimal and the word tables of
+    _text_tables.  Words 1-2 hold the four chunks after the leading digit,
+    trailing zeros stripped: an earlier chunk needs stripping only where
+    every later one is 0.  That is the layout of scientific notation, of
+    fixed X = 0 and of 0.000ddd, whose point is its prefix's.  A fixed
+    field with an integer part (X >= 1) then gets its X + 1 integer
+    digits, a stripped zero shown as '0', and its point, placed only where
+    a digit follows, one width X at a time, by static slices of the bytes
+    (BENCH_23.json).  A value whose rounding is not decided there takes
+    '%.17g' % v, one at a time."""
+    full4, strip4, prefix8, suffix8 = _text_tables()
     shape = np.shape(values)
     v = np.ravel(values).astype(np.float64, copy=False)
-    n = v.size
     digits, x, decided = _decimal(v)
-    text = _ascii_digits(digits)
-    # %g: fixed notation for -4 <= X < 17, else scientific
-    fixed = (x >= -4) & (x < 17)
-    out = np.zeros((n, _SLOT), np.uint8)
-    prefix = np.where(fixed & (x < 0), -x, 0) + 5 * np.signbit(v)
-    out[:, :6] = prefix8[prefix].view(np.uint8).reshape(n, 8)[:, :6]
-    # digit 0, a place for the point, digits 1..16: the layout of scientific
-    # notation, of fixed X = 0, and of 0.000ddd, whose point is its prefix's
-    out[:, 6] = text[:, 0]
-    out[:, 7] = ((~fixed | (x == 0)) & (text[:, 1] != 0)) * ord(".")
-    out[:, 8:24] = text[:, 1:]
-    # fixed X >= 1, one integer width at = X at a time: digits 0..at, a
-    # stripped one (NUL) shown as '0', then the point if a digit follows;
-    # the digits after it are where the layout above put them
-    whole = np.flatnonzero(fixed & (x > 0))
+    top, low = _split(digits, 10 ** 8)
+    top4, c2 = _split(top, 10 ** 4)
+    d0, c1 = _split(top4, 10 ** 4)
+    c3, c4 = _split(low, 10 ** 4)
+    out = np.empty((v.size, 4), "<u8")
+    half = out.view("<u4")  # chunk k in half-word k + 1
+    for col, chunk in ((2, c1), (3, c2), (4, c3)):
+        half[:, col] = full4[chunk]
+    half[:, 5] = strip4[c4]
+    rows = np.flatnonzero(c4 == 0)
+    for col, chunk in ((4, c3), (3, c2), (2, c1)):
+        half[rows, col] = strip4[chunk[rows]]
+        rows = rows[chunk[rows] == 0]
+    # word 0: the sign, a 0.000 prefix or else the point if a digit follows
+    # the leading one, and the leading digit; word 3: %g's suffix, if any
+    prefix = prefix8[x + _X_MAX]
+    point = (half[:, 2] != 0) & (prefix == 0)
+    out[:, 0] = (prefix | np.signbit(v) * np.uint64(ord("-"))
+                 | (d0.view(np.uint64) + 48) << 48
+                 | point * np.uint64(ord(".") << 56))
+    out[:, 3] = suffix8[x + _X_MAX]
+    # fixed X >= 1, one integer width at = X at a time: digits 1..at move
+    # down a byte, a stripped one (NUL) shown as '0', then the point if a
+    # digit follows (if digit at + 1 was not stripped)
+    text = out.view(np.uint8)
+    whole = np.flatnonzero((x > 0) & (x < 17))
     for at in np.flatnonzero(np.bincount(x[whole])).tolist():
         rows = whole[x[whole] == at]
-        out[rows, 6:7 + at] = text[rows, :at + 1] | 48
-        out[rows, 7 + at] = text[rows, at + 1:].any(axis=1) * ord(".")
-    suffix = np.where(fixed, -1, x + 300)
-    out[:, 24:] = suffix8[suffix].view(np.uint8).reshape(n, 8)[:, :5]
+        text[rows, 7:7 + at] = text[rows, 8:8 + at] | 48
+        text[rows, 7 + at] = (text[rows, 8 + at] != 0) * ord(".")
     slow = np.flatnonzero(~decided)
     if slow.size:
         fields = b"".join([("%.17g" % f).encode().ljust(_SLOT, b"\0")
                            for f in v[slow].tolist()])
-        out[slow] = np.frombuffer(fields, np.uint8).reshape(-1, _SLOT)
-    return out.reshape(shape + (_SLOT,))
+        out[slow] = np.frombuffer(fields, "<u8").reshape(-1, 4)
+    return text.reshape(shape + (_SLOT,))
 
 
 def _modulus(values):
@@ -285,39 +281,36 @@ def _complex_columns(values):
 def _write_grid(out, axes, columns, keys=(0, 1), tail=""):
     """Write a grid as CSV rows, slice-major over axes = (outer, inner):
     row i * len(inner) + j holds axes[k][(i, j)[k]] for each k in keys, then
-    c[i * len(inner) + j] for each of the columns, then tail, every number
-    as %.17g.
+    c[i * len(inner) + j] for each of the columns, then tail (at most two
+    characters), every number as %.17g.
 
     The axis text is encoded once, in the same _encode call as the first
-    block.  A block of at most _ROW_BLOCK rows is one byte matrix, a
-    NUL-padded slot per field between the separators, and goes out in one
-    write once the NULs are dropped."""
+    block.  A block of at most _ROW_BLOCK rows is one matrix of rows x
+    fields slots of four uint64 words: the label slots gathered from the
+    axis text, the value slots of one _encode call, and in the free bytes
+    29-31 of each slot its separator, or tail and the newline.  It goes out
+    in one write once the NULs are dropped."""
     values = np.stack(columns, axis=1)
     head = np.concatenate(axes)
     first_block = values[:_ROW_BLOCK]
-    encoded = _encode(np.concatenate([head, first_block.ravel()]))
-    labels = [text[:, text.any(axis=0)]  # no column of NULs only
-              for text in np.split(encoded[:head.size], [len(axes[0])])]
-    encoded = encoded[head.size:].reshape(first_block.shape + (_SLOT,))
+    encoded = _encode(np.concatenate([head, first_block.ravel()])).view("V32")
+    labels = np.split(encoded[:head.size, 0], [len(axes[0])])
+    encoded = encoded[head.size:]
+    ends = [b","] * (len(keys) + len(columns) - 1) + [(tail + "\n").encode()]
+    ends = np.array([int.from_bytes(end, "little") << 40 for end in ends],
+                    np.uint64)
     inner = len(axes[1])
-    widths = [labels[k].shape[1] for k in keys] + [_SLOT] * len(columns)
-    starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()
-    end = (tail + "\n").encode()
-    row = np.zeros(starts[-1] - 1 + len(end), np.uint8)
-    row[np.array(starts[1:-1]) - 1] = ord(",")
-    row[starts[-1] - 1:] = list(end)
     for first in range(0, len(values), _ROW_BLOCK):
         block = values[first:first + _ROW_BLOCK]
         index = divmod(np.arange(first, first + len(block)), inner)
-        text = np.empty((len(block), row.size), np.uint8)
-        text[:] = row
         if first:
-            encoded = _encode(block)
-        fields = [labels[k][index[k]] for k in keys]
-        fields += list(np.moveaxis(encoded, 1, 0))
-        for start, width, field in zip(starts, widths, fields):
-            text[:, start:start + width] = field
-        out.write(text.tobytes().translate(None, b"\0").decode())
+            encoded = _encode(block).view("V32")
+        slots = np.empty((len(block), len(ends)), "V32")
+        for col, k in enumerate(keys):
+            slots[:, col] = labels[k].take(index[k])
+        slots[:, len(keys):] = encoded.reshape(len(block), len(columns))
+        slots.view("<u8").reshape(len(block), len(ends), 4)[:, :, 3] |= ends
+        out.write(slots.tobytes().translate(None, b"\0").decode())
 
 
 @contextlib.contextmanager

@@ -460,6 +460,31 @@ def test_csv_writer_matches_per_cell_format():
             assert max(w.count("\n") for w in writes) <= _ROW_BLOCK, shape
 
 
+def test_write_grid_encodes_each_block_once(monkeypatch):
+    """One _encode call per block of _ROW_BLOCK rows, the axes in the
+    first, ahead of that block's values."""
+    calls = []
+
+    def counted(values):
+        calls.append(np.array(values, copy=True))
+        return _encode(values)
+
+    monkeypatch.setattr(cli, "_encode", counted)
+    outer, inner = np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 3.0, 700)
+    z = np.exp(1j * np.arange(outer.size * inner.size))
+    writes = []
+    out = type("Out", (), {"write": staticmethod(writes.append)})
+    _write_grid(out, (outer, inner), _complex_columns(z))
+    blocks = -(-z.size // _ROW_BLOCK)
+    assert len(calls) == len(writes) == blocks == 3
+    head = np.concatenate([outer, inner])
+    assert np.array_equal(calls[0][:head.size], head)
+    values = np.stack(_complex_columns(z), axis=1)
+    assert np.array_equal(calls[0][head.size:], values[:_ROW_BLOCK].ravel())
+    assert [c.size for c in calls[1:]] == [3 * _ROW_BLOCK,
+                                           3 * (z.size - 2 * _ROW_BLOCK)]
+
+
 def _encoded(values):
     """The encoder's fields as text, the NUL padding dropped."""
     return [row.tobytes().translate(None, b"\0").decode()

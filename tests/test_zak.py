@@ -10,7 +10,8 @@ from superstft.signals import (build_signal, custom_window, gaussian_window,
 from superstft.special import theta
 from superstft.superosc import SuperoscParams
 from superstft.zak import (FRAME_TOLERANCE, FrameVerdict, WienerEstimate,
-                           frame_check, wiener_norm_estimate, zak, zak_grid,
+                           _lattice, _truncation_order, frame_check,
+                           wiener_norm_estimate, zak, zak_grid,
                            zak_shift_identity_check, zak_superosc_termwise)
 
 from oracles import frame_check_full, zak_gaussian
@@ -187,6 +188,42 @@ def test_blocked_scan_matches_full_grid(name, resolution):
     f = _SCAN_WINDOWS[name]
     assert frame_check(f, resolution) == frame_check_full(f, resolution,
                                                           FRAME_TOLERANCE)
+
+
+def _lattice_reference(f, u, eta):
+    """The lattice factors by their defining formulas: a = f(u - k) in
+    f's dtype and e = np.exp(1j * outer(k, eta))."""
+    kmax = _truncation_order(f, np.max(np.abs(u)))
+    k = np.arange(-kmax, kmax + 1)
+    a = np.asarray(f(u[:, None] - k[None, :]))
+    return a, np.exp(1j * np.multiply.outer(k, eta))
+
+
+@pytest.mark.parametrize("f", [gaussian_window(), hermite_window(1),
+                               hermite_window(3), hermite_window(8)],
+                         ids=["gaussian", "h1", "h3", "h8"])
+def test_real_lattice_is_one_real_product(f):
+    """A real window keeps its dtype: zak_grid contracts it as one real
+    product with the interleaved parts of e^{i k eta}.  The rows k < 0 of
+    that table are conjugates, equal to np.exp's values (a zero's sign
+    aside).  The real and complex products are different BLAS routines, so
+    they agree to rounding: within 32 eps sum_k |a(u, k)| per cell."""
+    u, eta = np.linspace(0.0, 1.0, 129), np.linspace(0.0, TWO_PI, 200)
+    a, e = _lattice_reference(f, u, eta)
+    got_a, got_e = _lattice(f, u, eta)
+    assert got_a.dtype == np.float64
+    assert np.array_equal(got_e.view(float), e.view(float))
+    bound = 32 * np.finfo(float).eps * np.abs(a).sum(axis=1, keepdims=True)
+    assert np.all(np.abs(zak_grid(f, u, eta) - a.astype(complex) @ e) <= bound)
+
+
+def test_superosc_lattice_keeps_the_complex_product():
+    """F_n g is complex: its lattice is the complex product a @ e."""
+    f = build_signal(gaussian_window(), 0.0, SuperoscParams(2.0, 8))
+    u, eta = np.linspace(0.0, 1.0, 129), np.linspace(0.0, TWO_PI, 200)
+    a, e = _lattice_reference(f, u, eta)
+    assert np.iscomplexobj(_lattice(f, u, eta)[0])
+    assert zak_grid(f, u, eta).tobytes() == (a @ e).tobytes()
 
 
 def test_frame_check_gaussian_aliased_zero_is_inconclusive():
