@@ -7,8 +7,8 @@ multiplying by e^{-i p^2 t} and coming back gives
     phi(x, t; x0, k0) = int (T_{k0} M_{-x0} F(g))(p) e^{-i p^2 t} e^{i p x} dp,
 
 WITHOUT the 1/(2 pi) of the inverse transform, so every evolution path
-returns 2 pi times the datum at t = 0.  Pass normalized=True to divide
-the 2 pi out.
+returns 2 pi times the datum at t = 0.  evolve_hermite's normalized=True
+divides the 2 pi out.
 
 For the Hermite window h_m the position-space integral has a closed form
 (alpha = 1/2 + i t, gamma^2 = 1 - 1/alpha):
@@ -114,7 +114,7 @@ def _phase(k0, x, t):
     return phase
 
 
-def evolve_numeric(g, pt, spec=None, normalized=False):
+def evolve_numeric(g, pt, spec=None):
     """Evolved atom by momentum-space quadrature.  With u = p - k0,
 
         int e^{-i x0 (p - k0)} F(g)(p - k0) e^{-i p^2 t + i p x} dp
@@ -157,18 +157,17 @@ def evolve_numeric(g, pt, spec=None, normalized=False):
     else:
         scale, fg = 1.0, fourier(g, u)
     integral = _chirp_sum(pt.x - pt.x0 - 2.0 * pt.k0 * t, u, t, w * fg)
-    out = _as_result(scale * np.exp(1j * phase) * integral)
-    return out / TWO_PI if normalized else out
+    return _as_result(scale * np.exp(1j * phase) * integral)
 
 
-def evolve_gaussian_closed(pt, normalized=False):
+def evolve_gaussian_closed(pt):
     """Closed form for the Gaussian window, evolve_hermite's order 0:
 
         2 pi (1 + 2 i t)^{-1/2} e^{i x0 k0 - k0^2/2}
              e^{[k0 + i(x - x0)]^2 / (2 (1 + 2 i t))},
 
     principal square root (continuous through t = 0)."""
-    return evolve_hermite(0, pt, normalized=normalized)
+    return evolve_hermite(0, pt)
 
 
 def evolve_hermite(m, pt, normalized=False):

@@ -1,8 +1,9 @@
-"""Truncated quadrature over the real line and the plane.
+"""Truncated quadrature over the real line.
 
 Every integral in this package has a smooth integrand with Gaussian-type
 decay, so integrals over R are truncated to [-T, T] and evaluated with a
-fixed composite Simpson rule.  For integrands that vanish (with all
+fixed composite Simpson rule on nodes that mirror exactly about 0, so that a
+real integrand folds over +-t.  For integrands that vanish (with all
 derivatives) at the truncation boundary the rule converges far faster than
 its textbook order, so the default density of 64 nodes per unit length is
 effectively exact for the Gaussian-enveloped integrands that appear here.
@@ -68,19 +69,23 @@ def band_spec(band, decay_radius, *shifts):
                           max(16, math.ceil(float(band) / math.pi)))
 
 
-def nodes_weights(spec):
-    """Composite-Simpson nodes and weights on [-T, T] as a pair of float
-    arrays."""
-    T = spec.truncation_radius
-    n_int = int(np.ceil(2.0 * T * spec.nodes_per_unit))
-    if n_int % 2:
-        n_int += 1
-    x = np.linspace(-T, T, n_int + 1)
-    h = 2.0 * T / n_int
-    w = np.full(n_int + 1, 2.0)
+def _simpson_weights(count, h):
+    """Composite-Simpson weights h/3 (1, 4, 2, 4, ..., 2, 4, 1) of an odd
+    count of nodes at spacing h, for nodes_weights and reconstruct's axes."""
+    w = np.full(count, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    return x, w * (h / 3.0)
+    return w * (h / 3.0)
+
+
+def nodes_weights(spec):
+    """Composite-Simpson nodes h k, k = -M..M, on [-T, T] and their weights,
+    as a pair of float arrays: M = ceil(T nodes_per_unit) and h = T / M, so
+    every rule is an exact mirror of odd length."""
+    T = spec.truncation_radius
+    half = math.ceil(T * spec.nodes_per_unit)
+    h = T / half
+    return h * np.arange(-half, half + 1.0), _simpson_weights(2 * half + 1, h)
 
 
 def _guard(vals):

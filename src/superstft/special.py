@@ -92,23 +92,21 @@ def _phase_outer(a, b):
 
 def _real_phase_product(a, t, eta):
     """a @ e^{-i t eta} for a real matrix a whose columns sample the 1-D
-    axis t, as two real matrix products in place of one complex one.  When
-    t is an exact mirror (_mirror_start), a folds into its even and odd
-    parts over +-t, which meet cos and sin on t >= 0 only; otherwise both
-    parts are a on all of t.  When eta is an exact mirror, the columns of
-    its upper half are contracted and the others filled by
-    V(-eta) = conj V(eta).  The phase table is _phase_outer's, so np.exp's
-    bits; the values agree with the complex product to rounding."""
+    axis t, as two real matrix products in place of one complex one.  a
+    folds into its even and odd parts over +-t, which meet cos and sin on
+    t >= 0 only, so t must be an exact mirror (_mirror_start), as every
+    nodes_weights rule is; any other t is a ValueError.  When eta is an
+    exact mirror, its upper half is contracted and the other columns filled
+    by V(-eta) = conj V(eta).  The phase table is _phase_outer's, so
+    np.exp's bits; the values agree with the complex product to rounding."""
     m = _mirror_start(t)
-    if m:
-        even, odd, tail = a[:, m:].copy(), a[:, m:].copy(), a[:, m - 1::-1]
-        even[:, len(t) - 2 * m:] += tail
-        odd[:, len(t) - 2 * m:] -= tail
-        t = t[m:]
-    else:
-        even = odd = a
+    if not m:
+        raise ValueError("the t axis must be an exact mirror, t == -t[::-1]")
+    even, odd, tail = a[:, m:].copy(), a[:, m:].copy(), a[:, m - 1::-1]
+    even[:, len(t) - 2 * m:] += tail
+    odd[:, len(t) - 2 * m:] -= tail
     k = _mirror_start(eta)
-    e = _phase_outer(t, eta[k:])
+    e = _phase_outer(t[m:], eta[k:])
     out = np.empty(a.shape[:1] + eta.shape, dtype=complex)
     out.real[:, k:] = even @ np.ascontiguousarray(e.real)
     out.imag[:, k:] = odd @ np.ascontiguousarray(e.imag)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (QuadratureSpec, _guard, band_spec, make_spec,
-                         nodes_weights)
+from .quadrature import (QuadratureSpec, _guard, _simpson_weights, band_spec,
+                         make_spec, nodes_weights)
 from .signals import Window, gaussian_window, window_norm_sq
 from .special import (SQRT2, TWO_PI, _as_result, _finite, _phase_outer,
                       _real_phase_product)
@@ -86,14 +86,14 @@ def convolve(f, g, lam, spec=None):
 
 def ambiguity(g, u, eta):
     """Ambiguity function A[g](u, eta) = e^{i u eta/2} V_g g(u, eta)
-    = int g(t + u/2) conj(g(t - u/2)) e^{-i eta t} dt, on the box the
-    window's decay radius sets.  A non-finite u or eta is a ValueError that
-    names it."""
+    = int g(t + u/2) conj(g(t - u/2)) e^{-i eta t} dt on stft's grid
+    u.shape + eta.shape, on the box the window's decay radius sets.  A
+    non-finite u or eta is a ValueError that names it."""
     u, eta = _finite("u", u), _finite("eta", eta)
-    return np.exp(0.5j * u * eta) * stft(g, g, u, eta)
+    return np.exp(0.5j * np.multiply.outer(u, eta)) * stft(g, g, u, eta)
 
 
-def bargmann(f, z, spec=None):
+def bargmann(f, z):
     """Bargmann transform
     B(f)(z) = pi^{-3/4} int f(t) e^{-z^2/2 - t^2/2 + sqrt2 z t} dt,
     normalized so the Hermite function h_n maps to pi^{-1/4} 2^{n/2} z^n:
@@ -101,7 +101,7 @@ def bargmann(f, z, spec=None):
     sqrt2 |z|.  A non-finite z is a ValueError naming it; |Re z| > 26.6 or
     |z| > 37.6, where its factors overflow, is a FloatingPointError."""
     z = complex(_finite("z", z))
-    spec = _resolve_spec(spec, f, shifts=(SQRT2 * abs(z),))
+    spec = _resolve_spec(None, f, shifts=(SQRT2 * abs(z),))
     val = stft(f, gaussian_window(), SQRT2 * z.real, -SQRT2 * z.imag, spec)
     with np.errstate(over="raise", invalid="raise"):
         return math.pi ** (-0.75) * np.exp(z.real ** 2) * np.exp(-z * z / 2.0) * val
@@ -145,8 +145,8 @@ def stft_grid(f, g, u_axis, eta_axis, spec=None):
     applies e^{-i t eta_j}.  A complex integrand (a superoscillating
     signal, a modulated window) is one complex matrix product.  A real one
     (real f and g) goes to _real_phase_product: two real matrix products
-    on the halves t >= 0 and eta >= 0 of mirrored axes, within
-    32 eps sum_t |a(u, t)| of the complex product per cell.
+    on t >= 0 of the rule, an exact mirror, and on eta >= 0 of a mirrored
+    eta axis, within 32 eps sum_t |a(u, t)| of the complex product per cell.
 
     The axes must be finite (ValueError naming the axis otherwise); their
     order does not matter.  The weighted integrand goes through the
@@ -251,13 +251,10 @@ def _axis_weights(axis):
     if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
         raise ValueError("integration axis must be uniformly spaced")
     h = float(h[0])
+    if n % 2:
+        return _simpson_weights(n, h)
     w = np.full(n, h)
-    if (n - 1) % 2 == 0:
-        w *= 1.0 / 3.0
-        w[1:-1:2] *= 4.0
-        w[2:-1:2] *= 2.0
-    else:
-        w[0] = w[-1] = h / 2.0
+    w[0] = w[-1] = h / 2.0
     return w
 
 

@@ -65,7 +65,7 @@ def test_initial_datum_scale():
     datum = np.exp(1j * k0 * x) * g(x - x0)
     assert abs(evolve_gaussian_closed(pt) - TWO_PI * datum) < 1e-12
     assert abs(evolve_numeric(g, pt) - TWO_PI * datum) < 1e-11
-    assert abs(evolve_gaussian_closed(pt, normalized=True) - datum) < 1e-13
+    assert abs(evolve_hermite(0, pt, normalized=True) - datum) < 1e-13
     for m in (1, 3):
         hm = hermite_window(m)
         datum_m = np.exp(1j * k0 * x) * hm(x - x0)

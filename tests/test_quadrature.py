@@ -116,6 +116,21 @@ def test_weights_integrate_constants():
     assert abs(w.sum() - 6.0) < 1e-12
 
 
+# band_spec's density for a band of 100 is max(16, ceil(100 / pi)) = 32
+@pytest.mark.parametrize("density", [16, 64, band_spec(100.0, 9.0).nodes_per_unit])
+def test_every_rule_is_an_exact_mirror(density):
+    """Every rule nodes_weights builds is an exact mirror of odd length,
+    x == -x[::-1] to the bit with 0.0 at its centre, over a sweep of
+    truncation radii 0.5, 0.6, ..., 39.9: the fold of a real integrand
+    over +-t needs it.  Nodes from np.linspace(-T, T, N + 1) are not
+    (QuadratureSpec(11.3, 16) had 186 of its 363 nodes off their mirror)."""
+    for radius in np.arange(5, 400) / 10.0:
+        x, w = nodes_weights(QuadratureSpec(radius, density))
+        assert x.size % 2 == 1 and x[x.size // 2] == 0.0, radius
+        assert np.array_equal(x, -x[::-1]), radius
+        assert np.array_equal(w, w[::-1]), radius
+
+
 TINY = np.finfo(float).tiny
 SUB = TINY / 4.0  # a subnormal double
 

@@ -89,6 +89,19 @@ def test_ambiguity_of_gaussian_is_real():
         assert abs(val - expect) < 1e-13
 
 
+def test_ambiguity_grid_is_its_point_calls():
+    """ambiguity is a tensor grid of shape u.shape + eta.shape, its phase
+    e^{i u eta/2} taken on that grid, for axes of equal and of different
+    lengths: every entry is its point call within 32 eps ||h_1||^2 (the
+    contractions of one and of many rows round differently)."""
+    g = hermite_window(1)
+    for u, eta in (([0.3, -0.7], [0.5, 1.2]), ([0.3, -0.7, 1.1], [0.5, 1.2])):
+        grid = ambiguity(g, u, eta)
+        points = np.array([[ambiguity(g, a, b) for b in eta] for a in u])
+        assert grid.shape == points.shape == (len(u), len(eta))
+        assert np.max(np.abs(grid - points)) <= 32 * EPS * hermite_norm_sq(1)
+
+
 def test_bargmann_of_hermites():
     """B(h_n)(z) = pi^{-1/4} 2^{n/2} z^n."""
     z = 0.8 - 0.3j
@@ -318,8 +331,8 @@ def test_moyal_double_integral_bit_identical_to_unguarded():
 
 
 EPS = np.finfo(float).eps
-# QuadratureSpec(11.3, 16) has 186 of its 363 nodes off their mirror
-_NEAR_MIRROR, _ = nodes_weights(QuadratureSpec(11.3, 16))
+# an axis with 186 of its 363 nodes off their mirror
+_NEAR_MIRROR = np.linspace(-11.3, 11.3, 363)
 _ETA_ODD = np.arange(-160.0, 161.0) / 16
 _ETA_CENTRE = np.arange(-500.0, 501.0) / 64
 _ETA_CENTRE[500] = -0.0
@@ -330,16 +343,15 @@ _REAL_PATH_ETAS = [_ETA_ODD, np.arange(-4.5, 5.0) / 2, _ETA_CENTRE,
 
 @pytest.mark.parametrize("t", [
     nodes_weights(QuadratureSpec(13.0, 16))[0],
-    _NEAR_MIRROR,
     np.arange(-271.5, 272.0) / 16,
-], ids=["mirrored-odd", "unmirrored", "mirrored-even"])
+], ids=["mirrored-odd", "mirrored-even"])
 def test_real_phase_product_within_rounding_of_complex_product(t):
     """The real contraction of a real integrand a(u, t) is the complex
     product a @ e^{-i t eta} within 32 eps sum_t |a(u, t)| in every cell
-    (the largest measured is 13.5 eps sum_t |a|), for a t rule folded
-    over +-t or taken whole, and eta axes mirrored or not, of odd and even
-    length, with a +-0 centre, or of one element."""
-    assert (_mirror_start(t) > 0) == (t is not _NEAR_MIRROR)
+    (the largest measured is 13.5 eps sum_t |a|), for t rules of odd and
+    even length folded over +-t, and eta axes mirrored or not, of odd and
+    even length, with a +-0 centre, or of one element."""
+    assert _mirror_start(t) > 0
     u = np.linspace(-11.0, 11.0, 45)
     a = (hermite_window(3)(t) * hermite_window(2)(t[None, :] - u[:, None])
          / 16.0)
@@ -349,6 +361,16 @@ def test_real_phase_product_within_rounding_of_complex_product(t):
         got = _real_phase_product(a, t, eta)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= bound), eta.size
+
+
+def test_real_phase_product_refuses_an_unmirrored_t_axis():
+    """The real contraction always folds over +-t, so a t axis that is not
+    an exact mirror is a ValueError, not a second, unfolded path."""
+    u = np.linspace(-2.0, 2.0, 5)
+    for t in (_NEAR_MIRROR, np.linspace(0.0, 4.0, 9), np.array([0.5])):
+        a = hermite_window(2)(t[None, :] - u[:, None])
+        with pytest.raises(ValueError, match="exact mirror"):
+            _real_phase_product(a, t, _ETA_ODD)
 
 
 def test_real_stft_grid_within_rounding_of_complex_product():
@@ -553,7 +575,7 @@ def test_fourier_bit_identical_to_unguarded_product():
     ("lam", lambda g: convolve(g, g, -np.inf, spec=make_spec(9.0))),
     ("z", lambda g: bargmann(g, np.nan)),
     ("z", lambda g: bargmann(g, complex(0.5, np.inf))),
-    ("z", lambda g: bargmann(g, complex(-np.inf, 0.5), spec=make_spec(9.0))),
+    ("z", lambda g: bargmann(g, complex(-np.inf, 0.5))),
 ])
 def test_scalar_stft_rejects_non_finite_shifts_by_name(name, call):
     """Each shift is checked by its own name before any arithmetic on it,
