@@ -36,6 +36,12 @@ is one such call with k0 = omega_j on a leading axis.  evolve_numeric
 takes one t per call, since its quadrature rule depends on t.
 evolve_superosc exponentiates each phase factor once per axis.  The CLI's
 evolve makes one grid call per block of whole t slices.
+
+evolve_superosc_integral_representation, the phase-space twin,
+exponentiates its one exponent per (u, eta) cell only at anchors every
+_BLOCK = 16 eta columns and fills each block by products (_atom_table),
+each cell within about eps (1 + |exponent|) of its own exponential, in one
+table that every point reuses.
 """
 
 import math
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import stft_superosc_termwise_grid
+from .kernels import _termwise_factors
 from .quadrature import (
     DEFAULT_PAD,
     QuadratureSpec,
@@ -63,6 +69,13 @@ OSCILLATION_HAZARD = 1e4
 
 # hard ceiling on nodes per unit after oscillation scaling
 _MAX_NODES_PER_UNIT = 4096
+
+# eta columns per anchored block of the integral representation's atom
+# table, and the natural logs of the smallest normal double and of half the
+# smallest subnormal, below which exp rounds to 0
+_BLOCK = 16
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_ZERO = -1075.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -253,6 +266,49 @@ def evolve_superosc_signal(g, x, p, y, t):
         y, t, x, w.reshape(w.shape + lead))), p) / TWO_PI
 
 
+def _atom_table(s, half, eta0, h, t, out):
+    """The evolved atoms of evolve_superosc_integral_representation at one
+    (y, t): e^{phi(u_i, eta_j)} with
+
+        phi = -(s_i - 2 t eta_j)^2 / (2 c) - i eta_j half_i,  c = 1 + 2 i t,
+
+    s = y - u and half = (u + x)/2, on the lattice eta_j = h k_j whose
+    every _BLOCK-th node, from the first, is an anchor of eta0.  It fills
+    out, of shape (_BLOCK, U, len(eta0)), and returns gamma, of length
+    _BLOCK, such that out[r, i, b] gamma[r] is cell (i, _BLOCK b + r); the
+    columns past the lattice's end are finite.  phi is quadratic in eta, so
+    with z = s - 2 t eta0, the anchor's own z,
+
+        phi(eta0 + h r) = phi(eta0) + r sigma + r^2 h^2 C,
+        sigma = h (2 t z / c - i half),  C = -2 t^2 / c,
+
+    out[r] = e^{phi(eta0)} beta^r, beta = e^{sigma}, by r products, and
+    gamma[r] = e^{r^2 h^2 C} (1 at t = 0): two complex exps per anchor,
+    none per cell.  Each step is taken at its anchor, so a cell's rounding
+    is about eps (1 + |phi|) |e^phi|, however large the parts of phi are;
+    nothing overflows, since |out| <= e^{h^2 r^2 / 2}.  An anchor below the
+    smallest normal double cannot start a product chain and takes no step
+    (beta = 1: far from the packet e^sigma overflows): its block is
+    e^{phi(eta0) + r sigma}, cell by cell, where it may hold a nonzero
+    value, and stays 0 where every cell of it underflows."""
+    c = 1.0 + 2j * t
+    z = np.subtract.outer(s, 2.0 * t * eta0)
+    phi = z * z * (-0.5 / c)
+    phi.imag -= np.multiply.outer(half, eta0)
+    sigma = z * (2.0 * t * h / c)
+    sigma.imag -= h * half[:, None]
+    small = phi.real < _LOG_TINY
+    np.exp(phi, out=out[0])
+    beta = np.exp(np.where(small, 0.0, sigma))
+    for r in range(1, _BLOCK):
+        np.multiply(out[r - 1], beta, out=out[r])
+    r = np.arange(_BLOCK)
+    lost = small & (phi.real + r[-1] * np.maximum(sigma.real, 0.0) >= _LOG_ZERO)
+    if lost.any():
+        out[:, lost] = np.exp(phi[lost] + np.multiply.outer(r, sigma[lost]))
+    return np.exp(r * r * (h * h * -2.0 * t * t / c))
+
+
 def evolve_superosc_integral_representation(g, x, p, y, t):
     """U_t S(y) through the phase-space double integral
 
@@ -263,14 +319,21 @@ def evolve_superosc_integral_representation(g, x, p, y, t):
     form.  Implemented for the Gaussian window, whose STFT of S has the
     closed kernel form; the (u, eta) box is the square of half-width
     13 + |x| with 16 Simpson nodes per unit, which truncates where that
-    kernel falls below 1e-12.  y and t broadcast together: the V_g S grid
-    is built once per call, and each point contracts it against its own
-    grid of evolved atoms, so a point's value is the one-point call's to
-    the bit.  A non-finite x, y or t is a ValueError that names it.  phi is
-    2 pi c^{-1/2} e^{-(y-u-2t eta)^2/(2c)} e^{i eta (y-t eta)}, c = 1 + 2it:
-    the eta phase rides on the weights; the 2-D factor has modulus <= 1.
+    kernel falls below 1e-12.  y and t broadcast together: the phase-free
+    part of V_g S is built once per call, and each point contracts it
+    against its own grid of evolved atoms, so a point's value is the
+    one-point call's to the bit.  A non-finite x, y or t is a ValueError
+    that names it.  phi is
+    2 pi c^{-1/2} e^{-(y-u-2t eta)^2/(2c)} e^{i eta (y-t eta)}, c = 1 + 2it.
+    Its eta phase rides on the weights.  V_g S is R^T G e^{-i eta (u+x)/2},
+    with R and G the rank-(n + 1) factors of kernels._termwise_factors; its
+    phase and the 2-D factor of phi are one exponent, which _atom_table
+    exponentiates only at anchors every _BLOCK eta columns (each cell
+    within about eps (1 + |exponent|) of its own exponential) into one
+    table that every point reuses and R^T G multiplies in place, its eta
+    columns in _atom_table's order.
     Its error is absolute, about 1e-14 of the integrand's absolute mass,
-    so a value far below that mass is rounding residue: 7.5e-98 at
+    so a value far below that mass is rounding residue: 1.1e-97 at
     x = 0.5, y = -30, t = 0, where the evolved signal is 1.3e-201."""
     if g.kind != "gaussian":
         raise ValueError(
@@ -281,17 +344,26 @@ def evolve_superosc_integral_representation(g, x, p, y, t):
     y, t = np.broadcast_arrays(_finite("y", y), _finite("t", t))
     outer = QuadratureSpec(truncation_radius=13.0 + abs(x), nodes_per_unit=16)
     xu, w = nodes_weights(outer)
-    v = stft_superosc_termwise_grid(g, x, p, xu, xu)
+    size, blocks = xu.size, -(-xu.size // _BLOCK)
+    half, _, rows, _, gauss = _termwise_factors(x, p, xu, xu)
+    # column _BLOCK b + r of the lattice is [r, :, b], as in _atom_table;
+    # the columns past its end have zero weight
+    cols = np.zeros((gauss.shape[0], blocks * _BLOCK))
+    cols[:, :size] = gauss
+    v = rows.T @ cols.reshape(-1, blocks, _BLOCK).transpose(2, 0, 1)
+    wb = np.zeros(blocks * _BLOCK, dtype=complex)
+    # the lattice step, to one rounding: the nodes are h k, k = -M..M
+    h = xu[-1] / (size // 2)
     scale = TWO_PI**2 * window_norm_sq(g)
+    table = np.empty(v.shape, dtype=complex)
     out = np.empty(y.shape, dtype=complex)
-    z, e = np.empty(v.shape), np.empty(v.shape, dtype=complex)
     for i in np.ndindex(y.shape):
-        c = 1.0 + 2j * t[i]
-        np.subtract.outer(y[i] - xu, 2.0 * t[i] * xu, out=z)
-        np.multiply(np.multiply(z, z, out=z), -0.5 / c, out=e)
-        np.multiply(np.exp(e, out=e), v, out=e)
-        wb = w * np.exp(1j * xu * (y[i] - t[i] * xu))
-        out[i] = complex(w @ e @ wb) * TWO_PI / np.sqrt(c) / scale
+        gamma = _atom_table(y[i] - xu, half, xu[::_BLOCK], h, t[i], table)
+        table *= v
+        wb[:size] = w * np.exp(1j * xu * (y[i] - t[i] * xu))
+        wg = wb.reshape(blocks, _BLOCK).T * gamma[:, None]
+        total = np.einsum("i,rib->rb", w, table) * wg
+        out[i] = complex(total.sum()) * TWO_PI / np.sqrt(1.0 + 2j * t[i]) / scale
     return _as_result(out)
 
 

@@ -30,8 +30,11 @@ as its closed twin, stft_superosc_termwise_grid; both are calls of
 _termwise_grid, the one coefficient sum that forms C_j itself (the Fock
 form and the closed norms are superosc.supershift_probe calls); it applies
 the part of the phase that no term owns once, after the sum.  The
-generating checks build their order tables in one pass (_convolution_table,
-on special._laguerre_table), each entry the per-order call's to the bit.
+evolution's integral representation takes the Gaussian window's two
+factors of that sum from _termwise_factors and applies the phase itself.
+The generating checks build their order tables in one pass
+(_convolution_table, on special._laguerre_table), each entry the
+per-order call's to the bit.
 """
 
 import math
@@ -442,6 +445,21 @@ def _gauss_hermite_grid(k, m, x, p, u, eta, nodes):
     return v, trunc, roundoff
 
 
+def _termwise_factors(x, p, u, eta):
+    """The factors of _termwise_grid on the 1-D axes u and eta: half =
+    (u + x)/2, ux = u - x and lam_j = omega_j - eta clipped at _D_MAX, the
+    rows sqrt(pi) C_j e^{i omega_j half - ux^2/4} and gauss = e^{-lam^2/4}.
+    For the Gaussian window the grid is (rows.T @ gauss) e^{-i eta half}."""
+    w = frequencies(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = (u + x) / 2.0
+        ux = np.minimum(np.maximum(u - x, -_D_MAX), _D_MAX)
+        rows = (SQRT_PI * coefficients(p))[:, None] * np.exp(
+            1j * np.multiply.outer(w, half) - ux * ux / 4.0)
+    lam = np.minimum(np.maximum(np.subtract.outer(w, eta), -_D_MAX), _D_MAX)
+    return half, ux, rows, lam, np.exp(-lam * lam / 4.0)
+
+
 def _termwise_grid(k, m, x, p, u_axis, eta_axis):
     """The coefficient sum sum_j C_j hermite_pair_integral(k, m, u, x,
     omega_j - eta) on the tensor grid of the finite axes u_axis x eta_axis
@@ -453,23 +471,17 @@ def _termwise_grid(k, m, x, p, u_axis, eta_axis):
     Gaussian-Laguerre factor e^{-lam^2/4 - (u-x)^2/4} L_i^{(d)}(|z|^2),
     i = min(k, m), times zeta^d for k != m; for the Gaussian window it is
     an outer product, so the sum is one (U x J) @ (J x E) matrix product
-    with C_j folded into its first factor.  It forms C_j itself because
+    with C_j folded into its first factor, whose two factors
+    _termwise_factors builds.  It forms C_j itself because
     supershift_probe's (J, U, E) term array would add 433^2 x 5 x 16 B =
-    15 MB on verify's evolution triple path, a quarter of its peak RSS.  As
+    15 MB on a 433 x 433 grid, a quarter of verify's peak RSS.  As
     in the pair integral, lam and u - x are clipped at _D_MAX, and a cell
     whose phase is not finite is 0 where the Gaussian factor is 0, a
     ValueError where it is not."""
     u, eta = u_axis.ravel(), eta_axis.ravel()
-    w = frequencies(p)
+    half, ux, rows, lam, gauss = _termwise_factors(x, p, u, eta)
     with np.errstate(over="ignore", invalid="ignore"):
-        half = (u + x) / 2.0
-        ux = np.minimum(np.maximum(u - x, -_D_MAX), _D_MAX)
-        # row j: sqrt(pi) C_j e^{i omega_j (u + x)/2 - (u - x)^2/4}
-        rows = (SQRT_PI * coefficients(p))[:, None] * np.exp(
-            1j * np.multiply.outer(w, half) - ux * ux / 4.0)
         phase = _phase_outer(half, eta)
-    lam = np.minimum(np.maximum(np.subtract.outer(w, eta), -_D_MAX), _D_MAX)
-    gauss = np.exp(-lam * lam / 4.0)
     ux = ux[:, None]
     if k or m:
         order = min(k, m)

@@ -418,12 +418,14 @@ def _run_norm_gaussian(rng):
 def _run_norm_hermite(rng):
     for n in range(1, 5):
         p = SuperoscParams(a=1.5, n=n)
+        # ||S||^2 of the signal on h_m does not depend on k
+        signal_sq = [sg.signal_norm_sq(sg.build_signal(sg.hermite_window(m),
+                                                       0.3, p))
+                     for m in range(3)]
         for k in range(3):
             for m in range(3):
                 closed = kn.norm_sq_closed_hermite(k, m, 0.3, p)
-                signal = sg.build_signal(sg.hermite_window(m), 0.3, p)
-                quad = (sg.window_norm_sq(sg.hermite_window(k))
-                        * sg.signal_norm_sq(signal))
+                quad = sg.window_norm_sq(sg.hermite_window(k)) * signal_sq[m]
                 yield abs(closed - quad) / abs(quad)
 
 

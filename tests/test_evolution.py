@@ -7,7 +7,8 @@ import pytest
 
 from oracles import evolve_hermite_mp
 from superstft.cli import main
-from superstft.evolution import (OSCILLATION_HAZARD, EvolutionPoint,
+from superstft.evolution import (_BLOCK, OSCILLATION_HAZARD, EvolutionPoint,
+                                 _atom_table,
                                  evolve_gaussian_closed,
                                  evolve_hermite, evolve_numeric,
                                  evolve_superosc,
@@ -164,7 +165,7 @@ def test_integral_representation_path():
         v1 = evolve_superosc_signal(g, 0.5, p, y, t)
         v2 = evolve_superosc_integral_representation(g, 0.5, p, y, t)
         assert type(v2) is complex
-        assert abs(v1 - v2) < 1e-9
+        assert abs(v1 - v2) < 2e-15
         scalar.append(v2)
     # y and t broadcast: one call gives each point's one-point value
     y, t = np.array(points).T
@@ -225,6 +226,45 @@ def test_separated_integral_representation_matches_whole_atoms():
 
 
 EPS = np.finfo(float).eps
+
+
+def test_anchored_atom_table_is_the_exponential_of_its_exponent():
+    """Every cell of the anchored table of evolved atoms is within
+    128 eps (1 + |phi|) |e^phi| of np.exp of its own exponent phi, plus 32
+    subnormal spacings 2^-1074: a cell is at most 16 products from its
+    anchor, each of which rounds both parts of a subnormal value to that
+    spacing.  The cases cover t = 0, negative t, |t| = 50 and boxes of
+    half-width up to 58, with blocks whose anchor underflows; nothing
+    overflows, and the columns past the lattice's end hold their own
+    exponentials too.  The table treats each u on its own, so its rows are
+    every third node of the box; its columns are the whole eta lattice.
+    Far from the packet, where an anchor's step e^sigma would overflow,
+    every block is 0 and the twin is 0, with no floating-point error."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert evolve_superosc_integral_representation(
+            gaussian_window(), 0.5, SuperoscParams(2.0, 4), 3e4, 0.5) == 0
+    for x in (0.5, -12.0, 26.0, 45.0):
+        nodes, _ = nodes_weights(QuadratureSpec(13.0 + abs(x), 16))
+        u, h = nodes[::3], nodes[-1] / (nodes.size // 2)
+        half, blocks = (u + x) / 2.0, -(-nodes.size // _BLOCK)
+        k = np.arange(-(nodes.size // 2), -(nodes.size // 2) + _BLOCK * blocks)
+        eta = (h * k).reshape(blocks, _BLOCK).T
+        assert np.array_equal(eta.T.ravel()[:nodes.size], nodes)
+        table = np.empty((_BLOCK, u.size, blocks), dtype=complex)
+        for y, t in itertools.product((0.0, 3.0, -30.0, x),
+                                      (0.0, 0.1, -0.5, 0.8, 2.0, -2.0,
+                                       50.0, -50.0)):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                gamma = _atom_table(y - u, half, eta[0], h, t, table)
+            for r in range(_BLOCK):
+                z = np.subtract.outer(y - u, 2.0 * t * eta[r])
+                phi = z * z * (-0.5 / (1.0 + 2j * t))
+                phi.imag -= np.multiply.outer(half, eta[r])
+                ref = np.exp(phi)
+                bound = (128 * EPS * (1.0 + np.abs(phi)) * np.abs(ref)
+                         + 32 * 2.0**-1074)
+                assert np.all(np.abs(table[r] * gamma[r] - ref) <= bound), (
+                    x, y, t, r)
 
 
 def test_hermite_grid_matches_point_calls():
